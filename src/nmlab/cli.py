@@ -8,7 +8,9 @@ Subcommands:
 * ``nmlab plot <csv>``       minimal SVG rendering of a figure CSV
 
 A JSON config file (see RunConfig) supplies sweep settings; command-line
-flags override it. NMLAB_WORKERS sets the default worker count.
+flags override it. NMLAB_WORKERS sets the default worker count. Invalid
+input (a bad config value, NMLAB_WORKERS, Werner parameter or missing file)
+ends the command with one ``error:`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -78,8 +80,7 @@ def _cmd_measure(args) -> int:
         report = blp_measure(scheme, args.p, grid, cfg.opt_config(), observe=observe)
     else:
         if args.observe != "s":
-            print("only the BLP measure supports --observe e2", file=sys.stderr)
-            return 2
+            raise ValueError("only the BLP measure supports --observe e2")
         if args.name == "rhp":
             report = rhp_measure(scheme, args.p, grid, cfg.rhp_eps, cfg.svd_tol)
         else:
@@ -89,12 +90,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    try:
-        for path in emit_plot(args.csv, args.kind):
-            print(path)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for path in emit_plot(args.csv, args.kind):
+        print(path)
     return 0
 
 
@@ -136,7 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

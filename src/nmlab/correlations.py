@@ -9,11 +9,23 @@ supported through the same entry points and falls back to seeded Haar
 sampling over rank-1 bases (an explicit lower bound either way). Discord
 is total minus classical correlations, hence an upper bound under the
 projective restriction.
+
+Along the gate-by-gate dynamics a trajectory computes the measures only
+where they can change. A gate that acts only on the unmeasured side, and
+on one side of the S | (E1 E2) cut, moves the state by a unitary local to
+both splits: negativity and mutual information are invariant, and after any
+measurement of the measured side the conditional states of the kept side
+differ only by that unitary, so every candidate basis of the search extracts
+the same information and the grid-search value is unchanged too. Such a
+segment is evaluated at its first sample and its values are carried across
+the rest. A gate touching the measured side (H_S for the default) leaves the
+true classical correlations invariant but rotates the measured bases against
+the fixed angle grid, so its segment is computed in full.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +43,14 @@ from .qmath import (
     trace_norm,
     vn_entropy,
 )
-from .register import DynamicsScheme, propagator_stack, werner
+from .register import (
+    DynamicsScheme,
+    Interpolation,
+    active_gate,
+    gate_sequence,
+    propagator_stack,
+    werner,
+)
 from .sweep import OptConfig, TimeGrid, two_stage_maximize
 
 # Outcomes rarer than this contribute nothing to the conditional entropy.
@@ -166,6 +185,26 @@ def discord(
     )
 
 
+def _carried(scheme: DynamicsScheme, ts: np.ndarray, measured) -> np.ndarray:
+    """True where a sample may copy the measures of the sample before it.
+
+    That holds when both samples lie in one gate-by-gate segment whose gate
+    acts only on the kept side and on one side of the S | (E1 E2) cut.
+    """
+    carry = np.zeros(len(ts), dtype=bool)
+    if scheme.interpolation is not Interpolation.GATE_BY_GATE:
+        return carry
+    gates = gate_sequence(scheme.variant)
+    seg = active_gate(ts, len(gates))
+    kept = set(REGISTER.complement(measured))
+    s_side = set(REGISTER.positions("S"))
+    for i, gate in enumerate(gates, start=1):
+        wires = set(REGISTER.positions(gate.wires))
+        if wires <= kept and (wires <= s_side or not wires & s_side):
+            carry[1:] |= (seg[1:] == i) & (seg[:-1] == i)
+    return carry
+
+
 def correlation_trajectory(
     scheme: DynamicsScheme,
     psi: np.ndarray,
@@ -180,6 +219,14 @@ def correlation_trajectory(
     is split S versus (E1, E2) and all three correlation measures are
     evaluated (discord as mutual - classical, so the identity holds exactly
     in every sample).
+
+    Under gate-by-gate dynamics, a segment whose gate acts only on the
+    unmeasured side (E1/E2 for the default ``measured="S"``) is evaluated at
+    its first sample only; the later samples of that segment copy its values
+    with their own ``t``. The copy is exact, grid search included: the gate
+    is a unitary local to the kept side, which leaves every measure and
+    every candidate basis's extracted information unchanged. Segments whose
+    gate touches the measured side are computed in full.
     """
     psi = np.asarray(psi, dtype=complex)
     ts = grid.times()
@@ -187,7 +234,10 @@ def correlation_trajectory(
     rho0 = kron(np.outer(psi, psi.conj()), werner(p))
     states = np.einsum("tab,bc,tdc->tad", us, rho0, us.conj())
     samples = []
-    for t, state in zip(ts, states):
+    for t, state, carry in zip(ts, states, _carried(scheme, ts, measured)):
+        if carry:
+            samples.append(replace(samples[-1], t=float(t)))
+            continue
         neg = log_negativity(state, "S")
         mutual = _mutual_across(state, measured, REGISTER)
         classical = classical_correlations(state, measured, REGISTER, opt)

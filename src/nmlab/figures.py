@@ -102,12 +102,21 @@ class RunConfig:
     def resolve_workers(self) -> int:
         if self.workers > 0:
             return self.workers
-        env = os.environ.get("NMLAB_WORKERS", "")
-        return int(env) if env.strip() else 1
+        env = os.environ.get("NMLAB_WORKERS", "").strip()
+        if not env:
+            return 1
+        if not env.isdecimal() or int(env) < 1:
+            raise ValueError(f"NMLAB_WORKERS must be a positive integer, got {env!r}")
+        return int(env)
 
 
 def p_grid(step: float) -> np.ndarray:
-    n = int(round(1.0 / step))
+    """Resource values 0, step, ..., 1; the step must be 1/n for an integer n."""
+    if not step > 0:
+        raise ValueError(f"p step must be positive, got {step}")
+    n = round(1.0 / step)
+    if n < 1 or abs(1.0 / step - n) > 1e-9:
+        raise ValueError(f"p step must be 1/n for an integer n, got {step}")
     return np.linspace(0.0, 1.0, n + 1)
 
 

@@ -182,6 +182,16 @@ def bell_basis() -> list[np.ndarray]:
     ]
 
 
+def active_gate(ts, n_gates: int) -> np.ndarray:
+    """Index in 1..n_gates of the gate running at each time; 0 before the first.
+
+    Gate i runs over i-1 < t <= i, so a boundary time belongs to the gate that
+    just finished; the 1e-12 slack absorbs float dust above integer times.
+    """
+    ts = np.asarray(ts, dtype=float)
+    return np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), n_gates), 0)
+
+
 class _GateInterpolator:
     """Piecewise propagator: gate i runs over i-1 < t <= i, others idle."""
 
@@ -194,12 +204,8 @@ class _GateInterpolator:
             prefixes.append(g @ prefixes[-1])
         self.prefixes = prefixes
 
-    def segment_index(self, t: float) -> int:
-        # gate index in 1..n active at time t; 0 means before the first gate
-        return min(int(np.ceil(t - 1e-12)), self.n) if t > 0 else 0
-
     def at(self, t: float) -> np.ndarray:
-        i = self.segment_index(t)
+        i = int(active_gate(t, self.n))
         if i == 0:
             return np.eye(REGISTER.dim, dtype=complex)
         return self.fractional[i - 1].at(t - (i - 1)) @ self.prefixes[i - 1]
@@ -238,7 +244,7 @@ def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
         return _block_fractional(scheme.variant).at_many(ts)
     interp = _gate_interpolator(scheme.variant)
     out = np.empty((len(ts), REGISTER.dim, REGISTER.dim), dtype=complex)
-    seg = np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), interp.n), 0)
+    seg = active_gate(ts, interp.n)
     out[seg == 0] = np.eye(REGISTER.dim, dtype=complex)
     for i in range(1, interp.n + 1):
         mask = seg == i

@@ -58,8 +58,6 @@ from .register import (
 )
 from .sweep import default_grid
 
-PAULI_FORMS = {"phi+": "I", "phi-": "Z", "psi+": "X", "psi-": "-iY"}
-
 
 @dataclass
 class CheckResult:

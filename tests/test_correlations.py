@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
+from nmlab import correlations
 from nmlab.correlations import (
+    _mutual_across,
     classical_correlations,
     correlation_trajectory,
     discord,
     log_negativity,
 )
-from nmlab.qmath import RegisterLayout, kron
+from nmlab.qmath import REGISTER, RegisterLayout, kron
 from nmlab.register import (
     BLOCK_SWAP,
+    GATES_BBC,
     GATES_SWAP,
     KET0,
     KET_PLUS,
@@ -27,6 +32,9 @@ PAIR = RegisterLayout(("E1", "E2"), (2, 2))
 PHI = bell_basis()[0]
 BELL = np.outer(PHI, PHI.conj())
 CLASSICAL_PAIR = 0.5 * (np.diag([1.0, 0, 0, 0]) + np.diag([0, 0, 0, 1.0])).astype(complex)
+
+# gates acting on E1/E2 only: their segments carry the measures across S | (E1 E2)
+ENV_LOCAL_GATES = {GATES_SWAP: (3, 4, 5, 7), GATES_BBC: (3, 4, 6)}
 
 
 class TestLogNegativity:
@@ -157,3 +165,38 @@ class TestTrajectory:
         # the |+> input couples S to the environment already at the first gate
         state = joint_state(KET_PLUS, 1.0, GATES_SWAP, 0.5)
         assert log_negativity(state, "S") > 1e-3
+
+
+class TestSegmentCarry:
+    @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC], ids=["swap", "bbc"])
+    @pytest.mark.parametrize("psi", [KET0, KET_PLUS], ids=["ket0", "plus"])
+    @pytest.mark.parametrize("p", [0.3, 1.0])
+    def test_carried_samples_match_direct_evaluation(self, scheme, psi, p, monkeypatch):
+        n_gates = round(scheme.time_domain[1])
+        grid = TimeGrid(0.0, n_gates, 4 * n_gates + 1)
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return classical_correlations(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(correlations, "classical_correlations", counted)
+            traj = correlation_trajectory(scheme, psi, p, grid)
+
+        for s in traj:
+            state = joint_state(psi, p, scheme, s.t)
+            assert s.neg == pytest.approx(log_negativity(state, "S"), abs=1e-12)
+            assert s.mutual == pytest.approx(
+                _mutual_across(state, "S", REGISTER), abs=1e-12
+            )
+            assert s.classical == pytest.approx(classical_correlations(state), abs=1e-12)
+        # gate i runs over i-1 < t <= i; a sample is searched unless the
+        # sample before it lies in the same environment-local segment
+        gate = [math.ceil(t) for t in grid.times()]
+        carried = sum(
+            1 for k in range(1, len(gate))
+            if gate[k] == gate[k - 1] and gate[k] in ENV_LOCAL_GATES[scheme]
+        )
+        assert carried == 3 * len(ENV_LOCAL_GATES[scheme])
+        assert len(searches) == len(gate) - carried

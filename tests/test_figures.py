@@ -38,8 +38,26 @@ class TestConfig:
         monkeypatch.delenv("NMLAB_WORKERS")
         assert RunConfig().resolve_workers() == 1
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_workers_env_rejects_non_positive_integers(self, monkeypatch, value):
+        monkeypatch.setenv("NMLAB_WORKERS", value)
+        with pytest.raises(ValueError, match="NMLAB_WORKERS"):
+            RunConfig().resolve_workers()
+
     def test_p_grid(self):
         assert np.allclose(p_grid(0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
+        for step in (0.01, 0.05, 0.2, 0.25):
+            assert len(p_grid(step)) == round(1.0 / step) + 1
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
+    def test_p_grid_rejects_non_positive_step(self, step):
+        with pytest.raises(ValueError, match="positive"):
+            p_grid(step)
+
+    @pytest.mark.parametrize("step", [0.03, 0.3, 2.0, float("inf")])
+    def test_p_grid_rejects_step_not_dividing_one(self, step):
+        with pytest.raises(ValueError, match="1/n"):
+            p_grid(step)
 
 
 class TestCsvFormat:
@@ -196,3 +214,24 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert cli.main(["plot", str(bad), "--kind", "heatmap"]) == 2
+
+    def _assert_one_error_line(self, code, capsys, fragment):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"heatmap_p_step": 0}))
+        code = cli.main(["figure", "fig6", "--config", str(cfg_path), "--out", str(tmp_path)])
+        self._assert_one_error_line(code, capsys, "p step")
+
+    def test_bad_workers_env_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NMLAB_WORKERS", "abc")
+        code = cli.main(["figure", "fig3", "--out", str(tmp_path)])
+        self._assert_one_error_line(code, capsys, "NMLAB_WORKERS")
+
+    def test_bad_resource_parameter_is_one_error_line(self, capsys):
+        code = cli.main(["measure", "lfs", "--p", "1.5", "--scheme", "block"])
+        self._assert_one_error_line(code, capsys, "Werner")
