@@ -6,25 +6,20 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along both interpolations of the dynamics.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .qmath import (
     REGISTER,
     SYSTEM_ANCILLA,
-    FractionalUnitary,
     RegisterLayout,
-    SingularMapError,
-    Superoperator,
     choi_state,
     kron,
     mutual_information,
     partial_trace,
     partial_transpose,
-    regularized_inverse,
     superop_from_action,
     trace_distance,
     trace_norm,
-    unitary_fractional_power,
     vn_entropy,
 )
 from .register import (
@@ -40,12 +35,10 @@ from .register import (
     bloch_ket,
     block_unitaries,
     circuit_unitary,
-    e2_reduced_state,
     gate_sequence,
     gate_unitary,
-    joint_state,
-    propagator,
-    system_map,
+    joint_states,
+    system_map_stack,
     werner,
 )
 from .channel import (
@@ -65,7 +58,6 @@ from .nonmarkov import (
     blp_pair_gain,
     first_crossing,
     lfs_measure,
-    rhp_g,
     rhp_measure,
 )
 from .correlations import (

@@ -2,13 +2,11 @@
 
 Classical correlations follow the measurement-based definition: the best
 reduction of the unmeasured side's entropy achievable by a projective
-measurement on the measured side. By default the measured side is the
-single qubit S, whose bases form a two-angle family that the deterministic
-grid search covers exactly; measuring the two-qubit environment instead is
-supported through the same entry points and falls back to seeded Haar
-sampling over rank-1 bases (an explicit lower bound either way). Discord
-is total minus classical correlations, hence an upper bound under the
-projective restriction.
+measurement on the measured side. The measured side is a single qubit (S by
+default), whose bases form a two-angle family that the deterministic grid
+search covers; the grid value is a lower bound. A two-qubit measured side is
+rejected. Discord is total minus classical correlations, hence an upper
+bound under the projective restriction.
 
 Along the gate-by-gate dynamics a trajectory computes the measures only
 where they can change. A gate that acts only on the unmeasured side, and
@@ -36,10 +34,10 @@ from .qmath import (
     PAULI_Z,
     REGISTER,
     RegisterLayout,
-    kron,
-    partial_trace,
+    mutual_information,
     partial_transpose,
     permute_wires,
+    spectrum_entropy,
     trace_norm,
     vn_entropy,
 )
@@ -48,8 +46,7 @@ from .register import (
     Interpolation,
     active_gate,
     gate_sequence,
-    propagator_stack,
-    werner,
+    joint_states,
 )
 from .sweep import OptConfig, TimeGrid, two_stage_maximize
 
@@ -81,20 +78,17 @@ def log_negativity(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) -> 
 
 
 def _split(rho_ab: np.ndarray, measured, layout: RegisterLayout):
-    """Permute to (kept wires, measured wires) and return the 4-index view."""
+    """Permute to (kept wires, measured qubit) and return the 4-index view."""
     pos_b = layout.positions(measured)
     pos_a = layout.complement(measured)
     if not pos_a:
         raise ValueError("measuring every wire leaves nothing to correlate with")
+    d_b = int(np.prod([layout.dims[i] for i in pos_b]))
+    if d_b != 2:
+        raise ValueError(f"measured side must be a single qubit, got dimension {d_b}")
     rho_p = permute_wires(rho_ab, pos_a + pos_b, layout)
     d_a = int(np.prod([layout.dims[i] for i in pos_a]))
-    d_b = int(np.prod([layout.dims[i] for i in pos_b]))
-    return rho_p.reshape(d_a, d_b, d_a, d_b), d_a, d_b
-
-
-def _entropy_from_eigs(lam: np.ndarray) -> np.ndarray:
-    safe = np.where(lam > 1e-12, lam, 1.0)
-    return -(np.where(lam > 1e-12, lam, 0.0) * np.log2(safe)).sum(axis=-1)
+    return rho_p.reshape(d_a, 2, d_a, 2)
 
 
 def _j_values(rho4: np.ndarray, s_a: float, projectors: np.ndarray) -> np.ndarray:
@@ -109,7 +103,7 @@ def _j_values(rho4: np.ndarray, s_a: float, projectors: np.ndarray) -> np.ndarra
     lam = np.linalg.eigvalsh(cond)
     p_safe = np.where(probs > PROB_FLOOR, probs, 1.0)
     mu = lam / p_safe[..., None]
-    branch = np.where(probs > PROB_FLOOR, probs * _entropy_from_eigs(mu), 0.0)
+    branch = np.where(probs > PROB_FLOOR, probs * spectrum_entropy(mu), 0.0)
     return s_a - branch.sum(axis=1)
 
 
@@ -134,43 +128,18 @@ def classical_correlations(
     layout: RegisterLayout = REGISTER,
     opt: OptConfig = OptConfig(),
 ) -> float:
-    """Maximal information about the kept side from measuring `measured`.
+    """Maximal information about the kept side from measuring the qubit `measured`.
 
-    A qubit measured side is optimized with the deterministic two-stage
-    angle grid (basis pairs are unordered, so theta in [0, pi/2] suffices);
-    a four-dimensional measured side is sampled with a seeded Haar search
-    seeded from `opt.seed`. Both return lower bounds by construction.
+    The deterministic two-stage angle grid searches the measurement bases
+    (basis pairs are unordered, so theta in [0, pi/2] suffices), so the
+    result is a lower bound by construction.
     """
-    rho4, d_a, d_b = _split(rho_ab, measured, layout)
+    rho4 = _split(rho_ab, measured, layout)
     s_a = vn_entropy(np.einsum("aubu->ab", rho4))
-    if d_b == 2:
-        result = two_stage_maximize(
-            lambda th, ph: _j_values(rho4, s_a, _qubit_projectors(th, ph)), opt
-        )
-        return result.value
-    if d_b == 4:
-        rng = np.random.default_rng(opt.seed)
-        # computational basis first as a deterministic baseline
-        eye = np.eye(4, dtype=complex)
-        bases = [np.stack([np.outer(eye[i], eye[i].conj()) for i in range(4)])]
-        ginibre = rng.normal(size=(opt.random_samples, 4, 4)) \
-            + 1j * rng.normal(size=(opt.random_samples, 4, 4))
-        for g in ginibre:
-            q, _ = np.linalg.qr(g)
-            bases.append(np.stack([np.outer(q[:, i], q[:, i].conj()) for i in range(4)]))
-        values = _j_values(rho4, s_a, np.stack(bases))
-        return float(values.max())
-    raise ValueError("measured side must be a qubit or the two-qubit environment")
-
-
-def _mutual_across(rho_ab: np.ndarray, measured, layout: RegisterLayout) -> float:
-    pos_b = layout.positions(measured)
-    pos_a = layout.complement(measured)
-    return (
-        vn_entropy(partial_trace(rho_ab, pos_a, layout))
-        + vn_entropy(partial_trace(rho_ab, pos_b, layout))
-        - vn_entropy(rho_ab)
+    result = two_stage_maximize(
+        lambda th, ph: _j_values(rho4, s_a, _qubit_projectors(th, ph)), opt
     )
+    return result.value
 
 
 def discord(
@@ -180,7 +149,7 @@ def discord(
     opt: OptConfig = OptConfig(),
 ) -> float:
     """Quantum discord: mutual information minus classical correlations."""
-    return _mutual_across(rho_ab, measured, layout) - classical_correlations(
+    return mutual_information(rho_ab, measured, layout) - classical_correlations(
         rho_ab, measured, layout, opt
     )
 
@@ -230,16 +199,14 @@ def correlation_trajectory(
     """
     psi = np.asarray(psi, dtype=complex)
     ts = grid.times()
-    us = propagator_stack(scheme, ts)
-    rho0 = kron(np.outer(psi, psi.conj()), werner(p))
-    states = np.einsum("tab,bc,tdc->tad", us, rho0, us.conj())
+    states = joint_states(scheme, p, ts, np.outer(psi, psi.conj()))
     samples = []
     for t, state, carry in zip(ts, states, _carried(scheme, ts, measured)):
         if carry:
             samples.append(replace(samples[-1], t=float(t)))
             continue
         neg = log_negativity(state, "S")
-        mutual = _mutual_across(state, measured, REGISTER)
+        mutual = mutual_information(state, measured, REGISTER)
         classical = classical_correlations(state, measured, REGISTER, opt)
         samples.append(
             CorrelationSample(

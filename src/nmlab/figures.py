@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .nonmarkov import (
     rhp_measure,
 )
 from .register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, KET_PLUS
-from .sweep import OptConfig, default_grid
+from .sweep import OptConfig, default_grid, is_count
 
 FIG_IDS = ("fig2", "fig2_inset", "fig3", "fig4", "fig5", "fig6", "fig7")
 
@@ -64,6 +65,26 @@ class RunConfig:
     out_dir: str = "."
     workers: int = 0                   # 0 -> NMLAB_WORKERS env var, else 1
 
+    def __post_init__(self):
+        for name, minimum in (("steps_per_unit", 1), ("heatmap_steps_per_unit", 1),
+                              ("coarse_theta", 1), ("coarse_phi", 1),
+                              ("refine_rounds", 0), ("workers", 0)):
+            value = getattr(self, name)
+            if not is_count(value, minimum):
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        for name in ("p_step", "heatmap_p_step"):
+            try:
+                p_grid(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        for name in ("rhp_eps", "svd_tol", "threshold_cutoff"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not (isinstance(self.fig4_p_values, tuple) and all(
+                isinstance(p, numbers.Real) and 0 <= p <= 1 for p in self.fig4_p_values)):
+            raise ValueError(f"fig4_p_values must be a list of values in [0, 1], got {self.fig4_p_values!r}")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         data = json.loads(Path(path).read_text())
@@ -75,7 +96,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "fig4_p_values" in data:
+        if isinstance(data.get("fig4_p_values"), list):
             data = dict(data, fig4_p_values=tuple(data["fig4_p_values"]))
         return cls(**data)
 
@@ -112,7 +133,7 @@ class RunConfig:
 
 def p_grid(step: float) -> np.ndarray:
     """Resource values 0, step, ..., 1; the step must be 1/n for an integer n."""
-    if not step > 0:
+    if not (isinstance(step, numbers.Real) and step > 0):
         raise ValueError(f"p step must be positive, got {step}")
     n = round(1.0 / step)
     if n < 1 or abs(1.0 / step - n) > 1e-9:

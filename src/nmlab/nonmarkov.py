@@ -25,11 +25,10 @@ from .qmath import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Superoperator,
+    SYSTEM_ANCILLA,
     choi_state,
-    regularized_inverse,
+    mutual_information,
     trace_norm,
-    SingularMapError,
 )
 from .register import DynamicsScheme, bloch_ket, reduced_evolution, system_map_stack
 from .sweep import OptConfig, TimeGrid, default_grid, two_stage_maximize
@@ -103,11 +102,9 @@ def pair_distance_curve(
     ts: np.ndarray, observe: str = "S",
 ) -> np.ndarray:
     """Trace distance of the two evolved reduced states at each time."""
-    rho1 = np.outer(psi1, np.conj(psi1))
-    rho2 = np.outer(psi2, np.conj(psi2))
-    r1 = reduced_evolution(scheme, p, ts, rho1, observe=observe)
-    r2 = reduced_evolution(scheme, p, ts, rho2, observe=observe)
-    lam = np.linalg.eigvalsh(r1 - r2)
+    rhos = np.stack([np.outer(psi1, np.conj(psi1)), np.outer(psi2, np.conj(psi2))])
+    r = reduced_evolution(scheme, p, ts, rhos, observe=observe)
+    lam = np.linalg.eigvalsh(r[:, 0] - r[:, 1])
     return 0.5 * np.abs(lam).sum(axis=1)
 
 
@@ -149,17 +146,14 @@ def _antipodal_gain_batch(scheme, p, ts, observe):
     every candidate pair. The evolved difference stays traceless Hermitian,
     giving the trace distance in closed form from its 2x2 entries.
     """
-    curves = [
-        reduced_evolution(scheme, p, ts, pauli, observe=observe)
-        for pauli in (PAULI_X, PAULI_Y, PAULI_Z)
-    ]
+    curves = reduced_evolution(scheme, p, ts, np.stack([PAULI_X, PAULI_Y, PAULI_Z]), observe)
 
     def gains(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
         nvec = np.stack(
             [np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
              np.cos(thetas)], axis=1)
         diff = sum(
-            np.einsum("k,tij->ktij", nvec[:, i], curves[i]) for i in range(3)
+            np.einsum("k,tij->ktij", nvec[:, i], curves[:, i]) for i in range(3)
         )
         d = np.sqrt(np.real(diff[:, :, 0, 0]) ** 2 + np.abs(diff[:, :, 0, 1]) ** 2)
         inc = np.diff(d, axis=1)
@@ -197,52 +191,23 @@ def blp_measure(
     return report
 
 
-def _g_from_mats(s_base: np.ndarray, s_fwd: np.ndarray, eps: float, tol: float) -> float | None:
-    """Momentary CP-violation rate from the two superoperator matrices.
-
-    Returns None when the base map needed regularization (singular sample).
-    """
-    try:
-        inv = regularized_inverse(Superoperator(s_base, 2), tol)
-    except SingularMapError:
-        return None
-    if inv.singular:
-        return None
-    intermediate = Superoperator(s_fwd @ inv.mat, 2)
-    f_ncp = trace_norm(choi_state(intermediate))
-    return max(0.0, (f_ncp - 1.0) / eps)
-
-
-def rhp_g(
-    scheme: DynamicsScheme,
-    p: float,
-    t: float,
-    eps: float = DEFAULT_RHP_EPS,
-    tol: float = 1e-10,
-) -> float:
-    """Momentary RHP rate g(t) via the intermediate map between t and t+eps.
-
-    Singular base maps (beyond regularization) contribute 0.
-    """
-    mats = system_map_stack(scheme, p, np.array([t, t + eps]))
-    g = _g_from_mats(mats[0], mats[1], eps, tol)
-    return 0.0 if g is None else g
-
-
 def _g_curve(scheme, p, ts, eps, tol):
-    t_max = ts[-1]
-    base = np.minimum(ts, t_max - eps)
+    """Momentary CP-violation rate of the intermediate map from t to t + eps.
+
+    A sample whose base map is singular (largest singular value <= 0, or
+    smallest below ``tol`` times the largest) is not inverted: it gets rate 0
+    and is counted in the returned number of singular samples.
+    """
+    base = np.minimum(ts, ts[-1] - eps)
     s_base = system_map_stack(scheme, p, base)
     s_fwd = system_map_stack(scheme, p, base + eps)
-    g = np.zeros(len(ts))
-    singular = 0
-    for k in range(len(ts)):
-        gk = _g_from_mats(s_base[k], s_fwd[k], eps, tol)
-        if gk is None:
-            singular += 1
-        else:
-            g[k] = gk
-    return g, singular
+    u, sig, vh = np.linalg.svd(s_base)
+    singular = (sig[:, 0] <= 0.0) | (sig[:, -1] < tol * sig[:, 0])
+    sig = np.where(singular[:, None], 1.0, sig)
+    inv = (vh.conj().transpose(0, 2, 1) / sig[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    f_ncp = trace_norm(choi_state(s_fwd @ inv))
+    g = np.where(singular, 0.0, np.maximum(0.0, (f_ncp - 1.0) / eps))
+    return g, int(singular.sum())
 
 
 def rhp_measure(
@@ -254,10 +219,13 @@ def rhp_measure(
 ) -> MeasureReport:
     """RHP measure: trapezoidal integral of g(t) over the scheme's domain.
 
-    The forward step at the right end of the domain is taken from t1 - eps
-    so every sample stays inside the domain. A control run at eps/2 is
-    recorded in the diagnostics together with half the value, which lower
-    bounds the robustness of non-Markovianity.
+    g(t) is the momentary complete-positivity violation of the intermediate
+    map between t and t + eps. A sample whose base map has any singular value
+    below ``tol`` times the largest contributes 0 and is counted in the
+    ``singular_samples`` diagnostic. The forward step at the right end of the
+    domain is taken from t1 - eps so every sample stays inside the domain. A
+    control run at eps/2 is recorded in the diagnostics together with half
+    the value, which lower bounds the robustness of non-Markovianity.
     """
     if grid is None:
         grid = default_grid(scheme)
@@ -289,12 +257,6 @@ def rhp_measure(
     )
 
 
-def _entropies(mats: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
-    lam = np.linalg.eigvalsh(mats)
-    safe = np.where(lam > clamp, lam, 1.0)
-    return -(np.where(lam > clamp, lam, 0.0) * np.log2(safe)).sum(axis=-1)
-
-
 def lfs_measure(
     scheme: DynamicsScheme,
     p: float,
@@ -309,12 +271,8 @@ def lfs_measure(
     if grid is None:
         grid = default_grid(scheme)
     ts = grid.times()
-    mats = system_map_stack(scheme, p, ts)
-    chois = mats.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(-1, 4, 4) / 2.0
-    r4 = chois.reshape(-1, 2, 2, 2, 2)
-    rho_s = np.einsum("tiaja->tij", r4)
-    rho_a = np.einsum("taiaj->tij", r4)
-    mi = _entropies(rho_s) + _entropies(rho_a) - _entropies(chois)
+    chois = choi_state(system_map_stack(scheme, p, ts))
+    mi = mutual_information(chois, "S", SYSTEM_ANCILLA)
     value, intervals = positive_increments(ts, mi)
     return MeasureReport(
         value=value, p=p, scheme=scheme, grid=grid, increments=intervals,

@@ -11,6 +11,7 @@ Vectorization is column-stacking throughout: ``vec(|i><j|)`` sits at index
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,18 +22,12 @@ from scipy import linalg as sla
 STRUCTURE_TOL = 1e-10
 # Eigenvalues below this are treated as zero in entropies.
 EIG_CLAMP = 1e-12
-# Default relative cutoff for the regularized pseudo-inverse.
-PINV_TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = (PAULI_X + PAULI_Z) / np.sqrt(2.0)
-
-
-class SingularMapError(ValueError):
-    """Raised when a map has no usable inverse even after regularization."""
 
 
 @dataclass(frozen=True)
@@ -139,14 +134,18 @@ def check_density_matrix(rho: np.ndarray, tol: float = STRUCTURE_TOL) -> None:
 
 
 def _reshaped(rho: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """View of `rho` with one row and one column axis per wire, after any stack axes."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (layout.dim, layout.dim):
+    if rho.shape[-2:] != (layout.dim, layout.dim):
         raise ValueError(f"state of dim {rho.shape} does not match layout dim {layout.dim}")
-    return rho.reshape(layout.dims + layout.dims)
+    return rho.reshape(rho.shape[:-2] + layout.dims + layout.dims)
 
 
 def partial_trace(rho: np.ndarray, keep, layout: RegisterLayout = REGISTER) -> np.ndarray:
-    """Reduced state on the `keep` wires, tracing out the rest."""
+    """Reduced state on the `keep` wires, tracing out the rest.
+
+    Leading axes of `rho` are stack axes and are kept.
+    """
     keep_pos = layout.positions(keep)
     n = layout.n_wires
     r = _reshaped(rho, layout)
@@ -156,7 +155,8 @@ def partial_trace(rho: np.ndarray, keep, layout: RegisterLayout = REGISTER) -> n
     col = [letters[n + i] if i in keep_pos else letters[i] for i in range(n)]
     out = "".join(row[i] for i in keep_pos) + "".join(col[i] for i in keep_pos)
     d_keep = int(np.prod([layout.dims[i] for i in keep_pos]))
-    return np.einsum("".join(row) + "".join(col) + "->" + out, r).reshape(d_keep, d_keep)
+    red = np.einsum("..." + "".join(row) + "".join(col) + "->..." + out, r)
+    return red.reshape(red.shape[:-2 * len(keep_pos)] + (d_keep, d_keep))
 
 
 def partial_transpose(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) -> np.ndarray:
@@ -181,9 +181,9 @@ def permute_wires(rho: np.ndarray, order, layout: RegisterLayout = REGISTER) -> 
     return r.transpose(axes).reshape(layout.dim, layout.dim)
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
+def trace_norm(a: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values, one per matrix of a stack."""
+    return np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum(axis=-1)
 
 
 def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
@@ -195,22 +195,32 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     return 0.5 * trace_norm(r1 - r2)
 
 
-def vn_entropy(rho: np.ndarray, clamp: float = EIG_CLAMP) -> float:
-    """Von Neumann entropy in bits; eigenvalues below `clamp` contribute 0."""
-    lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    lam = lam[lam > clamp]
-    if lam.size == 0:
-        return 0.0
-    return float(-(lam * np.log2(lam)).sum())
+def spectrum_entropy(lam: np.ndarray, clamp: float = EIG_CLAMP) -> float | np.ndarray:
+    """Entropy in bits of the spectra on the last axis of `lam`.
+
+    Eigenvalues at or below `clamp` contribute 0.
+    """
+    kept = lam > clamp
+    return -(np.where(kept, lam, 0.0) * np.log2(np.where(kept, lam, 1.0))).sum(axis=-1)
 
 
-def mutual_information(rho_ab: np.ndarray, layout: RegisterLayout = SYSTEM_ANCILLA) -> float:
-    """Quantum mutual information S(A) + S(B) - S(AB) of a bipartite state."""
-    if layout.n_wires != 2:
-        raise ValueError("mutual information needs a bipartite layout")
-    ra = partial_trace(rho_ab, 0, layout)
-    rb = partial_trace(rho_ab, 1, layout)
-    return vn_entropy(ra) + vn_entropy(rb) - vn_entropy(rho_ab)
+def vn_entropy(rho: np.ndarray, clamp: float = EIG_CLAMP) -> float | np.ndarray:
+    """Von Neumann entropy in bits, one per matrix of a stack."""
+    return spectrum_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)), clamp)
+
+
+def mutual_information(
+    rho: np.ndarray, side, layout: RegisterLayout = REGISTER
+) -> float | np.ndarray:
+    """Quantum mutual information S(side) + S(rest) - S(rho) across the cut at `side`.
+
+    Leading axes of `rho` are stack axes.
+    """
+    return (
+        vn_entropy(partial_trace(rho, side, layout))
+        + vn_entropy(partial_trace(rho, layout.complement(side), layout))
+        - vn_entropy(rho)
+    )
 
 
 class FractionalUnitary:
@@ -221,13 +231,13 @@ class FractionalUnitary:
     gates carrying a -1 eigenvalue (CNOT, SWAP, Hadamard) interpolate
     without branch ambiguity. A unitary Schur decomposition supplies an
     orthonormal eigenbasis, which keeps spectral projectors well defined
-    for degenerate eigenphases. ``at(0)`` is the identity and ``at(1)``
-    recovers ``U``.
+    for degenerate eigenphases. The power at 0 is the identity and the
+    power at 1 recovers ``U``.
     """
 
-    def __init__(self, u: np.ndarray, branch_tol: float = 1e-12, check: bool = True):
+    def __init__(self, u: np.ndarray, branch_tol: float = 1e-12):
         u = np.asarray(u, dtype=complex)
-        if check and not is_unitary(u):
+        if not is_unitary(u):
             raise ValueError("input is not unitary within tolerance")
         t, z = sla.schur(u, output="complex")
         phases = np.angle(np.diagonal(t))
@@ -237,19 +247,11 @@ class FractionalUnitary:
         self._phases = phases
         self.dim = u.shape[0]
 
-    def at(self, t: float) -> np.ndarray:
-        return (self._basis * np.exp(1j * self._phases * t)) @ self._basis.conj().T
-
     def at_many(self, ts: np.ndarray) -> np.ndarray:
         """Stacked powers, shape (len(ts), d, d)."""
         ts = np.asarray(ts, dtype=float)
         ph = np.exp(1j * np.outer(ts, self._phases))
         return np.einsum("ab,tb,cb->tac", self._basis, ph, self._basis.conj())
-
-
-def unitary_fractional_power(u: np.ndarray, t: float) -> np.ndarray:
-    """Principal fractional power ``U^t`` of a unitary matrix."""
-    return FractionalUnitary(u).at(t)
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -264,29 +266,8 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """A d^2 x d^2 matrix acting on column-stacked operators.
-
-    ``singular`` records whether a regularized inverse discarded any
-    singular values while producing this map.
-    """
-
-    mat: np.ndarray
-    d: int
-    singular: bool = False
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.mat @ vec(rho), self.d)
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """This map after `other` (matrix product self.mat @ other.mat)."""
-        return Superoperator(self.mat @ other.mat, self.d,
-                             singular=self.singular or other.singular)
-
-
-def superop_from_action(apply: Callable[[np.ndarray], np.ndarray], d: int) -> Superoperator:
-    """Build the matrix of a linear operator-valued map from its action.
+def superop_from_action(apply: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
+    """Matrix of a linear operator-valued map, built from its action.
 
     Column ``j*d + i`` is ``vec(apply(|i><j|))``.
     """
@@ -296,33 +277,21 @@ def superop_from_action(apply: Callable[[np.ndarray], np.ndarray], d: int) -> Su
             unit = np.zeros((d, d), dtype=complex)
             unit[i, j] = 1.0
             mat[:, j * d + i] = vec(apply(unit))
-    return Superoperator(mat, d)
+    return mat
 
 
-def choi_state(s: Superoperator) -> np.ndarray:
+def choi_state(mats: np.ndarray) -> np.ndarray:
     """Apply ``map (x) identity`` to the normalized maximally entangled state.
 
-    The result lives on system (x) ancilla with the system factor first. It
-    has unit trace when the map is trace preserving and is positive
-    semidefinite exactly when the map is completely positive.
+    `mats` holds superoperator matrices, stacked on any leading axes. Each
+    result lives on system (x) ancilla with the system factor first. It has
+    unit trace when the map is trace preserving and is positive semidefinite
+    exactly when the map is completely positive.
     """
-    d = s.d
-    s4 = np.asarray(s.mat, dtype=complex).reshape(d, d, d, d)
+    mats = np.asarray(mats, dtype=complex)
+    d = math.isqrt(mats.shape[-1])
+    lead = mats.ndim - 2
+    s = mats.reshape(mats.shape[:-2] + (d, d, d, d))
     # C[(a,i),(b,j)] = S[b*d+a, j*d+i] / d
-    return s4.transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
-
-
-def regularized_inverse(s: Superoperator, tol: float = PINV_TOL) -> Superoperator:
-    """SVD pseudo-inverse discarding singular values below ``tol * sigma_max``.
-
-    The result is flagged ``singular=True`` when anything was discarded;
-    a map with no usable singular values raises SingularMapError.
-    """
-    u, sig, vh = np.linalg.svd(np.asarray(s.mat, dtype=complex))
-    if sig[0] <= 0.0:
-        raise SingularMapError("map is identically zero")
-    keep = sig >= tol * sig[0]
-    if not keep.any():
-        raise SingularMapError("all singular values below regularization threshold")
-    inv = (vh.conj().T[:, keep] / sig[keep]) @ u.conj().T[keep]
-    return Superoperator(inv, s.d, singular=not bool(keep.all()))
+    axes = tuple(range(lead)) + (lead + 1, lead + 3, lead, lead + 2)
+    return s.transpose(axes).reshape(mats.shape[:-2] + (d * d, d * d)) / d

@@ -25,8 +25,8 @@ from .qmath import (
     REGISTER,
     FractionalUnitary,
     RegisterLayout,
-    Superoperator,
     kron,
+    partial_trace,
 )
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -192,97 +192,79 @@ def active_gate(ts, n_gates: int) -> np.ndarray:
     return np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), n_gates), 0)
 
 
-class _GateInterpolator:
-    """Piecewise propagator: gate i runs over i-1 < t <= i, others idle."""
-
-    def __init__(self, variant: CircuitVariant):
-        gates = _gate_unitaries(variant)
-        self.n = len(gates)
-        self.fractional = [FractionalUnitary(g) for g in gates]
-        prefixes = [np.eye(REGISTER.dim, dtype=complex)]
-        for g in gates:
-            prefixes.append(g @ prefixes[-1])
-        self.prefixes = prefixes
-
-    def at(self, t: float) -> np.ndarray:
-        i = int(active_gate(t, self.n))
-        if i == 0:
-            return np.eye(REGISTER.dim, dtype=complex)
-        return self.fractional[i - 1].at(t - (i - 1)) @ self.prefixes[i - 1]
-
-
 @lru_cache(maxsize=None)
 def _block_fractional(variant: CircuitVariant) -> FractionalUnitary:
     return FractionalUnitary(circuit_unitary(variant))
 
 
 @lru_cache(maxsize=None)
-def _gate_interpolator(variant: CircuitVariant) -> _GateInterpolator:
-    return _GateInterpolator(variant)
-
-
-def _check_domain(scheme: DynamicsScheme, t: float) -> None:
-    lo, hi = scheme.time_domain
-    if not lo - 1e-9 <= t <= hi + 1e-9:
-        raise ValueError(f"time {t} outside scheme domain [{lo}, {hi}]")
-
-
-def propagator(scheme: DynamicsScheme, t: float) -> np.ndarray:
-    """Register unitary U(t) under the scheme's interpolation."""
-    _check_domain(scheme, t)
-    if scheme.interpolation is Interpolation.BLOCK_LOG:
-        return _block_fractional(scheme.variant).at(t)
-    return _gate_interpolator(scheme.variant).at(t)
+def _gate_interpolator(variant: CircuitVariant):
+    """Fractional gates and the products of the gates before each of them."""
+    gates = _gate_unitaries(variant)
+    prefixes = [np.eye(REGISTER.dim, dtype=complex)]
+    for g in gates:
+        prefixes.append(g @ prefixes[-1])
+    return [FractionalUnitary(g) for g in gates], prefixes
 
 
 def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
-    """Propagators at many times, shape (len(ts), 8, 8)."""
+    """Register unitaries U(t) under the scheme's interpolation, shape (len(ts), 8, 8).
+
+    Gate by gate, gate i runs over i-1 < t <= i while the others idle.
+    """
     ts = np.asarray(ts, dtype=float)
-    for t in (ts.min(initial=0.0), ts.max(initial=0.0)):
-        _check_domain(scheme, float(t))
+    lo, hi = scheme.time_domain
+    outside = ts[~((ts >= lo - 1e-9) & (ts <= hi + 1e-9))]
+    if outside.size:
+        raise ValueError(f"time {outside[0]} outside scheme domain [{lo}, {hi}]")
     if scheme.interpolation is Interpolation.BLOCK_LOG:
         return _block_fractional(scheme.variant).at_many(ts)
-    interp = _gate_interpolator(scheme.variant)
+    fractional, prefixes = _gate_interpolator(scheme.variant)
     out = np.empty((len(ts), REGISTER.dim, REGISTER.dim), dtype=complex)
-    seg = active_gate(ts, interp.n)
+    seg = active_gate(ts, len(fractional))
     out[seg == 0] = np.eye(REGISTER.dim, dtype=complex)
-    for i in range(1, interp.n + 1):
+    for i in range(1, len(fractional) + 1):
         mask = seg == i
         if not mask.any():
             continue
-        local = interp.fractional[i - 1].at_many(ts[mask] - (i - 1))
-        out[mask] = np.einsum("tab,bc->tac", local, interp.prefixes[i - 1])
+        local = fractional[i - 1].at_many(ts[mask] - (i - 1))
+        out[mask] = np.einsum("tab,bc->tac", local, prefixes[i - 1])
     return out
 
 
-def joint_state(psi: np.ndarray, p: float, scheme: DynamicsScheme, t: float) -> np.ndarray:
-    """Evolved register state U(t) (|psi><psi| x W(p)) U(t)^dagger."""
-    u = propagator(scheme, t)
-    psi = np.asarray(psi, dtype=complex)
-    rho0 = kron(np.outer(psi, psi.conj()), werner(p))
-    return u @ rho0 @ u.conj().T
+def joint_states(scheme: DynamicsScheme, p: float, ts: np.ndarray, ops) -> np.ndarray:
+    """Evolved register operators U(t) (op (x) W(p)) U(t)^dagger at every time.
+
+    `ops` is one 2x2 operator on S or a stack of them on any leading axes
+    (linearity makes operator differences as useful as states). The result
+    has shape (len(ts), *leading axes, 8, 8). This is the only place the
+    register dynamics acts: every reduced state, map and correlation sample
+    is derived from it.
+    """
+    us = propagator_stack(scheme, ts)
+    ops = np.asarray(ops, dtype=complex)
+    w = werner(p)
+    b = np.stack([kron(op, w) for op in ops.reshape(-1, 2, 2)])
+    sand = np.einsum("tab,nbc,tdc->tnad", us, b, us.conj())
+    return sand.reshape((len(us),) + ops.shape[:-2] + (REGISTER.dim, REGISTER.dim))
 
 
 def reduced_evolution(
     scheme: DynamicsScheme,
     p: float,
     ts: np.ndarray,
-    initial_op: np.ndarray,
+    initial_ops,
     observe: str = "S",
 ) -> np.ndarray:
-    """Evolve ``initial_op (x) W(p)`` and reduce each sample to one wire.
+    """Evolve ``op (x) W(p)`` for each input operator and reduce it to one wire.
 
-    ``initial_op`` is any 2x2 operator on S (linearity makes this useful for
-    operator differences, not just states). Returns shape (len(ts), 2, 2).
+    `initial_ops` is one 2x2 operator on S or a stack of them; the result has
+    shape (len(ts), *leading axes, 2, 2) and holds the reduced state on
+    `observe` ("S" or "E2").
     """
-    us = propagator_stack(scheme, ts)
-    b = kron(np.asarray(initial_op, dtype=complex), werner(p))
-    sand = np.einsum("tab,bc,tdc->tad", us, b, us.conj())
-    if observe == "S":
-        return np.einsum("tiaja->tij", sand.reshape(len(us), 2, 4, 2, 4))
-    if observe == "E2":
-        return np.einsum("taiaj->tij", sand.reshape(len(us), 4, 2, 4, 2))
-    raise ValueError(f"observe must be 'S' or 'E2', got {observe!r}")
+    if observe not in ("S", "E2"):
+        raise ValueError(f"observe must be 'S' or 'E2', got {observe!r}")
+    return partial_trace(joint_states(scheme, p, ts, initial_ops), observe)
 
 
 def _unit_ops(d: int) -> np.ndarray:
@@ -295,24 +277,6 @@ def _unit_ops(d: int) -> np.ndarray:
 
 def system_map_stack(scheme: DynamicsScheme, p: float, ts: np.ndarray) -> np.ndarray:
     """Superoperator matrices of the reduced-S dynamics, shape (len(ts), 4, 4)."""
-    us = propagator_stack(scheme, ts)
-    w = werner(p)
-    b = np.stack([kron(u, w) for u in _unit_ops(2)])
-    sand = np.einsum("tab,nbc,tdc->tnad", us, b, us.conj())
-    red = np.einsum("tniaja->tnij", sand.reshape(len(us), 4, 2, 4, 2, 4))
+    red = reduced_evolution(scheme, p, ts, _unit_ops(2))
     # column n of the superoperator is vec of the reduced image of unit n
-    cols = red.transpose(0, 1, 3, 2).reshape(len(us), 4, 4)
-    return cols.transpose(0, 2, 1)
-
-
-def system_map(scheme: DynamicsScheme, p: float, t: float) -> Superoperator:
-    """Dynamical map of S at time t: rho -> Tr_E[U(t) (rho x W(p)) U(t)^dag]."""
-    mat = system_map_stack(scheme, p, np.array([t]))[0]
-    return Superoperator(mat, 2)
-
-
-def e2_reduced_state(psi: np.ndarray, p: float, t: float) -> np.ndarray:
-    """Reduced E2 state along the gate-by-gate original-BBC trajectory."""
-    psi = np.asarray(psi, dtype=complex)
-    rho = np.outer(psi, psi.conj())
-    return reduced_evolution(GATES_BBC, p, np.array([t]), rho, observe="E2")[0]
+    return red.transpose(0, 1, 3, 2).reshape(len(red), 4, 4).transpose(0, 2, 1)

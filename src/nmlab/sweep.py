@@ -8,6 +8,7 @@ reproducible bit for bit for a given configuration.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,26 +38,28 @@ class TimeGrid:
         return TimeGrid(self.t0, self.t1, 2 * self.n - 1)
 
 
+def is_count(value, minimum: int) -> bool:
+    """True for an integer (not a bool) of at least `minimum`."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 def default_grid(scheme: DynamicsScheme, steps_per_unit: int = 200) -> TimeGrid:
     """Scheme's full time domain at `steps_per_unit` intervals per unit time."""
+    if not is_count(steps_per_unit, 1):
+        raise ValueError(f"steps_per_unit must be an integer >= 1, got {steps_per_unit!r}")
     t0, t1 = scheme.time_domain
     return TimeGrid(t0, t1, int(round((t1 - t0) * steps_per_unit)) + 1)
 
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Settings for the two-stage (theta, phi) maximization.
-
-    ``random_samples``/``seed`` only matter for the 4-dimensional projective
-    search, which falls back to seeded Haar sampling.
-    """
+    """Settings for the two-stage (theta, phi) maximization."""
 
     coarse_theta: int = 13
     coarse_phi: int = 25
     refine_rounds: int = 3
     refine_halfspan: int = 2
-    random_samples: int = 2000
-    seed: int = 7
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,7 @@ from .nonmarkov import (
 from .qmath import (
     PAULI_I,
     RegisterLayout,
-    Superoperator,
     choi_state,
-    kron,
-    partial_trace,
     superop_from_action,
     trace_distance,
     unvec,
@@ -48,11 +45,10 @@ from .register import (
     KET0,
     KET1,
     alpha_ket,
-    block_unitaries,
     circuit_unitary,
-    joint_state,
-    propagator,
-    system_map,
+    joint_states,
+    propagator_stack,
+    reduced_evolution,
     system_map_stack,
     werner,
 )
@@ -97,11 +93,11 @@ def check_channel_identity() -> CheckResult:
     rng = np.random.default_rng(11)
     worst = 0.0
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        m = system_map(BLOCK_SWAP, p, 1.0)
-        for _ in range(20):
-            rho = _random_density(rng)
+        rhos = [_random_density(rng) for _ in range(20)]
+        outs = reduced_evolution(BLOCK_SWAP, p, np.array([1.0]), rhos)[0]
+        for rho, out in zip(rhos, outs):
             target = p * rho + (1.0 - p) * PAULI_I / 2.0
-            worst = max(worst, trace_distance(m.apply(rho), target))
+            worst = max(worst, trace_distance(out, target))
     return CheckResult("1 channel identity", "depolarizing p*rho+(1-p)I/2",
                        f"max trace distance {worst:.3e}", "1e-10", worst <= 1e-10)
 
@@ -149,23 +145,16 @@ def check_table1() -> CheckResult:
 
 
 def check_closed_form_distances() -> CheckResult:
-    u1 = block_unitaries()[0]
-    uc = circuit_unitary()
+    # gate by gate, the first block (G2 G1) has run at t = 2 and the circuit at t = 8
+    alphas = np.linspace(0.0, 1.0, 6)
+    rhos = [np.outer(alpha_ket(a), alpha_ket(a).conj()) for a in alphas]
     worst = 0.0
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        w = werner(p)
-        reduced = {}
-        for alpha in np.linspace(0.0, 1.0, 6):
-            psi = alpha_ket(alpha)
-            rho = kron(np.outer(psi, psi.conj()), w)
-            reduced[alpha] = (
-                partial_trace(u1 @ rho @ u1.conj().T, "S"),
-                partial_trace(uc @ rho @ uc.conj().T, "S"),
-            )
-        for a1 in reduced:
-            for a2 in reduced:
-                d_mid = trace_distance(reduced[a1][0], reduced[a2][0])
-                d_end = trace_distance(reduced[a1][1], reduced[a2][1])
+        mid, end = reduced_evolution(GATES_SWAP, p, np.array([2.0, 8.0]), rhos)
+        for i, a1 in enumerate(alphas):
+            for j, a2 in enumerate(alphas):
+                d_mid = trace_distance(mid[i], mid[j])
+                d_end = trace_distance(end[i], end[j])
                 worst = max(worst, abs(d_mid - distance_after_block1(a1, a2)))
                 worst = max(worst, abs(d_end - final_distance(a1, a2, p)))
     return CheckResult("4 closed-form distances", "formulas match simulation",
@@ -261,14 +250,15 @@ def check_werner_boundary() -> CheckResult:
 def check_end_correlations() -> CheckResult:
     rows = []
     ok = True
+    rho0 = np.outer(KET0, KET0.conj())
     for p in (0.2, 0.5, 0.8):
-        state = joint_state(KET0, p, BLOCK_SWAP, 1.0)
+        state = joint_states(BLOCK_SWAP, p, np.array([1.0]), rho0)[0]
         neg = log_negativity(state, "S")
         dis = discord(state, "S")
         cla = classical_correlations(state, "S")
         ok &= neg <= 1e-9 and dis <= 1e-6 and cla >= 1e-3
         rows.append(f"p={p}: neg {neg:.1e} dis {dis:.1e} cla {cla:.3f}")
-    state = joint_state(KET0, 1.0, BLOCK_SWAP, 1.0)
+    state = joint_states(BLOCK_SWAP, 1.0, np.array([1.0]), rho0)[0]
     vals = (log_negativity(state, "S"), discord(state, "S"),
             classical_correlations(state, "S"))
     ok &= all(v <= 1e-6 for v in vals)
@@ -298,10 +288,10 @@ def check_cptp_sampling() -> CheckResult:
     for scheme, n in ((BLOCK_SWAP, 201), (GATES_SWAP, 161)):
         ts = np.linspace(*scheme.time_domain, n)
         for p in (0.0, 0.5, 1.0):
-            for mat in system_map_stack(scheme, p, ts):
-                c = choi_state(Superoperator(mat, 2))
-                worst_eig = min(worst_eig, float(np.linalg.eigvalsh(c)[0]))
-                worst_tr = max(worst_tr, abs(float(np.real(np.trace(c))) - 1.0))
+            c = choi_state(system_map_stack(scheme, p, ts))
+            worst_eig = min(worst_eig, float(np.linalg.eigvalsh(c)[:, 0].min()))
+            tr = np.real(np.trace(c, axis1=1, axis2=2))
+            worst_tr = max(worst_tr, float(np.abs(tr - 1.0).max()))
     passed = worst_eig >= -1e-9 and worst_tr <= 1e-9
     return CheckResult(
         "11a sampled maps are CPTP",
@@ -312,15 +302,11 @@ def check_cptp_sampling() -> CheckResult:
 
 
 def check_propagator_endpoints() -> CheckResult:
-    uc = circuit_unitary()
-    eye = np.eye(8)
-    devs = [
-        np.max(np.abs(propagator(BLOCK_SWAP, 0.0) - eye)),
-        np.max(np.abs(propagator(BLOCK_SWAP, 1.0) - uc)),
-        np.max(np.abs(propagator(GATES_SWAP, 0.0) - eye)),
-        np.max(np.abs(propagator(GATES_SWAP, 8.0) - uc)),
-    ]
-    worst = float(max(devs))
+    ends = np.stack([np.eye(8), circuit_unitary()])
+    worst = float(max(
+        np.max(np.abs(propagator_stack(scheme, np.array(scheme.time_domain)) - ends))
+        for scheme in (BLOCK_SWAP, GATES_SWAP)
+    ))
     return CheckResult("11b propagator endpoints", "U(0)=I and U(end)=circuit",
                        f"max deviation {worst:.3e}", "1e-12", worst <= 1e-12)
 
@@ -338,7 +324,7 @@ def check_superop_roundtrip() -> CheckResult:
     for _ in range(20):
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         h = h + h.conj().T
-        worst = max(worst, float(np.max(np.abs(unvec(s.mat @ vec(h), 2) - act(h)))))
+        worst = max(worst, float(np.max(np.abs(unvec(s @ vec(h), 2) - act(h)))))
     return CheckResult("11c superoperator round trip", "matrix action equals map",
                        f"max deviation {worst:.3e}", "1e-12", worst <= 1e-12)
 

@@ -5,13 +5,12 @@ import pytest
 
 from nmlab import correlations
 from nmlab.correlations import (
-    _mutual_across,
     classical_correlations,
     correlation_trajectory,
     discord,
     log_negativity,
 )
-from nmlab.qmath import REGISTER, RegisterLayout, kron
+from nmlab.qmath import RegisterLayout, kron, mutual_information
 from nmlab.register import (
     BLOCK_SWAP,
     GATES_BBC,
@@ -19,7 +18,7 @@ from nmlab.register import (
     KET0,
     KET_PLUS,
     bell_basis,
-    joint_state,
+    joint_states,
     werner,
 )
 from nmlab.sweep import OptConfig, TimeGrid
@@ -32,6 +31,11 @@ PAIR = RegisterLayout(("E1", "E2"), (2, 2))
 PHI = bell_basis()[0]
 BELL = np.outer(PHI, PHI.conj())
 CLASSICAL_PAIR = 0.5 * (np.diag([1.0, 0, 0, 0]) + np.diag([0, 0, 0, 1.0])).astype(complex)
+
+
+def joint_state(psi, p, scheme, t):
+    return joint_states(scheme, p, [t], np.outer(psi, psi.conj()))[0]
+
 
 # gates acting on E1/E2 only: their segments carry the measures across S | (E1 E2)
 ENV_LOCAL_GATES = {GATES_SWAP: (3, 4, 5, 7), GATES_BBC: (3, 4, 6)}
@@ -77,14 +81,15 @@ class TestClassicalCorrelations:
         assert refined >= coarse - 1e-15
 
     def test_measuring_environment_side(self):
-        # config switch: measure the two-qubit side of a classically
-        # correlated S|(E1 E2) state; the computational basis extracts 1 bit
+        # only a qubit can be the measured side; the two-qubit environment is rejected
         rho = 0.5 * (
             kron(np.diag([1.0, 0.0]), np.diag([1.0, 0, 0, 0]))
             + kron(np.diag([0.0, 1.0]), np.diag([0, 0, 0, 1.0]))
         ).astype(complex)
-        got = classical_correlations(rho, ("E1", "E2"), opt=OptConfig(random_samples=64))
-        assert got == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ValueError, match="single qubit"):
+            classical_correlations(rho, ("E1", "E2"))
+        with pytest.raises(ValueError, match="single qubit"):
+            discord(rho, ("E1", "E2"))
 
     def test_measuring_everything_rejected(self):
         with pytest.raises(ValueError):
@@ -188,7 +193,7 @@ class TestSegmentCarry:
             state = joint_state(psi, p, scheme, s.t)
             assert s.neg == pytest.approx(log_negativity(state, "S"), abs=1e-12)
             assert s.mutual == pytest.approx(
-                _mutual_across(state, "S", REGISTER), abs=1e-12
+                mutual_information(state, "S"), abs=1e-12
             )
             assert s.classical == pytest.approx(classical_correlations(state), abs=1e-12)
         # gate i runs over i-1 < t <= i; a sample is searched unless the

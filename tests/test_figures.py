@@ -6,9 +6,22 @@ import pytest
 from nmlab import cli
 from nmlab.figures import RunConfig, p_grid, run_figure, write_csv
 from nmlab.plotting import emit_plot, read_csv
+from nmlab.register import BLOCK_SWAP, GATES_SWAP
+from nmlab.sweep import default_grid
 
 FAST = dict(p_step=0.5, heatmap_p_step=0.5, heatmap_steps_per_unit=10,
             fig4_p_values=(0.0, 0.5))
+
+
+# (field, value) pairs that RunConfig must refuse at construction
+BAD_FIELDS = [
+    ("steps_per_unit", 2.5), ("steps_per_unit", 0), ("heatmap_steps_per_unit", 2.5),
+    ("heatmap_steps_per_unit", -1), ("p_step", 0.03), ("heatmap_p_step", 0),
+    ("fig4_p_values", [0.0, 1.2]), ("fig4_p_values", [-0.1]), ("fig4_p_values", 0.5),
+    ("coarse_theta", 0), ("coarse_phi", 12.5), ("refine_rounds", -1),
+    ("rhp_eps", 0), ("svd_tol", -1e-10), ("threshold_cutoff", "x"),
+    ("workers", -3), ("workers", 1.5),
+]
 
 
 def fast_config(tmp_path, **overrides):
@@ -37,6 +50,17 @@ class TestConfig:
         assert RunConfig(workers=2).resolve_workers() == 2
         monkeypatch.delenv("NMLAB_WORKERS")
         assert RunConfig().resolve_workers() == 1
+
+    @pytest.mark.parametrize("field, value", BAD_FIELDS)
+    def test_invalid_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("steps", [2.5, 0, -4, True])
+    def test_default_grid_rejects_bad_steps(self, steps):
+        for scheme in (BLOCK_SWAP, GATES_SWAP):
+            with pytest.raises(ValueError, match="steps_per_unit"):
+                default_grid(scheme, steps)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_workers_env_rejects_non_positive_integers(self, monkeypatch, value):
@@ -226,6 +250,17 @@ class TestCli:
         cfg_path.write_text(json.dumps({"heatmap_p_step": 0}))
         code = cli.main(["figure", "fig6", "--config", str(cfg_path), "--out", str(tmp_path)])
         self._assert_one_error_line(code, capsys, "p step")
+
+    @pytest.mark.parametrize("field, value", BAD_FIELDS)
+    def test_bad_config_field_is_one_error_line(self, tmp_path, capsys, field, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        code = cli.main(["figure", "fig3", "--config", str(cfg_path), "--out", str(tmp_path)])
+        self._assert_one_error_line(code, capsys, field)
+
+    def test_negative_workers_flag_is_one_error_line(self, tmp_path, capsys):
+        code = cli.main(["figure", "fig3", "--workers", "-3", "--out", str(tmp_path)])
+        self._assert_one_error_line(code, capsys, "workers")
 
     def test_bad_workers_env_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NMLAB_WORKERS", "abc")

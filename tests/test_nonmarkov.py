@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from nmlab import nonmarkov
 from nmlab.nonmarkov import (
+    DEFAULT_RHP_EPS,
     THRESHOLD_CUTOFF,
+    _g_curve,
     blp_measure,
     blp_pair_gain,
     first_crossing,
     lfs_measure,
     pair_distance_curve,
-    rhp_g,
     rhp_measure,
 )
-from nmlab.register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1
+from nmlab.qmath import superop_from_action
+from nmlab.register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, system_map_stack
 from nmlab.sweep import OptConfig, TimeGrid, default_grid
 
 from conftest import random_ket
@@ -25,6 +28,12 @@ RHP_G_P1_T05 = 0.0308954531403
 BLP_BLOCK_P08 = 0.0159989
 RHP_BLOCK_P08 = 0.0210701
 LFS_BLOCK_P08 = 0.0102555
+
+
+def rate_at(p, t):
+    """RHP rate g(t) of the block dynamics; the grid end 1.0 only bounds the step."""
+    g, _ = _g_curve(BLOCK_SWAP, p, np.array([t, 1.0]), DEFAULT_RHP_EPS, 1e-10)
+    return g[0]
 
 
 def report_is_consistent(report):
@@ -103,10 +112,10 @@ class TestBlpMeasure:
 
 class TestRhp:
     def test_divisible_sample_is_zero(self):
-        assert rhp_g(BLOCK_SWAP, 0.2, 0.3) <= 1e-9
+        assert rate_at(0.2, 0.3) <= 1e-9
 
     def test_perfect_resource_rate(self):
-        assert rhp_g(BLOCK_SWAP, 1.0, 0.5) == pytest.approx(RHP_G_P1_T05, abs=1e-8)
+        assert rate_at(1.0, 0.5) == pytest.approx(RHP_G_P1_T05, abs=1e-8)
 
     def test_measure_below_onset(self):
         assert rhp_measure(BLOCK_SWAP, 0.40).value <= 1e-9
@@ -132,18 +141,39 @@ class TestRhp:
         assert report.value == pytest.approx(RHP_BLOCK_P08, abs=1e-5)
         assert report.diagnostics["richardson_rel_diff"] < 0.05
 
-    def test_singular_base_contributes_zero(self):
-        # the p=0 map is exactly singular at t=1 (full depolarization);
-        # such a base map yields no sample instead of a regularized blow-up
-        from nmlab.nonmarkov import _g_from_mats
-        from nmlab.register import system_map_stack
+    @staticmethod
+    def _g_from(monkeypatch, base, fwd, eps=1e-3):
+        """Run the batched rate on given base and forward map stacks."""
+        stacks = [np.asarray(base, dtype=complex), np.asarray(fwd, dtype=complex)]
+        monkeypatch.setattr(nonmarkov, "system_map_stack", lambda *args: stacks.pop(0))
+        return _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(base)), eps, 1e-10)
 
-        mats = system_map_stack(BLOCK_SWAP, 0.0, np.array([1.0, 0.5]))
-        assert _g_from_mats(mats[0], mats[1], 1e-3, 1e-10) is None
-        assert _g_from_mats(mats[1], mats[0], 1e-3, 1e-10) is not None
+    def test_singular_base_contributes_zero(self, monkeypatch):
+        # the p=0 map is exactly singular at t=1 (full depolarization); such
+        # a base map yields no sample instead of a regularized blow-up
         report = rhp_measure(BLOCK_SWAP, 0.0)
         assert report.value <= 1e-9
-        assert "singular_samples" in report.diagnostics
+        assert report.diagnostics["singular_samples"] == 0
+        mats = system_map_stack(BLOCK_SWAP, 0.0, np.array([1.0, 0.5]))
+        g, singular = self._g_from(monkeypatch, mats, mats[::-1])
+        assert singular == 1
+        assert g[0] == 0.0
+        assert np.isfinite(g[1])
+
+    @pytest.mark.parametrize("base, singular", [
+        (np.eye(4), False),
+        (2 * np.eye(4), False),
+        (system_map_stack(BLOCK_SWAP, 1.0, np.array([0.5]))[0], False),
+        (np.zeros((4, 4)), True),
+        (np.diag([1.0, 1.0, 1.0, 0.0]), True),
+    ], ids=["identity", "scaled", "dynamics", "zero", "rank_deficient"])
+    def test_base_map_inverse(self, monkeypatch, base, singular):
+        # forward map = transpose after base: an exact inverse of the base
+        # leaves the transpose map, whose Choi state has trace norm 2
+        transpose = superop_from_action(lambda r: r.T, 2)
+        g, count = self._g_from(monkeypatch, [base], [transpose @ base], eps=1e-3)
+        assert count == int(singular)
+        assert g[0] == (0.0 if singular else pytest.approx(1e3, rel=1e-9))
 
 
 class TestLfs:

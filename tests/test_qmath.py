@@ -11,18 +11,14 @@ from nmlab.qmath import (
     REGISTER,
     FractionalUnitary,
     RegisterLayout,
-    SingularMapError,
-    Superoperator,
     choi_state,
     kron,
     mutual_information,
     partial_trace,
     partial_transpose,
-    regularized_inverse,
     superop_from_action,
     trace_distance,
     trace_norm,
-    unitary_fractional_power,
     unvec,
     vec,
     vn_entropy,
@@ -94,6 +90,13 @@ class TestPartialTrace:
         red = partial_trace(rho, ("S", "E2"), REGISTER)
         assert np.trace(red) == pytest.approx(1.0, abs=1e-12)
 
+    def test_stack_axes_kept(self, rng):
+        stack = np.stack([[random_density(rng, 8) for _ in range(2)] for _ in range(3)])
+        for keep in ("S", "E2", ("S", "E1")):
+            red = partial_trace(stack, keep, REGISTER)
+            for idx in np.ndindex(3, 2):
+                assert np.array_equal(red[idx], partial_trace(stack[idx], keep, REGISTER))
+
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4) / 4, (), QQ)
@@ -147,6 +150,10 @@ class TestNorms:
         with pytest.raises(ValueError):
             trace_distance(np.eye(2) / 2, np.eye(4) / 4)
 
+    def test_trace_norm_stack(self, rng):
+        stack = np.stack([random_density(rng, 4) - random_density(rng, 4) for _ in range(5)])
+        assert np.allclose(trace_norm(stack), [trace_norm(m) for m in stack], atol=1e-14)
+
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
@@ -172,29 +179,48 @@ class TestEntropy:
     def test_werner_zero(self):
         assert vn_entropy(werner4(0.0)) == pytest.approx(2.0, abs=1e-12)
 
+    def test_stack_matches_single(self, rng):
+        stack = np.stack([random_density(rng, 4) for _ in range(6)] + [np.eye(4) / 4])
+        got = vn_entropy(stack)
+        assert got.shape == (7,)
+        for rho, s in zip(stack, got):
+            lam = np.linalg.eigvalsh(rho)
+            assert s == pytest.approx(-(lam * np.log2(lam)).sum(), abs=1e-12)
+
     def test_mutual_information_product(self, rng):
         ra, rb = random_density(rng), random_density(rng)
-        assert mutual_information(kron(ra, rb), QQ) == pytest.approx(0.0, abs=1e-9)
+        assert mutual_information(kron(ra, rb), "A", QQ) == pytest.approx(0.0, abs=1e-9)
 
     def test_mutual_information_bell(self):
-        assert mutual_information(bell_projector(), QQ) == pytest.approx(2.0, abs=1e-10)
+        assert mutual_information(bell_projector(), "A", QQ) == pytest.approx(2.0, abs=1e-10)
 
     def test_mutual_information_werner_half(self):
         # analytic: eigenvalues (1+3p)/4 and three copies of (1-p)/4 at p=1/2
         s = -(5 / 8) * np.log2(5 / 8) - 3 * (1 / 8) * np.log2(1 / 8)
-        got = mutual_information(werner4(0.5), QQ)
+        got = mutual_information(werner4(0.5), "B", QQ)
         assert got == pytest.approx(2.0 - s, abs=1e-12)
+
+    def test_mutual_information_across_register_cut(self, rng):
+        rho = random_density(rng, 8)
+        s_pair = vn_entropy(partial_trace(rho, ("E1", "E2")))
+        expected = vn_entropy(partial_trace(rho, "S")) + s_pair - vn_entropy(rho)
+        assert mutual_information(rho, "S") == pytest.approx(expected, abs=1e-12)
+        stack = np.stack([rho, random_density(rng, 8)])
+        assert mutual_information(stack, "S")[0] == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(ValueError):
+            mutual_information(rho, ("S", "E1", "E2"))
 
 
 class TestFractionalPower:
     def test_endpoints(self, rng):
         u = random_unitary(rng, 4)
-        assert np.allclose(unitary_fractional_power(u, 0.0), np.eye(4), atol=1e-12)
-        assert np.allclose(unitary_fractional_power(u, 1.0), u, atol=1e-12)
+        ends = FractionalUnitary(u).at_many([0.0, 1.0])
+        assert np.allclose(ends[0], np.eye(4), atol=1e-12)
+        assert np.allclose(ends[1], u, atol=1e-12)
 
     def test_sqrt_of_x(self):
         expected = 0.5 * ((1 + 1j) * PAULI_I + (1 - 1j) * PAULI_X)
-        assert np.allclose(unitary_fractional_power(PAULI_X, 0.5), expected, atol=1e-12)
+        assert np.allclose(FractionalUnitary(PAULI_X).at_many([0.5])[0], expected, atol=1e-12)
 
     def test_continuity(self, rng):
         # no branch jumps: ||U^t - U^(t+delta)|| <= 4 delta along the path
@@ -202,34 +228,34 @@ class TestFractionalPower:
         f = FractionalUnitary(u)
         delta = 1e-6
         for t in (0.0, 0.3, 0.77, 1.0 - delta):
-            step = np.linalg.norm(f.at(t + delta) - f.at(t), ord=2)
-            assert step <= 4 * delta
+            a, b = f.at_many([t, t + delta])
+            assert np.linalg.norm(b - a, ord=2) <= 4 * delta
 
     def test_minus_one_maps_to_plus_pi(self):
         # sqrt(diag(1,-1)) must pick +i, the closed branch end
-        root = unitary_fractional_power(np.diag([1.0, -1.0 + 0j]), 0.5)
+        root = FractionalUnitary(np.diag([1.0, -1.0 + 0j])).at_many([0.5])[0]
         assert np.allclose(root, np.diag([1.0, 1j]), atol=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
-            unitary_fractional_power(np.diag([1.0, 2.0 + 0j]), 0.5)
+            FractionalUnitary(np.diag([1.0, 2.0 + 0j]))
 
 
 class TestSuperoperator:
     def test_identity_map(self):
         s = superop_from_action(lambda r: r, 2)
-        assert np.allclose(s.mat, np.eye(4), atol=1e-14)
+        assert np.allclose(s, np.eye(4), atol=1e-14)
 
     def test_x_conjugation_permutation(self):
         s = superop_from_action(lambda r: PAULI_X @ r @ PAULI_X, 2)
         perm = np.zeros((4, 4))
         perm[3, 0] = perm[0, 3] = perm[2, 1] = perm[1, 2] = 1.0
-        assert np.allclose(s.mat, perm, atol=1e-14)
+        assert np.allclose(s, perm, atol=1e-14)
 
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
     def test_depolarizing_action(self, p):
         s = superop_from_action(lambda r: p * r + (1 - p) * np.trace(r) * np.eye(2) / 2, 2)
-        out = unvec(s.mat @ vec(np.diag([1.0, 0.0 + 0j])), 2)
+        out = unvec(s @ vec(np.diag([1.0, 0.0 + 0j])), 2)
         assert np.allclose(out, np.diag([(1 + p) / 2, (1 - p) / 2]), atol=1e-14)
 
     def test_round_trip_on_random_hermitians(self, rng):
@@ -243,7 +269,7 @@ class TestSuperoperator:
         for _ in range(20):
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             h = h + h.conj().T
-            assert np.allclose(s.apply(h), act(h), atol=1e-12)
+            assert np.allclose(unvec(s @ vec(h), 2), act(h), atol=1e-12)
 
     def test_vec_convention(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -266,32 +292,15 @@ class TestChoi:
         minus = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
         assert np.allclose(c, np.outer(minus, minus.conj()), atol=1e-14)
 
-
-class TestRegularizedInverse:
-    def test_identity(self):
-        s = Superoperator(np.eye(4, dtype=complex), 2)
-        inv = regularized_inverse(s)
-        assert np.allclose(inv.mat, np.eye(4), atol=1e-14)
-        assert not inv.singular
-
-    def test_scaling(self):
-        inv = regularized_inverse(Superoperator(2 * np.eye(4, dtype=complex), 2))
-        assert np.allclose(inv.mat, np.eye(4) / 2, atol=1e-14)
-
-    def test_round_trip_through_dynamics(self):
-        from nmlab.register import BLOCK_SWAP, system_map
-
-        s = system_map(BLOCK_SWAP, 1.0, 0.5)
-        inv = regularized_inverse(s)
-        assert np.allclose(inv.mat @ s.mat, np.eye(4), atol=1e-8)
-
-    def test_zero_map_rejected(self):
-        with pytest.raises(SingularMapError):
-            regularized_inverse(Superoperator(np.zeros((4, 4), dtype=complex), 2))
-
-    def test_rank_deficient_flagged(self):
-        s = Superoperator(np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex), 2)
-        assert regularized_inverse(s).singular
+    def test_stack_matches_single(self):
+        mats = np.stack([
+            superop_from_action(lambda r, u=u: u @ r @ u.conj().T, 2)
+            for u in (PAULI_I, PAULI_X, PAULI_Z)
+        ])
+        chois = choi_state(mats.reshape(3, 1, 4, 4))
+        assert chois.shape == (3, 1, 4, 4)
+        for mat, c in zip(mats, chois[:, 0]):
+            assert np.array_equal(c, choi_state(mat))
 
 
 @given(st.integers(0, 2**32 - 1))

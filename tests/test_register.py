@@ -9,6 +9,8 @@ from nmlab.qmath import (
     partial_trace,
     superop_from_action,
     trace_distance,
+    unvec,
+    vec,
 )
 from nmlab.register import (
     BLOCK_SWAP,
@@ -23,13 +25,11 @@ from nmlab.register import (
     bloch_ket,
     block_unitaries,
     circuit_unitary,
-    e2_reduced_state,
     gate_sequence,
     gate_unitary,
-    joint_state,
-    propagator,
+    joint_states,
     propagator_stack,
-    system_map,
+    reduced_evolution,
     system_map_stack,
     werner,
 )
@@ -149,62 +149,105 @@ class TestStates:
             alpha_ket(1.5)
 
 
+def projector(psi):
+    return np.outer(psi, np.conj(psi))
+
+
 class TestPropagator:
     def test_start_is_identity(self):
         for scheme in (BLOCK_SWAP, GATES_SWAP, GATES_BBC):
-            assert np.allclose(propagator(scheme, 0.0), np.eye(8), atol=1e-14)
+            assert np.allclose(propagator_stack(scheme, [0.0])[0], np.eye(8), atol=1e-14)
 
     def test_block_endpoint(self):
-        assert np.allclose(propagator(BLOCK_SWAP, 1.0), circuit_unitary(), atol=1e-12)
+        u = propagator_stack(BLOCK_SWAP, [1.0])[0]
+        assert np.allclose(u, circuit_unitary(), atol=1e-12)
 
     def test_gate_endpoint_matches_block(self):
-        assert np.allclose(propagator(GATES_SWAP, 8.0), circuit_unitary(), atol=1e-12)
+        u = propagator_stack(GATES_SWAP, [8.0])[0]
+        assert np.allclose(u, circuit_unitary(), atol=1e-12)
 
     def test_gate_integer_times_are_prefixes(self):
         gates = [gate_unitary(g) for g in gate_sequence(CircuitVariant.SWAP_TERMINATED)]
+        stack = propagator_stack(GATES_SWAP, np.arange(1.0, 9.0))
         acc = np.eye(8, dtype=complex)
-        for i, g in enumerate(gates, start=1):
+        for g, u in zip(gates, stack):
             acc = g @ acc
-            assert np.allclose(propagator(GATES_SWAP, float(i)), acc, atol=1e-12)
+            assert np.allclose(u, acc, atol=1e-12)
 
     def test_stack_matches_single(self):
         ts = np.array([0.0, 0.31, 2.5, 7.9, 8.0])
         stack = propagator_stack(GATES_SWAP, ts)
         for t, u in zip(ts, stack):
-            assert np.allclose(u, propagator(GATES_SWAP, float(t)), atol=1e-13)
+            assert np.allclose(u, propagator_stack(GATES_SWAP, [t])[0], atol=1e-13)
 
     def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            propagator(BLOCK_SWAP, 1.5)
-        with pytest.raises(ValueError):
-            propagator(GATES_BBC, 6.5)
-        with pytest.raises(ValueError):
-            propagator(BLOCK_SWAP, -0.2)
+        for scheme, ts in ((BLOCK_SWAP, [1.5]), (GATES_BBC, [6.5]), (BLOCK_SWAP, [-0.2]),
+                           (BLOCK_SWAP, [0.5, 1.5]), (GATES_SWAP, [np.nan])):
+            with pytest.raises(ValueError, match="outside scheme domain"):
+                propagator_stack(scheme, ts)
 
 
 class TestJointState:
     def test_initial_product(self, rng):
         psi = random_ket(rng)
-        st = joint_state(psi, 0.7, BLOCK_SWAP, 0.0)
+        st = joint_states(BLOCK_SWAP, 0.7, [0.0], projector(psi))[0]
         expected = kron(np.outer(psi, psi.conj()), werner(0.7))
         assert np.allclose(st, expected, atol=1e-13)
 
     def test_perfect_resource_teleports(self, rng):
         psi = random_ket(rng)
-        st = joint_state(psi, 1.0, BLOCK_SWAP, 1.0)
+        st = joint_states(BLOCK_SWAP, 1.0, [1.0], projector(psi))[0]
         out = partial_trace(st, "S")
         assert trace_distance(out, np.outer(psi, psi.conj())) < 1e-12
 
     def test_useless_resource_depolarizes(self, rng):
         psi = random_ket(rng)
-        st = joint_state(psi, 0.0, BLOCK_SWAP, 1.0)
+        st = joint_states(BLOCK_SWAP, 0.0, [1.0], projector(psi))[0]
         assert trace_distance(partial_trace(st, "S"), np.eye(2) / 2) < 1e-12
+
+
+class TestOnePath:
+    """Every reduced quantity is the partial trace of one register sandwich."""
+
+    @pytest.mark.parametrize("scheme", [BLOCK_SWAP, GATES_SWAP, GATES_BBC],
+                             ids=["block", "gates-swap", "gates-bbc"])
+    def test_map_state_and_partial_trace_agree(self, scheme, rng):
+        ts = np.sort(rng.uniform(*scheme.time_domain, size=7))
+        ops = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        p = 0.63
+        # reference sandwich written out with matrix products
+        us = propagator_stack(scheme, ts)
+        ref = np.stack([
+            [u @ kron(op, werner(p)) @ u.conj().T for op in ops] for u in us
+        ])
+        assert np.allclose(joint_states(scheme, p, ts, ops), ref, atol=1e-12)
+        red_s = reduced_evolution(scheme, p, ts, ops, observe="S")
+        red_e2 = reduced_evolution(scheme, p, ts, ops, observe="E2")
+        assert red_s.shape == red_e2.shape == (len(ts), len(ops), 2, 2)
+        assert np.allclose(red_s, partial_trace(ref, "S"), atol=1e-12)
+        assert np.allclose(red_e2, partial_trace(ref, "E2"), atol=1e-12)
+        maps = system_map_stack(scheme, p, ts)
+        for t_idx, mat in enumerate(maps):
+            for k, op in enumerate(ops):
+                assert np.allclose(unvec(mat @ vec(op), 2), red_s[t_idx, k], atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", [BLOCK_SWAP, GATES_SWAP], ids=["block", "gates"])
+    @pytest.mark.parametrize("p", [0.25, 0.6, 0.93])
+    def test_reduced_map_is_affine_in_p(self, scheme, p):
+        ts = np.linspace(*scheme.time_domain, 41)
+        s0, s1 = system_map_stack(scheme, 0.0, ts), system_map_stack(scheme, 1.0, ts)
+        got = system_map_stack(scheme, p, ts)
+        assert np.max(np.abs(got - ((1 - p) * s0 + p * s1))) <= 1e-12
+
+    def test_unknown_observed_wire_rejected(self):
+        with pytest.raises(ValueError, match="observe"):
+            reduced_evolution(BLOCK_SWAP, 0.5, [0.5], np.eye(2), observe="E1")
 
 
 class TestSystemMap:
     def test_initial_identity(self):
         for scheme in (BLOCK_SWAP, GATES_SWAP):
-            assert np.allclose(system_map(scheme, 0.6, 0.0).mat, np.eye(4), atol=1e-12)
+            assert np.allclose(system_map_stack(scheme, 0.6, [0.0])[0], np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_final_map_is_depolarizing(self, p):
@@ -212,7 +255,7 @@ class TestSystemMap:
         expected = superop_from_action(
             lambda r: p * r + (1 - p) * np.trace(r) * np.eye(2) / 2, 2
         )
-        assert np.allclose(system_map(BLOCK_SWAP, p, 1.0).mat, expected.mat, atol=1e-10)
+        assert np.allclose(system_map_stack(BLOCK_SWAP, p, [1.0])[0], expected, atol=1e-10)
 
     def test_u2_block_acts_trivially_on_s(self):
         _, u2, _, _ = reference_blocks()
@@ -221,7 +264,7 @@ class TestSystemMap:
             s = superop_from_action(
                 lambda r: partial_trace(u2 @ kron(r, w) @ u2.conj().T, "S"), 2
             )
-            assert np.allclose(s.mat, np.eye(4), atol=1e-12)
+            assert np.allclose(s, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1 / np.sqrt(2), 1.0])
     def test_state_after_first_block(self, alpha):
@@ -240,26 +283,28 @@ class TestSystemMap:
     def test_sampled_maps_cptp(self):
         ts = np.linspace(0.0, 1.0, 21)
         for p in (0.0, 0.5, 1.0):
-            for mat in system_map_stack(BLOCK_SWAP, p, ts):
-                from nmlab.qmath import Superoperator
+            chois = choi_state(system_map_stack(BLOCK_SWAP, p, ts))
+            assert np.linalg.eigvalsh(chois)[:, 0].min() >= -1e-9
+            assert np.allclose(np.real(np.trace(chois, axis1=1, axis2=2)), 1.0, atol=1e-9)
 
-                c = choi_state(Superoperator(mat, 2))
-                assert np.linalg.eigvalsh(c)[0] >= -1e-9
-                assert np.real(np.trace(c)) == pytest.approx(1.0, abs=1e-9)
+
+def e2_states(kets, p, ts):
+    """Reduced E2 states along the gate-by-gate original-BBC trajectory."""
+    rhos = np.stack([projector(k) for k in kets])
+    return reduced_evolution(GATES_BBC, p, ts, rhos, observe="E2")
 
 
 class TestE2Dynamics:
     def test_initial_marginal(self, rng):
-        psi = random_ket(rng)
-        assert np.allclose(e2_reduced_state(psi, 0.4, 0.0), np.eye(2) / 2, atol=1e-13)
+        out = e2_states([random_ket(rng)], 0.4, [0.0])[0, 0]
+        assert np.allclose(out, np.eye(2) / 2, atol=1e-13)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_final_distance_equals_p(self, p):
-        d = trace_distance(e2_reduced_state(KET0, p, 6.0), e2_reduced_state(KET1, p, 6.0))
-        assert d == pytest.approx(p, abs=1e-12)
+        a, b = e2_states([KET0, KET1], p, [6.0])[0]
+        assert trace_distance(a, b) == pytest.approx(p, abs=1e-12)
 
     def test_maximally_mixed_resource_hides_input(self, rng):
         for t in np.linspace(0.0, 6.0, 13):
-            a = e2_reduced_state(random_ket(rng), 0.0, float(t))
-            b = e2_reduced_state(random_ket(rng), 0.0, float(t))
+            a, b = e2_states([random_ket(rng), random_ket(rng)], 0.0, [t])[0]
             assert trace_distance(a, b) < 1e-12
