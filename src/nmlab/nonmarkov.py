@@ -2,8 +2,11 @@
 
 Three witnesses are implemented on a common time grid:
 
-* BLP: summed increases of the trace distance between two evolved inputs,
-  maximized over antipodal pure pairs on the Bloch sphere.
+* BLP (Breuer, Laine & Piilo, PRL 103, 210401 (2009)): summed increases of
+  the trace distance between two evolved inputs, maximized over antipodal
+  pure pairs. Every distance is read off the real 3x3 Bloch matrix M_t of
+  the reduced map; the antipodal pair at ±n is at distance |M_t n|
+  (Wißmann et al., PRA 86, 062108 (2012)).
 * RHP: integral of the momentary complete-positivity violation of the
   intermediate map, obtained from the trace norm of its Choi state.
 * LFS: summed increases of the system-ancilla mutual information starting
@@ -30,7 +33,7 @@ from .qmath import (
     mutual_information,
     trace_norm,
 )
-from .register import DynamicsScheme, bloch_ket, reduced_evolution, system_map_stack
+from .register import DynamicsScheme, reduced_evolution, system_map_stack
 from .sweep import OptConfig, TimeGrid, default_grid, two_stage_maximize
 
 INCREMENT_FLOOR = 1e-12
@@ -39,6 +42,7 @@ DEFAULT_RHP_EPS = 1e-3
 # for onset thresholds. Sits well above the ~1e-12 numerical dust of the
 # integrals and below the ~1e-7..1e-6 values right at the onsets.
 THRESHOLD_CUTOFF = 1e-7
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass
@@ -70,17 +74,22 @@ class MeasureReport:
         }
 
 
+def _positive_steps(series: np.ndarray) -> np.ndarray:
+    """Grid increments along the last axis; those at or below INCREMENT_FLOOR are 0."""
+    diffs = np.diff(series, axis=-1)
+    return np.where(diffs > INCREMENT_FLOOR, diffs, 0.0)
+
+
 def positive_increments(
-    ts: np.ndarray, series: np.ndarray, floor: float = INCREMENT_FLOOR
+    ts: np.ndarray, series: np.ndarray
 ) -> tuple[float, list[tuple[tuple[float, float], float]]]:
     """Sum of positive grid increments of `series` and their maximal runs.
 
-    Increments at or below `floor` count as zero. Consecutive positive
-    increments merge into one interval with the accumulated gain, so the
-    reported value always equals the sum over intervals.
+    Increments at or below ``INCREMENT_FLOOR`` count as zero. Consecutive
+    positive increments merge into one interval with the accumulated gain, so
+    the reported value always equals the sum over intervals.
     """
-    diffs = np.diff(np.asarray(series, dtype=float))
-    gains = np.where(diffs > floor, diffs, 0.0)
+    gains = _positive_steps(np.asarray(series, dtype=float))
     intervals: list[tuple[tuple[float, float], float]] = []
     run_start = None
     run_gain = 0.0
@@ -97,15 +106,40 @@ def positive_increments(
     return float(gains.sum()), intervals
 
 
+def _bloch_matrices(scheme, p, ts, observe) -> np.ndarray:
+    """Real Bloch matrices M_t[i, j] = tr(sigma_i R_t(sigma_j)) / 2, shape (len(ts), 3, 3).
+
+    R_t, the reduced evolution from S to `observe`, preserves trace and
+    hermiticity: it takes (r1 - r2).sigma / 2 to (M_t (r1 - r2)).sigma / 2.
+    """
+    images = reduced_evolution(scheme, p, ts, _PAULIS, observe)
+    return 0.5 * np.einsum("iab,tjba->tij", _PAULIS, images).real
+
+
+def _bloch_vector(psi: np.ndarray) -> np.ndarray:
+    psi = np.asarray(psi, dtype=complex)
+    if abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
+        raise ValueError("input kets must have unit norm")
+    return np.einsum("a,iab,b->i", psi.conj(), _PAULIS, psi).real
+
+
+def _pair_report(scheme, p, grid, observe, d) -> MeasureReport:
+    """Report of the summed increases of one trace-distance curve `d` on `grid`."""
+    value, intervals = positive_increments(grid.times(), d)
+    return MeasureReport(
+        value=value, p=p, scheme=scheme, grid=grid, increments=intervals,
+        diagnostics={"observe": observe, "distance_start": float(d[0]),
+                     "distance_end": float(d[-1])},
+    )
+
+
 def pair_distance_curve(
     psi1: np.ndarray, psi2: np.ndarray, scheme: DynamicsScheme, p: float,
     ts: np.ndarray, observe: str = "S",
 ) -> np.ndarray:
-    """Trace distance of the two evolved reduced states at each time."""
-    rhos = np.stack([np.outer(psi1, np.conj(psi1)), np.outer(psi2, np.conj(psi2))])
-    r = reduced_evolution(scheme, p, ts, rhos, observe=observe)
-    lam = np.linalg.eigvalsh(r[:, 0] - r[:, 1])
-    return 0.5 * np.abs(lam).sum(axis=1)
+    """Trace distance |M_t (r1 - r2)| / 2 of two evolved unit kets with Bloch vectors r1, r2."""
+    diff = _bloch_vector(psi1) - _bloch_vector(psi2)
+    return 0.5 * np.linalg.norm(_bloch_matrices(scheme, p, ts, observe) @ diff, axis=-1)
 
 
 def blp_pair_gain(
@@ -116,7 +150,7 @@ def blp_pair_gain(
     grid: TimeGrid | None = None,
     observe: str = "S",
 ) -> MeasureReport:
-    """Summed trace-distance increases for one fixed input pair.
+    """Summed trace-distance increases for one fixed pair of unit kets.
 
     Both pure inputs are evolved jointly with the Werner resource; the
     trace distance of the reduced states on `observe` is sampled on the
@@ -128,39 +162,8 @@ def blp_pair_gain(
         raise ValueError("input states must differ")
     if grid is None:
         grid = default_grid(scheme)
-    ts = grid.times()
-    d = pair_distance_curve(psi1, psi2, scheme, p, ts, observe)
-    value, intervals = positive_increments(ts, d)
-    return MeasureReport(
-        value=value, p=p, scheme=scheme, grid=grid, increments=intervals,
-        diagnostics={"observe": observe, "distance_start": float(d[0]),
-                     "distance_end": float(d[-1])},
-    )
-
-
-def _antipodal_gain_batch(scheme, p, ts, observe):
-    """Vectorized evaluator of pair gains over batches of Bloch directions.
-
-    The difference of antipodal pure projectors at direction n is n . sigma,
-    and the reduced dynamics act linearly, so one evolution per Pauli serves
-    every candidate pair. The evolved difference stays traceless Hermitian,
-    giving the trace distance in closed form from its 2x2 entries.
-    """
-    curves = reduced_evolution(scheme, p, ts, np.stack([PAULI_X, PAULI_Y, PAULI_Z]), observe)
-
-    def gains(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        nvec = np.stack(
-            [np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
-             np.cos(thetas)], axis=1)
-        diff = sum(
-            np.einsum("k,tij->ktij", nvec[:, i], curves[:, i]) for i in range(3)
-        )
-        d = np.sqrt(np.real(diff[:, :, 0, 0]) ** 2 + np.abs(diff[:, :, 0, 1]) ** 2)
-        inc = np.diff(d, axis=1)
-        inc = np.where(inc > INCREMENT_FLOOR, inc, 0.0)
-        return inc.sum(axis=1)
-
-    return gains
+    return _pair_report(scheme, p, grid, observe,
+                        pair_distance_curve(psi1, psi2, scheme, p, grid.times(), observe))
 
 
 def blp_measure(
@@ -172,22 +175,24 @@ def blp_measure(
 ) -> MeasureReport:
     """BLP measure: pair gain maximized over antipodal pure input pairs.
 
-    Antipodal pairs are parameterized by (theta, phi) with theta in
-    [0, pi/2] (a pair is unordered, so half the sphere covers all of them)
-    and searched with the deterministic two-stage grid. The winning pair is
-    re-evaluated through the direct pair path to produce the report.
+    The pair at ±n(theta, phi), theta in [0, pi/2], is at distance |M_t n|:
+    one set of Bloch matrices scores every candidate of the two-stage grid
+    search and gives the reported winner's curve.
     """
     if grid is None:
         grid = default_grid(scheme)
-    ts = grid.times()
-    result = two_stage_maximize(_antipodal_gain_batch(scheme, p, ts, observe), opt)
-    psi1 = bloch_ket(result.theta, result.phi)
-    psi2 = bloch_ket(np.pi - result.theta, result.phi + np.pi)
-    report = blp_pair_gain(psi1, psi2, scheme, p, grid, observe=observe)
+    m = _bloch_matrices(scheme, p, grid.times(), observe)
+
+    def distances(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+        n = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
+                      np.cos(thetas)])
+        return np.linalg.norm(m @ n, axis=1).T  # (candidate, time)
+
+    result = two_stage_maximize(lambda th, ph: _positive_steps(distances(th, ph)).sum(-1), opt)
+    report = _pair_report(scheme, p, grid, observe,
+                          distances(np.array([result.theta]), np.array([result.phi]))[0])
     report.optimal_pair = (result.theta, result.phi)
-    report.diagnostics.update(
-        coarse_value=result.coarse_value, evaluations=result.evaluations
-    )
+    report.diagnostics.update(coarse_value=result.coarse_value, evaluations=result.evaluations)
     return report
 
 

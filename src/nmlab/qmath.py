@@ -18,10 +18,12 @@ from typing import Callable
 import numpy as np
 from scipy import linalg as sla
 
-# Structural tolerance for hermiticity/unitarity/trace checks.
+# Structural tolerance of the unitarity check.
 STRUCTURE_TOL = 1e-10
 # Eigenvalues below this are treated as zero in entropies.
 EIG_CLAMP = 1e-12
+# Eigenphases within this of -pi are moved to +pi by FractionalUnitary.
+BRANCH_TOL = 1e-12
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -101,36 +103,11 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
-def is_hermitian(a: np.ndarray, tol: float = STRUCTURE_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
 def is_unitary(a: np.ndarray, tol: float = STRUCTURE_TOL) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
-
-
-def check_density_matrix(rho: np.ndarray, tol: float = STRUCTURE_TOL) -> None:
-    """Validate hermiticity, unit trace, and positivity; raise ValueError if violated."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > tol:
-        raise ValueError(f"not Hermitian: max deviation {herm:.3e} > {tol:.1e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace {tr} deviates from 1 beyond {tol:.1e}")
-    lam_min = float(np.linalg.eigvalsh(rho)[0])
-    if lam_min < -tol:
-        raise ValueError(f"negative eigenvalue {lam_min:.3e} below -{tol:.1e}")
 
 
 def _reshaped(rho: np.ndarray, layout: RegisterLayout) -> np.ndarray:
@@ -195,18 +172,18 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     return 0.5 * trace_norm(r1 - r2)
 
 
-def spectrum_entropy(lam: np.ndarray, clamp: float = EIG_CLAMP) -> float | np.ndarray:
+def spectrum_entropy(lam: np.ndarray) -> float | np.ndarray:
     """Entropy in bits of the spectra on the last axis of `lam`.
 
-    Eigenvalues at or below `clamp` contribute 0.
+    Eigenvalues at or below ``EIG_CLAMP`` contribute 0.
     """
-    kept = lam > clamp
+    kept = lam > EIG_CLAMP
     return -(np.where(kept, lam, 0.0) * np.log2(np.where(kept, lam, 1.0))).sum(axis=-1)
 
 
-def vn_entropy(rho: np.ndarray, clamp: float = EIG_CLAMP) -> float | np.ndarray:
+def vn_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits, one per matrix of a stack."""
-    return spectrum_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)), clamp)
+    return spectrum_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
 
 
 def mutual_information(
@@ -235,14 +212,14 @@ class FractionalUnitary:
     power at 1 recovers ``U``.
     """
 
-    def __init__(self, u: np.ndarray, branch_tol: float = 1e-12):
+    def __init__(self, u: np.ndarray):
         u = np.asarray(u, dtype=complex)
         if not is_unitary(u):
             raise ValueError("input is not unitary within tolerance")
         t, z = sla.schur(u, output="complex")
         phases = np.angle(np.diagonal(t))
         # snap just-below-the-cut phases (eigenvalue -1 with roundoff) to +pi
-        phases = np.where(phases <= -np.pi + branch_tol, phases + 2.0 * np.pi, phases)
+        phases = np.where(phases <= -np.pi + BRANCH_TOL, phases + 2.0 * np.pi, phases)
         self._basis = z
         self._phases = phases
         self.dim = u.shape[0]
@@ -269,15 +246,13 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
 def superop_from_action(apply: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
     """Matrix of a linear operator-valued map, built from its action.
 
+    `apply` maps the stack of the d*d unit operators (|i><j| at index ``j*d + i``)
+    to their images, optionally behind extra stack axes that the result keeps.
     Column ``j*d + i`` is ``vec(apply(|i><j|))``.
     """
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            mat[:, j * d + i] = vec(apply(unit))
-    return mat
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d).swapaxes(-1, -2)
+    images = np.asarray(apply(units), dtype=complex)
+    return images.swapaxes(-1, -2).reshape(images.shape[:-3] + (d * d, d * d)).swapaxes(-1, -2)
 
 
 def choi_state(mats: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .qmath import (
     RegisterLayout,
     kron,
     partial_trace,
+    superop_from_action,
 )
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -245,7 +246,7 @@ def joint_states(scheme: DynamicsScheme, p: float, ts: np.ndarray, ops) -> np.nd
     ops = np.asarray(ops, dtype=complex)
     w = werner(p)
     b = np.stack([kron(op, w) for op in ops.reshape(-1, 2, 2)])
-    sand = np.einsum("tab,nbc,tdc->tnad", us, b, us.conj())
+    sand = us[:, None] @ b @ us.conj().transpose(0, 2, 1)[:, None]
     return sand.reshape((len(us),) + ops.shape[:-2] + (REGISTER.dim, REGISTER.dim))
 
 
@@ -267,16 +268,6 @@ def reduced_evolution(
     return partial_trace(joint_states(scheme, p, ts, initial_ops), observe)
 
 
-def _unit_ops(d: int) -> np.ndarray:
-    units = np.zeros((d * d, d, d), dtype=complex)
-    for n in range(d * d):
-        j, i = divmod(n, d)
-        units[n, i, j] = 1.0
-    return units
-
-
 def system_map_stack(scheme: DynamicsScheme, p: float, ts: np.ndarray) -> np.ndarray:
     """Superoperator matrices of the reduced-S dynamics, shape (len(ts), 4, 4)."""
-    red = reduced_evolution(scheme, p, ts, _unit_ops(2))
-    # column n of the superoperator is vec of the reduced image of unit n
-    return red.transpose(0, 1, 3, 2).reshape(len(red), 4, 4).transpose(0, 2, 1)
+    return superop_from_action(lambda units: reduced_evolution(scheme, p, ts, units), 2)

@@ -52,6 +52,12 @@ def default_grid(scheme: DynamicsScheme, steps_per_unit: int = 200) -> TimeGrid:
     return TimeGrid(t0, t1, int(round((t1 - t0) * steps_per_unit)) + 1)
 
 
+# Half sphere: a measurement basis or antipodal pair is the same at -n and n.
+THETA_MAX = np.pi / 2
+# Steps on each side of the incumbent in a refinement round.
+REFINE_HALFSPAN = 2
+
+
 @dataclass(frozen=True)
 class OptConfig:
     """Settings for the two-stage (theta, phi) maximization."""
@@ -59,7 +65,6 @@ class OptConfig:
     coarse_theta: int = 13
     coarse_phi: int = 25
     refine_rounds: int = 3
-    refine_halfspan: int = 2
 
 
 @dataclass(frozen=True)
@@ -74,15 +79,15 @@ class SearchResult:
 def two_stage_maximize(
     f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     opt: OptConfig = OptConfig(),
-    theta_max: float = np.pi / 2,
 ) -> SearchResult:
-    """Maximize ``f_batch(thetas, phis)`` over [0, theta_max] x [0, 2 pi).
+    """Maximize ``f_batch(thetas, phis)`` over [0, THETA_MAX] x [0, 2 pi).
 
     ``f_batch`` evaluates a whole batch of candidate angles at once and
-    returns one value per candidate. Ties resolve to the earliest grid
-    point, which keeps the search deterministic.
+    returns one value per candidate. Each refinement round halves the steps
+    around the incumbent. Ties resolve to the earliest grid point, which
+    keeps the search deterministic.
     """
-    thetas = np.repeat(np.linspace(0.0, theta_max, opt.coarse_theta), opt.coarse_phi)
+    thetas = np.repeat(np.linspace(0.0, THETA_MAX, opt.coarse_theta), opt.coarse_phi)
     phis = np.tile(np.linspace(0.0, 2.0 * np.pi, opt.coarse_phi, endpoint=False),
                    opt.coarse_theta)
     values = np.asarray(f_batch(thetas, phis), dtype=float)
@@ -91,13 +96,13 @@ def two_stage_maximize(
     coarse_value = best
     evaluations = values.size
 
-    d_theta = theta_max / max(opt.coarse_theta - 1, 1)
+    d_theta = THETA_MAX / max(opt.coarse_theta - 1, 1)
     d_phi = 2.0 * np.pi / opt.coarse_phi
-    span = np.arange(-opt.refine_halfspan, opt.refine_halfspan + 1)
+    span = np.arange(-REFINE_HALFSPAN, REFINE_HALFSPAN + 1)
     for _ in range(opt.refine_rounds):
         d_theta /= 2.0
         d_phi /= 2.0
-        tt = np.clip(b_theta + d_theta * span, 0.0, theta_max)
+        tt = np.clip(b_theta + d_theta * span, 0.0, THETA_MAX)
         pp = b_phi + d_phi * span
         grid_t, grid_p = np.meshgrid(tt, pp, indexing="ij")
         vv = np.asarray(f_batch(grid_t.ravel(), grid_p.ravel()), dtype=float)

@@ -13,8 +13,17 @@ from nmlab.nonmarkov import (
     pair_distance_curve,
     rhp_measure,
 )
-from nmlab.qmath import superop_from_action
-from nmlab.register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, system_map_stack
+from nmlab.qmath import superop_from_action, trace_distance
+from nmlab.register import (
+    BLOCK_SWAP,
+    GATES_BBC,
+    GATES_SWAP,
+    KET0,
+    KET1,
+    bloch_ket,
+    reduced_evolution,
+    system_map_stack,
+)
 from nmlab.sweep import OptConfig, TimeGrid, default_grid
 
 from conftest import random_ket
@@ -110,6 +119,48 @@ class TestBlpMeasure:
         assert best.value >= fixed.value - 1e-12
 
 
+class TestBlochPath:
+    """Every BLP distance comes from the real Bloch matrices of one evolution."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("scheme, observe", [
+        (BLOCK_SWAP, "S"), (GATES_SWAP, "S"), (GATES_BBC, "E2"),
+    ], ids=["block", "gates", "bbc_e2"])
+    def test_pair_distance_is_trace_distance(self, rng, scheme, observe, p):
+        ts = default_grid(scheme, 20).times()
+        for _ in range(3):
+            k1, k2 = random_ket(rng), random_ket(rng)
+            rhos = reduced_evolution(
+                scheme, p, ts, np.stack([np.outer(k, k.conj()) for k in (k1, k2)]), observe)
+            expected = trace_distance(rhos[:, 0], rhos[:, 1])
+            got = pair_distance_curve(k1, k2, scheme, p, ts, observe)
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme, p", [(BLOCK_SWAP, 0.8), (GATES_SWAP, 0.5)],
+                             ids=["block", "gates"])
+    def test_measure_is_pair_gain_of_its_winner(self, scheme, p):
+        report = blp_measure(scheme, p)
+        theta, phi = report.optimal_pair
+        pair = blp_pair_gain(bloch_ket(theta, phi), bloch_ket(np.pi - theta, phi + np.pi),
+                             scheme, p)
+        assert abs(report.value - pair.value) <= 1e-12
+
+    def test_measure_evolves_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return reduced_evolution(*args, **kwargs)
+
+        monkeypatch.setattr(nonmarkov, "reduced_evolution", counting)
+        blp_measure(GATES_SWAP, 0.5, TimeGrid(0.0, 8.0, 161))
+        assert len(calls) == 1
+
+    def test_unnormalized_ket_rejected(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            pair_distance_curve(2 * KET0, KET1, BLOCK_SWAP, 0.5, np.array([0.0, 1.0]))
+
+
 class TestRhp:
     def test_divisible_sample_is_zero(self):
         assert rate_at(0.2, 0.3) <= 1e-9
@@ -170,7 +221,7 @@ class TestRhp:
     def test_base_map_inverse(self, monkeypatch, base, singular):
         # forward map = transpose after base: an exact inverse of the base
         # leaves the transpose map, whose Choi state has trace norm 2
-        transpose = superop_from_action(lambda r: r.T, 2)
+        transpose = superop_from_action(lambda r: r.swapaxes(-1, -2), 2)
         g, count = self._g_from(monkeypatch, [base], [transpose @ base], eps=1e-3)
         assert count == int(singular)
         assert g[0] == (0.0 if singular else pytest.approx(1e3, rel=1e-9))

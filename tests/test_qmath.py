@@ -254,7 +254,9 @@ class TestSuperoperator:
 
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
     def test_depolarizing_action(self, p):
-        s = superop_from_action(lambda r: p * r + (1 - p) * np.trace(r) * np.eye(2) / 2, 2)
+        s = superop_from_action(
+            lambda r: p * r + (1 - p) * np.trace(r, axis1=-2, axis2=-1)[..., None, None]
+            * np.eye(2) / 2, 2)
         out = unvec(s @ vec(np.diag([1.0, 0.0 + 0j])), 2)
         assert np.allclose(out, np.diag([(1 + p) / 2, (1 - p) / 2]), atol=1e-14)
 
@@ -270,6 +272,15 @@ class TestSuperoperator:
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             h = h + h.conj().T
             assert np.allclose(unvec(s @ vec(h), 2), act(h), atol=1e-12)
+
+    def test_stack_axes_kept(self, rng):
+        us = np.stack([random_unitary(rng) for _ in range(3)])
+        s = superop_from_action(
+            lambda units: us[:, None] @ units @ us.conj().swapaxes(-1, -2)[:, None], 2)
+        assert s.shape == (3, 4, 4)
+        for u, got in zip(us, s):
+            assert np.allclose(got, superop_from_action(lambda r: u @ r @ u.conj().T, 2),
+                               atol=1e-14)
 
     def test_vec_convention(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -253,7 +253,8 @@ class TestSystemMap:
     def test_final_map_is_depolarizing(self, p):
         # oracle: direct action of the depolarizing channel on matrix units
         expected = superop_from_action(
-            lambda r: p * r + (1 - p) * np.trace(r) * np.eye(2) / 2, 2
+            lambda r: p * r + (1 - p) * np.trace(r, axis1=-2, axis2=-1)[..., None, None]
+            * np.eye(2) / 2, 2
         )
         assert np.allclose(system_map_stack(BLOCK_SWAP, p, [1.0])[0], expected, atol=1e-10)
 
