@@ -19,11 +19,17 @@ segment is evaluated at its first sample and its values are carried across
 the rest. A gate touching the measured side (H_S for the default) leaves the
 true classical correlations invariant but rotates the measured bases against
 the fixed angle grid, so its segment is computed in full.
+
+Certificate: the grid value lies in [0, J] and 0 <= J <= I, the mutual
+information (Henderson and Vedral, J. Phys. A 34, 6899 (2001)). So where
+I <= MUTUAL_FLOOR = 1e-12 a trajectory skips the search and reports classical
+correlations of exactly 0 and discord equal to I, off by at most 1e-12 (the
+dust convention of log_negativity's collapse to zero).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +47,14 @@ from .qmath import (
     trace_norm,
     vn_entropy,
 )
-from .register import (
-    DynamicsScheme,
-    Interpolation,
-    active_gate,
-    gate_sequence,
-    joint_states,
-)
+from .register import DynamicsScheme, Interpolation, active_gate, gate_sequence, joint_states
 from .sweep import OptConfig, TimeGrid, two_stage_maximize
 
 # Outcomes rarer than this contribute nothing to the conditional entropy.
 PROB_FLOOR = 1e-12
+# A sample whose mutual information is at most this skips the basis search.
+MUTUAL_FLOOR = 1e-12
+_SIGMAS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass(frozen=True)
@@ -66,19 +69,26 @@ class CorrelationSample:
     mutual: float
 
 
-def log_negativity(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) -> float:
+def log_negativity(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) -> float | np.ndarray:
     """log2 of the trace norm of the partial transpose, clamped at zero.
 
     Values within 1e-12 of zero collapse to an exact zero so separable
-    states do not report float dust as entanglement.
+    states do not report float dust as entanglement. Leading axes of `rho`
+    are stack axes; a single state gives a float.
     """
-    tn = trace_norm(partial_transpose(rho, side, layout))
-    val = float(np.log2(tn))
-    return 0.0 if val < 1e-12 else val
+    val = np.log2(trace_norm(partial_transpose(rho, side, layout)))
+    val = np.where(val < 1e-12, 0.0, val)
+    return float(val) if val.ndim == 0 else val
 
 
-def _split(rho_ab: np.ndarray, measured, layout: RegisterLayout):
-    """Permute to (kept wires, measured qubit) and return the 4-index view."""
+def _bloch_blocks(rho_ab: np.ndarray, measured, layout: RegisterLayout) -> np.ndarray:
+    """Kept-side blocks (rho_K, T_x, T_y, T_z) of a state, each made Hermitian.
+
+    rho_K is the reduced state of the kept wires and
+    T_j = tr_m[(sigma_j on the measured qubit) rho]. Measuring the qubit along
+    the unit vector n leaves the kept side in the unnormalized states
+    (rho_K +- n.T) / 2, with probabilities (1 +- n.r) / 2 where r_j = tr T_j.
+    """
     pos_b = layout.positions(measured)
     pos_a = layout.complement(measured)
     if not pos_a:
@@ -86,40 +96,31 @@ def _split(rho_ab: np.ndarray, measured, layout: RegisterLayout):
     d_b = int(np.prod([layout.dims[i] for i in pos_b]))
     if d_b != 2:
         raise ValueError(f"measured side must be a single qubit, got dimension {d_b}")
-    rho_p = permute_wires(rho_ab, pos_a + pos_b, layout)
     d_a = int(np.prod([layout.dims[i] for i in pos_a]))
-    return rho_p.reshape(d_a, 2, d_a, 2)
+    rho4 = permute_wires(rho_ab, pos_a + pos_b, layout).reshape(d_a, 2, d_a, 2)
+    blocks = np.einsum("jvu,aubv->jab", _SIGMAS, rho4)
+    return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 
-def _j_values(rho4: np.ndarray, s_a: float, projectors: np.ndarray) -> np.ndarray:
-    """Extracted information for a batch of projective bases.
+def _j_values(blocks: np.ndarray, s_a: float, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Extracted information for a batch of measurement directions (theta, phi).
 
-    `projectors` has shape (batch, outcomes, dB, dB). Outcome probabilities
-    below PROB_FLOOR contribute zero.
+    `blocks` comes from `_bloch_blocks` and `s_a` is the entropy of its
+    rho_K. Outcome probabilities below PROB_FLOOR contribute zero.
     """
-    cond = np.einsum("kivu,aubv->kiab", projectors, rho4)
-    cond = 0.5 * (cond + np.conj(cond.transpose(0, 1, 3, 2)))
-    probs = np.real(np.einsum("kiaa->ki", cond))
+    n = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
+                  np.cos(thetas)], axis=1)
+    d = blocks.shape[-1]
+    sign = np.array([1.0, -1.0])
+    n_t = (n @ blocks[1:].reshape(3, d * d)).reshape(-1, 1, d, d)
+    cond = 0.5 * (blocks[0] + sign[:, None, None] * n_t)
+    r = np.trace(blocks[1:], axis1=-2, axis2=-1).real
+    probs = 0.5 * (1.0 + np.outer(n @ r, sign))
     lam = np.linalg.eigvalsh(cond)
     p_safe = np.where(probs > PROB_FLOOR, probs, 1.0)
     mu = lam / p_safe[..., None]
     branch = np.where(probs > PROB_FLOOR, probs * spectrum_entropy(mu), 0.0)
     return s_a - branch.sum(axis=1)
-
-
-def _qubit_projectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    nvec = np.stack(
-        [np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)],
-        axis=1,
-    )
-    n_dot_sigma = (
-        np.einsum("k,ij->kij", nvec[:, 0], PAULI_X)
-        + np.einsum("k,ij->kij", nvec[:, 1], PAULI_Y)
-        + np.einsum("k,ij->kij", nvec[:, 2], PAULI_Z)
-    )
-    plus = 0.5 * (PAULI_I[None] + n_dot_sigma)
-    minus = 0.5 * (PAULI_I[None] - n_dot_sigma)
-    return np.stack([plus, minus], axis=1)
 
 
 def classical_correlations(
@@ -134,12 +135,9 @@ def classical_correlations(
     (basis pairs are unordered, so theta in [0, pi/2] suffices), so the
     result is a lower bound by construction.
     """
-    rho4 = _split(rho_ab, measured, layout)
-    s_a = vn_entropy(np.einsum("aubu->ab", rho4))
-    result = two_stage_maximize(
-        lambda th, ph: _j_values(rho4, s_a, _qubit_projectors(th, ph)), opt
-    )
-    return result.value
+    blocks = _bloch_blocks(rho_ab, measured, layout)
+    s_a = vn_entropy(blocks[0])
+    return two_stage_maximize(lambda th, ph: _j_values(blocks, s_a, th, ph), opt).value
 
 
 def discord(
@@ -196,22 +194,26 @@ def correlation_trajectory(
     is a unitary local to the kept side, which leaves every measure and
     every candidate basis's extracted information unchanged. Segments whose
     gate touches the measured side are computed in full.
+
+    The basis search runs only where the mutual information exceeds
+    MUTUAL_FLOOR; elsewhere classical is exactly 0 and discord equals mutual,
+    off by at most MUTUAL_FLOOR since 0 <= grid value <= classical <= mutual.
     """
     psi = np.asarray(psi, dtype=complex)
     ts = grid.times()
     states = joint_states(scheme, p, ts, np.outer(psi, psi.conj()))
-    samples = []
-    for t, state, carry in zip(ts, states, _carried(scheme, ts, measured)):
-        if carry:
-            samples.append(replace(samples[-1], t=float(t)))
-            continue
-        neg = log_negativity(state, "S")
-        mutual = mutual_information(state, measured, REGISTER)
-        classical = classical_correlations(state, measured, REGISTER, opt)
-        samples.append(
-            CorrelationSample(
-                t=float(t), p=p, neg=neg, discord=mutual - classical,
-                classical=classical, mutual=mutual,
-            )
+    fresh = ~_carried(scheme, ts, measured)
+    states = states[fresh]
+    neg = log_negativity(states, "S")
+    mutual = mutual_information(states, measured, REGISTER)
+    classical = np.zeros(len(states))
+    for k in np.flatnonzero(mutual > MUTUAL_FLOOR):
+        classical[k] = classical_correlations(states[k], measured, REGISTER, opt)
+    # every carried sample copies the last freshly computed one
+    return [
+        CorrelationSample(
+            t=float(t), p=p, neg=float(neg[k]), discord=float(mutual[k] - classical[k]),
+            classical=float(classical[k]), mutual=float(mutual[k]),
         )
-    return samples
+        for t, k in zip(ts, np.cumsum(fresh) - 1)
+    ]

@@ -156,9 +156,8 @@ def blp_pair_gain(
     trace distance of the reduced states on `observe` is sampled on the
     grid and its positive increments accumulated.
     """
-    psi1 = np.asarray(psi1, dtype=complex)
-    psi2 = np.asarray(psi2, dtype=complex)
-    if np.allclose(psi1, psi2, atol=1e-14):
+    # kets differing by a global phase are one state
+    if np.allclose(_bloch_vector(psi1), _bloch_vector(psi2), atol=1e-14):
         raise ValueError("input states must differ")
     if grid is None:
         grid = default_grid(scheme)

@@ -137,14 +137,12 @@ def partial_trace(rho: np.ndarray, keep, layout: RegisterLayout = REGISTER) -> n
 
 
 def partial_transpose(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) -> np.ndarray:
-    """Transpose the row/column indices of the `side` wires."""
-    side_pos = layout.positions(side)
+    """Transpose the row/column indices of the `side` wires, keeping leading stack axes."""
     n = layout.n_wires
     r = _reshaped(rho, layout)
-    axes = list(range(2 * n))
-    for i in side_pos:
-        axes[i], axes[n + i] = axes[n + i], axes[i]
-    return r.transpose(axes).reshape(layout.dim, layout.dim)
+    for i in layout.positions(side):  # row axis i - 2n, column axis i - n
+        r = r.swapaxes(i - 2 * n, i - n)
+    return r.reshape(r.shape[:-2 * n] + (layout.dim, layout.dim))
 
 
 def permute_wires(rho: np.ndarray, order, layout: RegisterLayout = REGISTER) -> np.ndarray:

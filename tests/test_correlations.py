@@ -10,7 +10,17 @@ from nmlab.correlations import (
     discord,
     log_negativity,
 )
-from nmlab.qmath import RegisterLayout, kron, mutual_information
+from nmlab.qmath import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    REGISTER,
+    RegisterLayout,
+    kron,
+    mutual_information,
+    partial_trace,
+    vn_entropy,
+)
 from nmlab.register import (
     BLOCK_SWAP,
     GATES_BBC,
@@ -48,6 +58,16 @@ class TestLogNegativity:
 
     def test_bell_pair(self):
         assert log_negativity(BELL, "A", QQ) == pytest.approx(1.0, abs=1e-12)
+
+    def test_stack_matches_single(self, rng):
+        stack = np.stack([random_density(rng, 8) for _ in range(5)]
+                         + [joint_state(KET0, 0.8, GATES_SWAP, 7.5), np.eye(8) / 8])
+        got = log_negativity(stack, "S")
+        assert isinstance(got, np.ndarray) and got.shape == (7,)
+        single = [log_negativity(rho, "S") for rho in stack]
+        assert all(isinstance(v, float) for v in single)
+        assert np.array_equal(got, single)
+        assert got[-2] > 0.0 and got[-1] == 0.0
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.34, 0.5, 1.0])
     def test_werner_boundary(self, p):
@@ -94,6 +114,90 @@ class TestClassicalCorrelations:
     def test_measuring_everything_rejected(self):
         with pytest.raises(ValueError):
             classical_correlations(BELL, ("A", "B"), QQ)
+
+
+def projector_oracle_j(rho, measured, layout, theta, phi):
+    """Information gained about the kept side by measuring along (theta, phi), written out."""
+    n_sigma = (np.sin(theta) * np.cos(phi) * PAULI_X + np.sin(theta) * np.sin(phi) * PAULI_Y
+               + np.cos(theta) * PAULI_Z)
+    pos = layout.positions(measured)[0]
+    kept = layout.complement(measured)
+
+    def entropy(m):
+        lam = np.linalg.eigvalsh(m)
+        lam = lam[lam > 1e-12]
+        return float(-(lam * np.log2(lam)).sum())
+
+    info = entropy(partial_trace(rho, kept, layout))
+    for sign in (1.0, -1.0):
+        proj = 0.5 * (np.eye(2) + sign * n_sigma)
+        lifted = kron(*[proj if i == pos else np.eye(d) for i, d in enumerate(layout.dims)])
+        cond = partial_trace(lifted @ rho, kept, layout)
+        prob = np.trace(cond).real
+        if prob > 1e-12:
+            info -= prob * entropy(cond / prob)
+    return info
+
+
+class TestBlochKernel:
+    @pytest.mark.parametrize("layout,measured", [(REGISTER, "S"), (QQ, "B")], ids=["S", "QQ"])
+    def test_j_values_match_projector_oracle(self, rng, layout, measured):
+        thetas = np.concatenate([[0.0, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
+        phis = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2 * np.pi, 30)])
+        for _ in range(4):
+            rho = random_density(rng, layout.dim)
+            blocks = correlations._bloch_blocks(rho, measured, layout)
+            kept = partial_trace(rho, layout.complement(measured), layout)
+            assert np.allclose(blocks[0], kept, atol=1e-15)
+            s_a = float(vn_entropy(kept))
+            got = correlations._j_values(blocks, s_a, thetas, phis)
+            want = [projector_oracle_j(rho, measured, layout, th, ph)
+                    for th, ph in zip(thetas, phis)]
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+TINY_FIGURES = {
+    "fig5": (BLOCK_SWAP, KET0, TimeGrid(0.0, 1.0, 21)),
+    "fig6": (GATES_SWAP, KET0, TimeGrid(0.0, 8.0, 41)),
+    "fig7": (GATES_SWAP, KET_PLUS, TimeGrid(0.0, 8.0, 41)),
+}
+
+
+class TestMutualCertificate:
+    @pytest.mark.parametrize("fig", sorted(TINY_FIGURES))
+    @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+    def test_classical_within_mutual(self, fig, p):
+        scheme, psi, grid = TINY_FIGURES[fig]
+        for s in correlation_trajectory(scheme, psi, p, grid):
+            assert -1e-12 <= s.classical <= s.mutual + 1e-12
+            if s.mutual <= 1e-12:
+                assert s.classical == 0.0
+                assert s.discord == s.mutual
+
+    def test_weak_correlations_are_searched(self):
+        # just after gate 6 starts, the mutual information is ~1e-10: small, not dust
+        traj = correlation_trajectory(GATES_SWAP, KET0, 0.7, TimeGrid(5.0, 5.00001, 3))
+        for s in traj[1:]:
+            assert 1e-10 < s.mutual < 1e-8
+            direct = classical_correlations(joint_state(KET0, 0.7, GATES_SWAP, s.t))
+            assert s.classical > 1e-11
+            assert s.classical == pytest.approx(direct, abs=1e-12)
+
+    def test_product_segments_skip_the_search(self, monkeypatch):
+        # input |0>: S stays in a product state with (E1 E2) until gate 6
+        scheme, psi, grid = TINY_FIGURES["fig6"]
+        searched = []
+
+        def counted(rho, *args, **kwargs):
+            searched.append(mutual_information(rho, "S"))
+            return classical_correlations(rho, *args, **kwargs)
+
+        monkeypatch.setattr(correlations, "classical_correlations", counted)
+        traj = correlation_trajectory(scheme, psi, 0.7, grid)
+        assert searched and min(searched) > correlations.MUTUAL_FLOOR
+        quiet = [s for s in traj if s.t <= 5.0]
+        assert len(quiet) == 26
+        assert all(s.classical == 0.0 and s.discord == s.mutual for s in quiet)
 
 
 class TestDiscord:
@@ -189,19 +293,22 @@ class TestSegmentCarry:
             m.setattr(correlations, "classical_correlations", counted)
             traj = correlation_trajectory(scheme, psi, p, grid)
 
+        uncorrelated = []
         for s in traj:
             state = joint_state(psi, p, scheme, s.t)
+            mutual = mutual_information(state, "S")
             assert s.neg == pytest.approx(log_negativity(state, "S"), abs=1e-12)
-            assert s.mutual == pytest.approx(
-                mutual_information(state, "S"), abs=1e-12
-            )
+            assert s.mutual == pytest.approx(mutual, abs=1e-12)
             assert s.classical == pytest.approx(classical_correlations(state), abs=1e-12)
+            uncorrelated.append(mutual <= correlations.MUTUAL_FLOOR)
         # gate i runs over i-1 < t <= i; a sample is searched unless the
-        # sample before it lies in the same environment-local segment
+        # sample before it lies in the same environment-local segment, or
+        # its mutual information certifies zero classical correlations
         gate = [math.ceil(t) for t in grid.times()]
-        carried = sum(
-            1 for k in range(1, len(gate))
-            if gate[k] == gate[k - 1] and gate[k] in ENV_LOCAL_GATES[scheme]
-        )
-        assert carried == 3 * len(ENV_LOCAL_GATES[scheme])
-        assert len(searches) == len(gate) - carried
+        carried = [
+            k > 0 and gate[k] == gate[k - 1] and gate[k] in ENV_LOCAL_GATES[scheme]
+            for k in range(len(gate))
+        ]
+        assert sum(carried) == 3 * len(ENV_LOCAL_GATES[scheme])
+        searched = [not c and not u for c, u in zip(carried, uncorrelated)]
+        assert len(searches) == sum(searched)

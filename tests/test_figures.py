@@ -124,6 +124,13 @@ class TestFigures:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_fig6_deterministic_across_workers(self, tmp_path):
+        blobs = []
+        for sub, workers in (("a", 1), ("b", 2)):
+            (path,) = run_figure("fig6", fast_config(tmp_path / sub, workers=workers))
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_fig2_inset_schema(self, tmp_path):
         (path,) = run_figure("fig2_inset", fast_config(tmp_path))
         header, data = read_csv(path)

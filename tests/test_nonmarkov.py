@@ -72,6 +72,11 @@ class TestBlpPairGain:
         with pytest.raises(ValueError):
             blp_pair_gain(KET0, KET0, BLOCK_SWAP, 0.5)
 
+    @pytest.mark.parametrize("phase", [-1.0, 1j], ids=["minus", "imag"])
+    def test_global_phase_is_the_same_state(self, phase):
+        with pytest.raises(ValueError, match="must differ"):
+            blp_pair_gain(KET0, phase * KET0, BLOCK_SWAP, 0.8)
+
     def test_matches_distance_curve(self):
         grid = TimeGrid(0.0, 1.0, 101)
         report = blp_pair_gain(KET0, KET1, BLOCK_SWAP, 0.9, grid)

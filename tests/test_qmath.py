@@ -128,6 +128,14 @@ class TestPartialTranspose:
         rho = random_density(rng, 8)
         assert np.trace(partial_transpose(rho, "E1")) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("side", ["S", "E1", ("S", "E2"), ("E1", "E2")])
+    def test_stack_axes_kept(self, rng, side):
+        stack = np.stack([[random_density(rng, 8) for _ in range(2)] for _ in range(3)])
+        got = partial_transpose(stack, side)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(got[idx], partial_transpose(stack[idx], side))
+
 
 class TestNorms:
     def test_trace_norm_identity(self):
