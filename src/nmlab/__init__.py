@@ -6,7 +6,7 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along both interpolations of the dynamics.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .qmath import (
     REGISTER,
@@ -17,7 +17,6 @@ from .qmath import (
     mutual_information,
     partial_trace,
     partial_transpose,
-    superop_from_action,
     trace_distance,
     trace_norm,
     vn_entropy,
@@ -32,8 +31,6 @@ from .register import (
     Interpolation,
     alpha_ket,
     bell_basis,
-    bloch_ket,
-    block_unitaries,
     circuit_unitary,
     gate_sequence,
     gate_unitary,
@@ -42,8 +39,6 @@ from .register import (
     werner,
 )
 from .channel import (
-    BellSandwichTable,
-    KrausSet,
     apply_effective_channel,
     bell_sandwich_table,
     distance_after_block1,

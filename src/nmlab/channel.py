@@ -10,8 +10,6 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qmath import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
@@ -20,26 +18,8 @@ from .register import alpha_ket, bell_basis, circuit_unitary
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 
-@dataclass(frozen=True)
-class BellSandwichTable:
-    """The 16 operators <jk| U |B> on S, keyed by (bell label, j, k)."""
-
-    entries: dict[tuple[str, int, int], np.ndarray]
-
-    def __getitem__(self, key: tuple[str, int, int]) -> np.ndarray:
-        return self.entries[key]
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Operator-sum decomposition of the effective channel at resource p."""
-
-    ops: tuple[np.ndarray, ...]
-    p: float
-
-
-def bell_sandwich_table(u: np.ndarray | None = None) -> BellSandwichTable:
-    """Environment Bell-sandwich operators of the 8x8 circuit unitary."""
+def bell_sandwich_table(u: np.ndarray | None = None) -> dict[tuple[str, int, int], np.ndarray]:
+    """The 16 operators <jk| U |B> on S of the 8x8 circuit unitary, keyed by (bell label, j, k)."""
     if u is None:
         u = circuit_unitary()
     u = np.asarray(u, dtype=complex)
@@ -52,25 +32,23 @@ def bell_sandwich_table(u: np.ndarray | None = None) -> BellSandwichTable:
         for j in (0, 1):
             for k in (0, 1):
                 entries[(label, j, k)] = np.einsum("stab,ab->st", ut[:, j, k], b)
-    return BellSandwichTable(entries)
+    return entries
 
 
-def kraus_set(p: float) -> KrausSet:
-    """Kraus operators {c1 I, c2 Z, c2 X, c2 Y} with Werner-dependent weights."""
+def kraus_set(p: float) -> tuple[np.ndarray, ...]:
+    """Kraus operators (c1 I, c2 Z, c2 X, c2 Y) of the effective channel at resource p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     c_id = np.sqrt((1.0 + 3.0 * p) / 4.0)
     c_pauli = np.sqrt((1.0 - p) / 4.0)
-    return KrausSet(
-        (c_id * PAULI_I, c_pauli * PAULI_Z, c_pauli * PAULI_X, c_pauli * PAULI_Y), p
-    )
+    return c_id * PAULI_I, c_pauli * PAULI_Z, c_pauli * PAULI_X, c_pauli * PAULI_Y
 
 
 def apply_effective_channel(rho: np.ndarray, p: float) -> np.ndarray:
     """End-to-end channel on S; equals p rho + (1 - p) I/2."""
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
-    for k in kraus_set(p).ops:
+    for k in kraus_set(p):
         out += k @ rho @ k.conj().T
     return out
 

@@ -34,10 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULIS,
     REGISTER,
     RegisterLayout,
     mutual_information,
@@ -54,7 +51,6 @@ from .sweep import OptConfig, TimeGrid, two_stage_maximize
 PROB_FLOOR = 1e-12
 # A sample whose mutual information is at most this skips the basis search.
 MUTUAL_FLOOR = 1e-12
-_SIGMAS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ def _bloch_blocks(rho_ab: np.ndarray, measured, layout: RegisterLayout) -> np.nd
         raise ValueError(f"measured side must be a single qubit, got dimension {d_b}")
     d_a = int(np.prod([layout.dims[i] for i in pos_a]))
     rho4 = permute_wires(rho_ab, pos_a + pos_b, layout).reshape(d_a, 2, d_a, 2)
-    blocks = np.einsum("jvu,aubv->jab", _SIGMAS, rho4)
+    blocks = np.einsum("jvu,aubv->jab", PAULIS, rho4)
     return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 

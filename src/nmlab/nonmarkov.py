@@ -1,16 +1,18 @@
 """Non-Markovianity measures of the reduced dynamics.
 
-Three witnesses are implemented on a common time grid:
+Three witnesses are implemented on a common time grid, and all three read one
+representation of the reduced map: the real Pauli-transfer matrices
+R_t = [[1, 0], [c_t, M_t]] of ``register.system_map_stack``.
 
 * BLP (Breuer, Laine & Piilo, PRL 103, 210401 (2009)): summed increases of
   the trace distance between two evolved inputs, maximized over antipodal
-  pure pairs. Every distance is read off the real 3x3 Bloch matrix M_t of
-  the reduced map; the antipodal pair at ±n is at distance |M_t n|
-  (Wißmann et al., PRA 86, 062108 (2012)).
+  pure pairs. Every distance is read off the Bloch block M_t; the antipodal
+  pair at ±n is at distance |M_t n| (Wißmann et al., PRA 86, 062108 (2012)).
 * RHP: integral of the momentary complete-positivity violation of the
-  intermediate map, obtained from the trace norm of its Choi state.
+  intermediate map R_{t+eps} R_t^-1, obtained from the trace norm of its
+  Choi state.
 * LFS: summed increases of the system-ancilla mutual information starting
-  from a maximally entangled pair.
+  from a maximally entangled pair, i.e. of the Choi states of R_t.
 
 Increases are accumulated from grid differences (right Riemann sum of the
 positive parts); float dust below ``INCREMENT_FLOOR`` is dropped so that
@@ -24,16 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .qmath import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SYSTEM_ANCILLA,
-    choi_state,
-    mutual_information,
-    trace_norm,
-)
-from .register import DynamicsScheme, reduced_evolution, system_map_stack
+from .qmath import PAULIS, SYSTEM_ANCILLA, choi_state, mutual_information, trace_norm
+from .register import DynamicsScheme, system_map_stack
 from .sweep import OptConfig, TimeGrid, default_grid, two_stage_maximize
 
 INCREMENT_FLOOR = 1e-12
@@ -42,7 +36,6 @@ DEFAULT_RHP_EPS = 1e-3
 # for onset thresholds. Sits well above the ~1e-12 numerical dust of the
 # integrals and below the ~1e-7..1e-6 values right at the onsets.
 THRESHOLD_CUTOFF = 1e-7
-_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass
@@ -106,21 +99,11 @@ def positive_increments(
     return float(gains.sum()), intervals
 
 
-def _bloch_matrices(scheme, p, ts, observe) -> np.ndarray:
-    """Real Bloch matrices M_t[i, j] = tr(sigma_i R_t(sigma_j)) / 2, shape (len(ts), 3, 3).
-
-    R_t, the reduced evolution from S to `observe`, preserves trace and
-    hermiticity: it takes (r1 - r2).sigma / 2 to (M_t (r1 - r2)).sigma / 2.
-    """
-    images = reduced_evolution(scheme, p, ts, _PAULIS, observe)
-    return 0.5 * np.einsum("iab,tjba->tij", _PAULIS, images).real
-
-
 def _bloch_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
         raise ValueError("input kets must have unit norm")
-    return np.einsum("a,iab,b->i", psi.conj(), _PAULIS, psi).real
+    return np.einsum("a,iab,b->i", psi.conj(), PAULIS[1:], psi).real
 
 
 def _pair_report(scheme, p, grid, observe, d) -> MeasureReport:
@@ -139,7 +122,8 @@ def pair_distance_curve(
 ) -> np.ndarray:
     """Trace distance |M_t (r1 - r2)| / 2 of two evolved unit kets with Bloch vectors r1, r2."""
     diff = _bloch_vector(psi1) - _bloch_vector(psi2)
-    return 0.5 * np.linalg.norm(_bloch_matrices(scheme, p, ts, observe) @ diff, axis=-1)
+    m = system_map_stack(scheme, p, ts, observe)[:, 1:, 1:]
+    return 0.5 * np.linalg.norm(m @ diff, axis=-1)
 
 
 def blp_pair_gain(
@@ -175,12 +159,12 @@ def blp_measure(
     """BLP measure: pair gain maximized over antipodal pure input pairs.
 
     The pair at ±n(theta, phi), theta in [0, pi/2], is at distance |M_t n|:
-    one set of Bloch matrices scores every candidate of the two-stage grid
+    one stack of Bloch blocks M_t scores every candidate of the two-stage grid
     search and gives the reported winner's curve.
     """
     if grid is None:
         grid = default_grid(scheme)
-    m = _bloch_matrices(scheme, p, grid.times(), observe)
+    m = system_map_stack(scheme, p, grid.times(), observe)[:, 1:, 1:]
 
     def distances(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
         n = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
@@ -208,7 +192,7 @@ def _g_curve(scheme, p, ts, eps, tol):
     u, sig, vh = np.linalg.svd(s_base)
     singular = (sig[:, 0] <= 0.0) | (sig[:, -1] < tol * sig[:, 0])
     sig = np.where(singular[:, None], 1.0, sig)
-    inv = (vh.conj().transpose(0, 2, 1) / sig[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    inv = (vh.transpose(0, 2, 1) / sig[:, None, :]) @ u.transpose(0, 2, 1)
     f_ncp = trace_norm(choi_state(s_fwd @ inv))
     g = np.where(singular, 0.0, np.maximum(0.0, (f_ncp - 1.0) / eps))
     return g, int(singular.sum())

@@ -4,16 +4,11 @@ Operators and states are plain complex numpy arrays. States are density
 matrices (Hermitian, unit trace, positive semidefinite); all dimensions in
 this package are small (<= 64), so every routine works on dense matrices
 with deterministic spectral decompositions.
-
-Vectorization is column-stacking throughout: ``vec(|i><j|)`` sits at index
-``j*d + i``, and a superoperator ``S`` acts as ``S @ vec(rho) = vec(map(rho))``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import linalg as sla
@@ -30,6 +25,10 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = (PAULI_X + PAULI_Z) / np.sqrt(2.0)
+# Pauli basis (I, X, Y, Z) that indexes every transfer matrix.
+PAULIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+# kron(sigma_i, sigma_j^T) / 4 at [i, j]: the Choi state of each Pauli-basis unit.
+_CHOI_UNITS = np.einsum("iab,jdc->ijacbd", PAULIS, PAULIS).reshape(4, 4, 4, 4) / 4.0
 
 
 @dataclass(frozen=True)
@@ -229,42 +228,13 @@ class FractionalUnitary:
         return np.einsum("ab,tb,cb->tac", self._basis, ph, self._basis.conj())
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization: element (i, j) lands at index j*d + i."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if d is None:
-        d = int(round(np.sqrt(v.size)))
-    return v.reshape(d, d, order="F")
-
-
-def superop_from_action(apply: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
-    """Matrix of a linear operator-valued map, built from its action.
-
-    `apply` maps the stack of the d*d unit operators (|i><j| at index ``j*d + i``)
-    to their images, optionally behind extra stack axes that the result keeps.
-    Column ``j*d + i`` is ``vec(apply(|i><j|))``.
-    """
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d).swapaxes(-1, -2)
-    images = np.asarray(apply(units), dtype=complex)
-    return images.swapaxes(-1, -2).reshape(images.shape[:-3] + (d * d, d * d)).swapaxes(-1, -2)
-
-
 def choi_state(mats: np.ndarray) -> np.ndarray:
     """Apply ``map (x) identity`` to the normalized maximally entangled state.
 
-    `mats` holds superoperator matrices, stacked on any leading axes. Each
-    result lives on system (x) ancilla with the system factor first. It has
-    unit trace when the map is trace preserving and is positive semidefinite
+    `mats` holds real qubit transfer matrices R[i, j] = tr(sigma_i map(sigma_j)) / 2
+    (Paulis ordered I, X, Y, Z), stacked on any leading axes, and the result is
+    sum_ij R[i, j] sigma_i (x) sigma_j^T / 4 on system (x) ancilla. It has unit
+    trace when the map is trace preserving and is positive semidefinite
     exactly when the map is completely positive.
     """
-    mats = np.asarray(mats, dtype=complex)
-    d = math.isqrt(mats.shape[-1])
-    lead = mats.ndim - 2
-    s = mats.reshape(mats.shape[:-2] + (d, d, d, d))
-    # C[(a,i),(b,j)] = S[b*d+a, j*d+i] / d
-    axes = tuple(range(lead)) + (lead + 1, lead + 3, lead, lead + 2)
-    return s.transpose(axes).reshape(mats.shape[:-2] + (d * d, d * d)) / d
+    return np.tensordot(np.asarray(mats, dtype=float), _CHOI_UNITS, 2)

@@ -22,12 +22,12 @@ from .qmath import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PAULIS,
     REGISTER,
     FractionalUnitary,
     RegisterLayout,
     kron,
     partial_trace,
-    superop_from_action,
 )
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -91,13 +91,6 @@ def alpha_ket(alpha: float) -> np.ndarray:
     return np.array([alpha, np.sqrt(1.0 - alpha * alpha)], dtype=complex)
 
 
-def bloch_ket(theta: float, phi: float) -> np.ndarray:
-    """Pure qubit state at Bloch angles (theta, phi)."""
-    return np.array(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex
-    )
-
-
 def _place(ops: dict[int, np.ndarray], layout: RegisterLayout) -> np.ndarray:
     return kron(*(ops.get(w, PAULI_I) for w in range(layout.n_wires)))
 
@@ -147,12 +140,6 @@ def gate_sequence(variant: CircuitVariant) -> list[GateSpec]:
 @lru_cache(maxsize=None)
 def _gate_unitaries(variant: CircuitVariant) -> tuple[np.ndarray, ...]:
     return tuple(gate_unitary(g) for g in gate_sequence(variant))
-
-
-def block_unitaries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three unitary blocks (U1, U2, U3) of the swap-terminated circuit."""
-    g = _gate_unitaries(CircuitVariant.SWAP_TERMINATED)
-    return g[1] @ g[0], g[4] @ g[3] @ g[2], g[7] @ g[6] @ g[5]
 
 
 def circuit_unitary(variant: CircuitVariant = CircuitVariant.SWAP_TERMINATED) -> np.ndarray:
@@ -268,6 +255,30 @@ def reduced_evolution(
     return partial_trace(joint_states(scheme, p, ts, initial_ops), observe)
 
 
-def system_map_stack(scheme: DynamicsScheme, p: float, ts: np.ndarray) -> np.ndarray:
-    """Superoperator matrices of the reduced-S dynamics, shape (len(ts), 4, 4)."""
-    return superop_from_action(lambda units: reduced_evolution(scheme, p, ts, units), 2)
+@lru_cache(maxsize=32)
+def _transfer_endpoints(scheme: DynamicsScheme, observe: str, ts: tuple[float, ...]):
+    """Read-only transfer-matrix stacks at p = 0 and p = 1 on the times `ts`."""
+    ends = []
+    for p in (0.0, 1.0):
+        images = reduced_evolution(scheme, p, np.array(ts), PAULIS, observe)
+        r = 0.5 * np.einsum("iab,tjba->tij", PAULIS, images).real
+        r.flags.writeable = False
+        ends.append(r)
+    return tuple(ends)
+
+
+def system_map_stack(
+    scheme: DynamicsScheme, p: float, ts: np.ndarray, observe: str = "S"
+) -> np.ndarray:
+    """Real Pauli-transfer matrices of the reduced maps from S to `observe`.
+
+    R_t[i, j] = tr(sigma_i Phi_t(sigma_j)) / 2 with Paulis ordered (I, X, Y, Z),
+    shape (len(ts), 4, 4). Trace and hermiticity preservation make
+    R_t = [[1, 0], [c_t, M_t]]: a state with Bloch vector r goes to c_t + M_t r.
+    The result is a new array, R_t(0) + p (R_t(1) - R_t(0)) of the cached
+    endpoints.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
+    r0, r1 = _transfer_endpoints(scheme, observe, tuple(np.asarray(ts, dtype=float).tolist()))
+    return r0 + p * (r1 - r0)

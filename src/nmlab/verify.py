@@ -13,15 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    bell_sandwich_table,
-    distance_after_block1,
-    final_distance,
-    output_fidelity,
-)
-from .correlations import classical_correlations, discord, log_negativity
+from .channel import bell_sandwich_table, distance_after_block1, final_distance, kraus_set
+from .correlations import classical_correlations, log_negativity
 from .figures import RunConfig, _fig2_cell, _pmap, p_grid, run_figure
 from .nonmarkov import (
+    _bloch_vector,
     blp_measure,
     blp_pair_gain,
     first_crossing,
@@ -31,12 +27,11 @@ from .nonmarkov import (
 )
 from .qmath import (
     PAULI_I,
+    PAULIS,
     RegisterLayout,
     choi_state,
-    superop_from_action,
+    mutual_information,
     trace_distance,
-    unvec,
-    vec,
 )
 from .register import (
     BLOCK_SWAP,
@@ -89,25 +84,43 @@ def _random_ket(rng: np.random.Generator, d: int = 2) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _end_map(scheme, p: float) -> np.ndarray:
+    """Simulated transfer matrix of the whole circuit under `scheme`."""
+    return system_map_stack(scheme, p, [scheme.time_domain[1]])[0]
+
+
 def check_channel_identity() -> CheckResult:
     rng = np.random.default_rng(11)
-    worst = 0.0
+    worst, worst_map = 0.0, 0.0
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         rhos = [_random_density(rng) for _ in range(20)]
         outs = reduced_evolution(BLOCK_SWAP, p, np.array([1.0]), rhos)[0]
         for rho, out in zip(rhos, outs):
             target = p * rho + (1.0 - p) * PAULI_I / 2.0
             worst = max(worst, trace_distance(out, target))
-    return CheckResult("1 channel identity", "depolarizing p*rho+(1-p)I/2",
-                       f"max trace distance {worst:.3e}", "1e-10", worst <= 1e-10)
+        # transfer matrix of the Kraus set: tr(sigma_i sum_k K sigma_j K^dagger) / 2
+        kraus = np.stack(kraus_set(p))
+        images = np.einsum("kab,jbc,kdc->jad", kraus, PAULIS, kraus.conj())
+        expected = 0.5 * np.einsum("iab,jba->ij", PAULIS, images).real
+        for scheme in (BLOCK_SWAP, GATES_SWAP):
+            worst_map = max(worst_map, float(np.max(np.abs(_end_map(scheme, p) - expected))))
+    return CheckResult("1 channel identity",
+                       "depolarizing p*rho+(1-p)I/2; simulated end maps equal the Kraus set's",
+                       f"max trace distance {worst:.3e}, max end-map deviation {worst_map:.3e}",
+                       "1e-10", worst <= 1e-10 and worst_map <= 1e-10)
 
 
 def check_fidelity_law() -> CheckResult:
+    # a pure input with Bloch vector r ends at c + M r of the simulated end map
+    # R = [[1, 0], [c, M]], with fidelity (1 + r.(c + M r)) / 2
+    r = np.stack([_bloch_vector(alpha_ket(a)) for a in np.linspace(0.0, 1.0, 11)])
     worst = 0.0
-    for alpha in np.linspace(0.0, 1.0, 11):
-        for p in np.linspace(0.0, 1.0, 11):
-            worst = max(worst, abs(output_fidelity(alpha, p) - (1.0 + p) / 2.0))
-    return CheckResult("2 fidelity law", "F = (1+p)/2 on 11x11 grid",
+    for p in np.linspace(0.0, 1.0, 11):
+        for scheme in (BLOCK_SWAP, GATES_SWAP):
+            end = _end_map(scheme, p)
+            fidelity = 0.5 * (1.0 + np.sum(r * (end[1:, 0] + r @ end[1:, 1:].T), axis=1))
+            worst = max(worst, float(np.max(np.abs(fidelity - (1.0 + p) / 2.0))))
+    return CheckResult("2 fidelity law", "F = (1+p)/2 on 11x11 grid, block and gates end maps",
                        f"max deviation {worst:.3e}", "1e-10", worst <= 1e-10)
 
 
@@ -254,13 +267,13 @@ def check_end_correlations() -> CheckResult:
     for p in (0.2, 0.5, 0.8):
         state = joint_states(BLOCK_SWAP, p, np.array([1.0]), rho0)[0]
         neg = log_negativity(state, "S")
-        dis = discord(state, "S")
         cla = classical_correlations(state, "S")
+        dis = mutual_information(state, "S") - cla
         ok &= neg <= 1e-9 and dis <= 1e-6 and cla >= 1e-3
         rows.append(f"p={p}: neg {neg:.1e} dis {dis:.1e} cla {cla:.3f}")
     state = joint_states(BLOCK_SWAP, 1.0, np.array([1.0]), rho0)[0]
-    vals = (log_negativity(state, "S"), discord(state, "S"),
-            classical_correlations(state, "S"))
+    cla = classical_correlations(state, "S")
+    vals = (log_negativity(state, "S"), mutual_information(state, "S") - cla, cla)
     ok &= all(v <= 1e-6 for v in vals)
     rows.append("p=1: " + " ".join(f"{v:.1e}" for v in vals))
     return CheckResult(
@@ -312,20 +325,21 @@ def check_propagator_endpoints() -> CheckResult:
 
 
 def check_superop_roundtrip() -> CheckResult:
+    # the cached endpoints combined at random p act on Pauli coordinates
+    # x_j = tr(sigma_j h) / 2 as one direct evolution of h does
     rng = np.random.default_rng(37)
-    iso = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))[0]
-    ops = [iso[2 * k:2 * k + 2, :] for k in range(4)]
-
-    def act(rho):
-        return sum(k @ rho @ k.conj().T for k in ops)
-
-    s = superop_from_action(act, 2)
     worst = 0.0
-    for _ in range(20):
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = h + h.conj().T
-        worst = max(worst, float(np.max(np.abs(unvec(s @ vec(h), 2) - act(h)))))
-    return CheckResult("11c superoperator round trip", "matrix action equals map",
+    for scheme in (BLOCK_SWAP, GATES_SWAP):
+        p = rng.uniform()
+        ts = np.sort(rng.uniform(*scheme.time_domain, size=5))
+        h = rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2))
+        h = h + h.conj().swapaxes(-1, -2)
+        coords = 0.5 * np.einsum("iab,nba->ni", PAULIS, h).real
+        images = np.einsum("tij,nj,iab->tnab", system_map_stack(scheme, p, ts), coords, PAULIS)
+        direct = reduced_evolution(scheme, p, ts, h)
+        worst = max(worst, float(np.max(np.abs(images - direct))))
+    return CheckResult("11c transfer-matrix round trip",
+                       "cached affine-in-p map equals direct evolution",
                        f"max deviation {worst:.3e}", "1e-12", worst <= 1e-12)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nmlab.qmath import PAULIS
+
 
 @pytest.fixture
 def rng():
@@ -22,3 +24,8 @@ def random_unitary(rng, d=2):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def transfer_matrix(act):
+    """Transfer matrix tr(sigma_i act(sigma_j)) / 2 of a map acting on a stack of operators."""
+    return 0.5 * np.einsum("iab,jba->ij", PAULIS, act(PAULIS)).real

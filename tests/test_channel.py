@@ -13,9 +13,11 @@ from nmlab.channel import (
 from nmlab.qmath import kron, partial_trace, trace_distance
 from nmlab.register import (
     BLOCK_SWAP,
+    CircuitVariant,
     alpha_ket,
-    block_unitaries,
     circuit_unitary,
+    gate_sequence,
+    gate_unitary,
     reduced_evolution,
     werner,
 )
@@ -68,18 +70,18 @@ class TestBellSandwich:
 
 class TestKraus:
     def test_perfect_resource(self):
-        ops = kraus_set(1.0).ops
+        ops = kraus_set(1.0)
         assert np.allclose(ops[0], I2, atol=1e-14)
         for op in ops[1:]:
             assert np.allclose(op, 0.0, atol=1e-14)
 
     def test_useless_resource(self):
-        for op in kraus_set(0.0).ops:
+        for op in kraus_set(0.0):
             assert np.linalg.norm(op, 2) == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_completeness(self, p):
-        total = sum(k.conj().T @ k for k in kraus_set(p).ops)
+        total = sum(k.conj().T @ k for k in kraus_set(p))
         assert np.allclose(total, I2, atol=1e-12)
 
 
@@ -141,7 +143,8 @@ class TestClosedFormDistances:
         assert distance_after_block1(0.42, 0.42) == 0.0
 
     def test_block1_against_simulation(self):
-        u1 = block_unitaries()[0]
+        g1, g2 = (gate_unitary(g) for g in gate_sequence(CircuitVariant.SWAP_TERMINATED)[:2])
+        u1 = g2 @ g1
         a1, a2 = 1 / np.sqrt(2), 0.0
         outs = []
         for a in (a1, a2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nmlab import nonmarkov
+from nmlab import nonmarkov, register
 from nmlab.nonmarkov import (
     DEFAULT_RHP_EPS,
     THRESHOLD_CUTOFF,
@@ -13,14 +13,13 @@ from nmlab.nonmarkov import (
     pair_distance_curve,
     rhp_measure,
 )
-from nmlab.qmath import superop_from_action, trace_distance
+from nmlab.qmath import trace_distance
 from nmlab.register import (
     BLOCK_SWAP,
     GATES_BBC,
     GATES_SWAP,
     KET0,
     KET1,
-    bloch_ket,
     reduced_evolution,
     system_map_stack,
 )
@@ -146,20 +145,31 @@ class TestBlochPath:
     def test_measure_is_pair_gain_of_its_winner(self, scheme, p):
         report = blp_measure(scheme, p)
         theta, phi = report.optimal_pair
-        pair = blp_pair_gain(bloch_ket(theta, phi), bloch_ket(np.pi - theta, phi + np.pi),
-                             scheme, p)
+
+        def ket(theta, phi):
+            return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+        pair = blp_pair_gain(ket(theta, phi), ket(np.pi - theta, phi + np.pi), scheme, p)
         assert abs(report.value - pair.value) <= 1e-12
 
     def test_measure_evolves_once(self, monkeypatch):
+        # the register is evolved once per endpoint p = 0, 1 of a grid; every
+        # measure at any p on that grid then reads the cached transfer matrices
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return reduced_evolution(*args, **kwargs)
 
-        monkeypatch.setattr(nonmarkov, "reduced_evolution", counting)
-        blp_measure(GATES_SWAP, 0.5, TimeGrid(0.0, 8.0, 161))
-        assert len(calls) == 1
+        monkeypatch.setattr(register, "reduced_evolution", counting)
+        register._transfer_endpoints.cache_clear()
+        grid = TimeGrid(0.0, 8.0, 161)
+        blp_measure(GATES_SWAP, 0.5, grid)
+        assert [args[1] for args in calls] == [0.0, 1.0]
+        blp_measure(GATES_SWAP, 0.9, grid)
+        pair_distance_curve(KET0, KET1, GATES_SWAP, 0.3, grid.times())
+        lfs_measure(GATES_SWAP, 0.7, grid)
+        assert len(calls) == 2
 
     def test_unnormalized_ket_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):
@@ -200,7 +210,7 @@ class TestRhp:
     @staticmethod
     def _g_from(monkeypatch, base, fwd, eps=1e-3):
         """Run the batched rate on given base and forward map stacks."""
-        stacks = [np.asarray(base, dtype=complex), np.asarray(fwd, dtype=complex)]
+        stacks = [np.asarray(base, dtype=float), np.asarray(fwd, dtype=float)]
         monkeypatch.setattr(nonmarkov, "system_map_stack", lambda *args: stacks.pop(0))
         return _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(base)), eps, 1e-10)
 
@@ -225,8 +235,9 @@ class TestRhp:
     ], ids=["identity", "scaled", "dynamics", "zero", "rank_deficient"])
     def test_base_map_inverse(self, monkeypatch, base, singular):
         # forward map = transpose after base: an exact inverse of the base
-        # leaves the transpose map, whose Choi state has trace norm 2
-        transpose = superop_from_action(lambda r: r.swapaxes(-1, -2), 2)
+        # leaves the transpose map, whose Choi state has trace norm 2; the
+        # transpose flips only the sign of the Y coordinate
+        transpose = np.diag([1.0, 1.0, -1.0, 1.0])
         g, count = self._g_from(monkeypatch, [base], [transpose @ base], eps=1e-3)
         assert count == int(singular)
         assert g[0] == (0.0 if singular else pytest.approx(1e3, rel=1e-9))

@@ -7,7 +7,9 @@ from nmlab import qmath
 from nmlab.qmath import (
     PAULI_I,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
+    PAULIS,
     REGISTER,
     FractionalUnitary,
     RegisterLayout,
@@ -16,15 +18,20 @@ from nmlab.qmath import (
     mutual_information,
     partial_trace,
     partial_transpose,
-    superop_from_action,
     trace_distance,
     trace_norm,
-    unvec,
-    vec,
     vn_entropy,
 )
+from nmlab.register import (
+    BLOCK_SWAP,
+    GATES_BBC,
+    GATES_SWAP,
+    reduced_evolution,
+    system_map_stack,
+    werner,
+)
 
-from conftest import random_density, random_ket, random_unitary
+from conftest import random_density, random_ket, random_unitary, transfer_matrix
 
 QQ = RegisterLayout(("A", "B"), (2, 2))
 
@@ -249,73 +256,102 @@ class TestFractionalPower:
             FractionalUnitary(np.diag([1.0, 2.0 + 0j]))
 
 
+def conjugation(u):
+    return lambda ops: u @ ops @ u.conj().T
+
+
+def random_kraus(rng, n):
+    """n Kraus operators of a random CPTP qubit map, cut from an isometry."""
+    iso = np.linalg.qr(rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2)))[0]
+    return [iso[2 * k:2 * k + 2, :] for k in range(n)]
+
+
+def kraus_action(ops):
+    return lambda r: sum(k @ r @ k.conj().T for k in ops)
+
+
 class TestSuperoperator:
+    """Qubit maps as real Pauli-transfer matrices R[i, j] = tr(sigma_i map(sigma_j)) / 2."""
+
     def test_identity_map(self):
-        s = superop_from_action(lambda r: r, 2)
-        assert np.allclose(s, np.eye(4), atol=1e-14)
+        r = transfer_matrix(lambda ops: ops)
+        assert np.array_equal(r, np.eye(4))
+        assert np.allclose(choi_state(r), bell_projector(), atol=1e-15)
 
     def test_x_conjugation_permutation(self):
-        s = superop_from_action(lambda r: PAULI_X @ r @ PAULI_X, 2)
-        perm = np.zeros((4, 4))
-        perm[3, 0] = perm[0, 3] = perm[2, 1] = perm[1, 2] = 1.0
-        assert np.allclose(s, perm, atol=1e-14)
+        # X conjugation flips Y and Z, and permutes the Bell states: phi+ -> psi+
+        r = transfer_matrix(conjugation(PAULI_X))
+        assert np.allclose(r, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-15)
+        psi_plus = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+        assert np.allclose(choi_state(r), np.outer(psi_plus, psi_plus), atol=1e-15)
 
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
     def test_depolarizing_action(self, p):
-        s = superop_from_action(
-            lambda r: p * r + (1 - p) * np.trace(r, axis1=-2, axis2=-1)[..., None, None]
-            * np.eye(2) / 2, 2)
-        out = unvec(s @ vec(np.diag([1.0, 0.0 + 0j])), 2)
-        assert np.allclose(out, np.diag([(1 + p) / 2, (1 - p) / 2]), atol=1e-14)
+        # p rho + (1-p) I/2 shrinks every Bloch axis by p; its Choi state is Werner
+        r = transfer_matrix(
+            lambda ops: p * ops + (1 - p) * np.trace(ops, axis1=-2, axis2=-1)[..., None, None]
+            * np.eye(2) / 2)
+        assert np.allclose(r, np.diag([1.0, p, p, p]), atol=1e-15)
+        assert np.allclose(choi_state(r), werner(p), atol=1e-15)
 
     def test_round_trip_on_random_hermitians(self, rng):
-        iso = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))[0]
-        ops = [iso[2 * k:2 * k + 2, :] for k in range(4)]
-
-        def act(r):
-            return sum(k @ r @ k.conj().T for k in ops)
-
-        s = superop_from_action(act, 2)
+        # R acts on Pauli coordinates x_j = tr(sigma_j h) / 2, and its Choi state
+        # is sum_k (K x 1)|phi+><phi+|(K x 1)^dagger
+        ops = random_kraus(rng, 4)
+        act = kraus_action(ops)
+        r = transfer_matrix(act)
         for _ in range(20):
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             h = h + h.conj().T
-            assert np.allclose(unvec(s @ vec(h), 2), act(h), atol=1e-12)
+            coords = 0.5 * np.einsum("jab,ba->j", PAULIS, h).real
+            assert np.allclose(np.einsum("i,iab->ab", r @ coords, PAULIS), act(h), atol=1e-12)
+        direct = sum(np.kron(k, PAULI_I) @ bell_projector() @ np.kron(k, PAULI_I).conj().T
+                     for k in ops)
+        assert np.allclose(choi_state(r), direct, atol=1e-12)
 
     def test_stack_axes_kept(self, rng):
-        us = np.stack([random_unitary(rng) for _ in range(3)])
-        s = superop_from_action(
-            lambda units: us[:, None] @ units @ us.conj().swapaxes(-1, -2)[:, None], 2)
-        assert s.shape == (3, 4, 4)
-        for u, got in zip(us, s):
-            assert np.allclose(got, superop_from_action(lambda r: u @ r @ u.conj().T, 2),
-                               atol=1e-14)
+        us = [random_unitary(rng) for _ in range(3)]
+        chois = choi_state(np.stack([transfer_matrix(conjugation(u)) for u in us]))
+        assert chois.shape == (3, 4, 4)
+        for u, got in zip(us, chois):
+            v = np.kron(u, PAULI_I) @ PHI_PLUS
+            assert np.allclose(got, np.outer(v, v.conj()), atol=1e-14)
 
-    def test_vec_convention(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(vec(m), np.array([1.0, 3.0, 2.0, 4.0]))
+    def test_pauli_order(self):
+        assert np.array_equal(PAULIS, np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]))
+        # hermitian, trace-orthogonal: tr(sigma_i sigma_j) = 2 delta_ij
+        assert np.array_equal(np.einsum("iab,jba->ij", PAULIS, PAULIS), 2 * np.eye(4))
+
+    @pytest.mark.parametrize("scheme, observe", [
+        (BLOCK_SWAP, "S"), (GATES_SWAP, "S"), (GATES_BBC, "E2"),
+    ], ids=["block", "gates", "bbc_e2"])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_choi_matches_evolved_bell_pair(self, rng, scheme, observe, p):
+        # (map x 1)|phi+><phi+| = sum_ab map(|a><b|) x |a><b| / 2, each map(|a><b|)
+        # from one direct evolution of the register
+        ts = np.sort(rng.uniform(*scheme.time_domain, size=6))
+        units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # |a><b| at [a, b]
+        images = reduced_evolution(scheme, p, ts, units, observe)
+        expected = 0.5 * np.einsum("tabcd,abef->tcedf", images, units).reshape(-1, 4, 4)
+        got = choi_state(system_map_stack(scheme, p, ts, observe))
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 class TestChoi:
     def test_identity_map(self):
-        c = choi_state(superop_from_action(lambda r: r, 2))
-        assert np.allclose(c, bell_projector(), atol=1e-14)
+        assert np.allclose(choi_state(np.eye(4)), bell_projector(), atol=1e-15)
 
     def test_cptp_has_unit_trace_norm(self, rng):
-        iso = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0]
-        ops = [iso[2 * k:2 * k + 2, :] for k in range(3)]
-        s = superop_from_action(lambda r: sum(k @ r @ k.conj().T for k in ops), 2)
-        assert trace_norm(choi_state(s)) == pytest.approx(1.0, abs=1e-12)
+        r = transfer_matrix(kraus_action(random_kraus(rng, 3)))
+        assert trace_norm(choi_state(r)) == pytest.approx(1.0, abs=1e-12)
 
     def test_z_conjugation(self):
-        c = choi_state(superop_from_action(lambda r: PAULI_Z @ r @ PAULI_Z, 2))
+        c = choi_state(transfer_matrix(conjugation(PAULI_Z)))
         minus = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
         assert np.allclose(c, np.outer(minus, minus.conj()), atol=1e-14)
 
     def test_stack_matches_single(self):
-        mats = np.stack([
-            superop_from_action(lambda r, u=u: u @ r @ u.conj().T, 2)
-            for u in (PAULI_I, PAULI_X, PAULI_Z)
-        ])
+        mats = np.stack([transfer_matrix(conjugation(u)) for u in (PAULI_I, PAULI_X, PAULI_Z)])
         chois = choi_state(mats.reshape(3, 1, 4, 4))
         assert chois.shape == (3, 1, 4, 4)
         for mat, c in zip(mats, chois[:, 0]):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from nmlab import register
 from nmlab.qmath import (
     HADAMARD,
     PAULI_X,
+    PAULIS,
     choi_state,
     kron,
     partial_trace,
-    superop_from_action,
     trace_distance,
-    unvec,
-    vec,
 )
 from nmlab.register import (
     BLOCK_SWAP,
@@ -22,8 +21,6 @@ from nmlab.register import (
     GateSpec,
     alpha_ket,
     bell_basis,
-    bloch_ket,
-    block_unitaries,
     circuit_unitary,
     gate_sequence,
     gate_unitary,
@@ -34,7 +31,7 @@ from nmlab.register import (
     werner,
 )
 
-from conftest import random_ket
+from conftest import random_ket, transfer_matrix
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -92,10 +89,6 @@ class TestSequence:
         assert np.allclose(gates[1] @ gates[0], u1, atol=1e-12)
         assert np.allclose(gates[4] @ gates[3] @ gates[2], u2, atol=1e-12)
         assert np.allclose(gates[7] @ gates[6] @ gates[5], u3, atol=1e-12)
-        b1, b2, b3 = block_unitaries()
-        assert np.allclose(b1, u1, atol=1e-12)
-        assert np.allclose(b2, u2, atol=1e-12)
-        assert np.allclose(b3, u3, atol=1e-12)
 
     def test_full_product_equals_blocks(self):
         u1, u2, u3, _ = reference_blocks()
@@ -144,7 +137,6 @@ class TestStates:
     def test_input_kets(self):
         assert np.allclose(alpha_ket(1.0), KET0)
         assert np.allclose(alpha_ket(0.0), KET1)
-        assert np.allclose(bloch_ket(0.0, 0.3), KET0)
         with pytest.raises(ValueError):
             alpha_ket(1.5)
 
@@ -226,10 +218,22 @@ class TestOnePath:
         assert red_s.shape == red_e2.shape == (len(ts), len(ops), 2, 2)
         assert np.allclose(red_s, partial_trace(ref, "S"), atol=1e-12)
         assert np.allclose(red_e2, partial_trace(ref, "E2"), atol=1e-12)
-        maps = system_map_stack(scheme, p, ts)
-        for t_idx, mat in enumerate(maps):
-            for k, op in enumerate(ops):
-                assert np.allclose(unvec(mat @ vec(op), 2), red_s[t_idx, k], atol=1e-12)
+        # transfer matrices act on Pauli coordinates x_j = tr(sigma_j op) / 2
+        coords = 0.5 * np.einsum("jab,kba->kj", PAULIS, ops)
+        images = np.einsum("tij,kj,iab->tkab", system_map_stack(scheme, p, ts), coords, PAULIS)
+        assert np.allclose(images, red_s, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("scheme, observe", [
+        (BLOCK_SWAP, "S"), (GATES_SWAP, "S"), (GATES_BBC, "S"), (GATES_BBC, "E2"),
+    ], ids=["block", "gates-swap", "gates-bbc", "gates-bbc-e2"])
+    def test_transfer_matrix_matches_direct_evolution(self, scheme, observe, p, rng):
+        ts = np.sort(rng.uniform(*scheme.time_domain, size=9))
+        images = reduced_evolution(scheme, p, ts, PAULIS, observe)
+        expected = 0.5 * np.einsum("iab,tjba->tij", PAULIS, images).real
+        got = system_map_stack(scheme, p, ts, observe)
+        assert got.shape == (len(ts), 4, 4)
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
     @pytest.mark.parametrize("scheme", [BLOCK_SWAP, GATES_SWAP], ids=["block", "gates"])
     @pytest.mark.parametrize("p", [0.25, 0.6, 0.93])
@@ -242,6 +246,22 @@ class TestOnePath:
     def test_unknown_observed_wire_rejected(self):
         with pytest.raises(ValueError, match="observe"):
             reduced_evolution(BLOCK_SWAP, 0.5, [0.5], np.eye(2), observe="E1")
+        with pytest.raises(ValueError, match="observe"):
+            system_map_stack(BLOCK_SWAP, 0.5, [0.5], observe="E1")
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0 + 1e-9, np.nan])
+    def test_resource_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="Werner parameter"):
+            system_map_stack(BLOCK_SWAP, p, [0.5])
+
+    def test_returned_stack_cannot_corrupt_cache(self):
+        ts = np.array([0.2, 0.7])
+        before = system_map_stack(BLOCK_SWAP, 0.4, ts)
+        for p in (0.0, 0.4, 1.0):
+            system_map_stack(BLOCK_SWAP, p, ts)[:] = 7.0
+        assert np.array_equal(system_map_stack(BLOCK_SWAP, 0.4, ts), before)
+        for end in register._transfer_endpoints(BLOCK_SWAP, "S", tuple(ts.tolist())):
+            assert not end.flags.writeable
 
 
 class TestSystemMap:
@@ -251,20 +271,16 @@ class TestSystemMap:
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_final_map_is_depolarizing(self, p):
-        # oracle: direct action of the depolarizing channel on matrix units
-        expected = superop_from_action(
-            lambda r: p * r + (1 - p) * np.trace(r, axis1=-2, axis2=-1)[..., None, None]
-            * np.eye(2) / 2, 2
-        )
+        # p rho + (1 - p) I/2 keeps the identity and shrinks every Bloch axis by p
+        expected = np.diag([1.0, p, p, p])
         assert np.allclose(system_map_stack(BLOCK_SWAP, p, [1.0])[0], expected, atol=1e-10)
 
     def test_u2_block_acts_trivially_on_s(self):
         _, u2, _, _ = reference_blocks()
         for p in (0.0, 0.7):
             w = werner(p)
-            s = superop_from_action(
-                lambda r: partial_trace(u2 @ kron(r, w) @ u2.conj().T, "S"), 2
-            )
+            s = transfer_matrix(lambda r: np.stack(
+                [partial_trace(u2 @ kron(op, w) @ u2.conj().T, "S") for op in r]))
             assert np.allclose(s, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1 / np.sqrt(2), 1.0])
