@@ -6,7 +6,7 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along both interpolations of the dynamics.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .qmath import (
     REGISTER,
@@ -59,6 +59,5 @@ from .correlations import (
     CorrelationSample,
     classical_correlations,
     correlation_trajectory,
-    discord,
     log_negativity,
 )

@@ -171,11 +171,12 @@ def blp_measure(
                       np.cos(thetas)])
         return np.linalg.norm(m @ n, axis=1).T  # (candidate, time)
 
-    result = two_stage_maximize(lambda th, ph: _positive_steps(distances(th, ph)).sum(-1), opt)
-    report = _pair_report(scheme, p, grid, observe,
-                          distances(np.array([result.theta]), np.array([result.phi]))[0])
-    report.optimal_pair = (result.theta, result.phi)
-    report.diagnostics.update(coarse_value=result.coarse_value, evaluations=result.evaluations)
+    result = two_stage_maximize(
+        lambda th, ph: _positive_steps(distances(th[0], ph[0])).sum(-1)[None], opt)
+    report = _pair_report(scheme, p, grid, observe, distances(result.theta, result.phi)[0])
+    report.optimal_pair = (float(result.theta[0]), float(result.phi[0]))
+    report.diagnostics.update(coarse_value=float(result.coarse_value[0]),
+                              evaluations=result.evaluations)
     return report
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 # Structural tolerance of the unitarity check.
 STRUCTURE_TOL = 1e-10
@@ -145,14 +144,15 @@ def partial_transpose(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) 
 
 
 def permute_wires(rho: np.ndarray, order, layout: RegisterLayout = REGISTER) -> np.ndarray:
-    """Reorder the register wires of `rho` into `order` (a permutation)."""
+    """Reorder the register wires of `rho` into `order`, keeping leading stack axes."""
     pos = [layout.positions(w)[0] if isinstance(w, (str, int)) else w for w in order]
     if sorted(pos) != list(range(layout.n_wires)):
         raise ValueError("order must be a permutation of all wires")
     n = layout.n_wires
     r = _reshaped(rho, layout)
-    axes = pos + [n + i for i in pos]
-    return r.transpose(axes).reshape(layout.dim, layout.dim)
+    lead = r.ndim - 2 * n
+    axes = list(range(lead)) + [lead + i for i in pos] + [lead + n + i for i in pos]
+    return r.transpose(axes).reshape(r.shape[:lead] + (layout.dim, layout.dim))
 
 
 def trace_norm(a: np.ndarray) -> float | np.ndarray:
@@ -203,17 +203,20 @@ class FractionalUnitary:
     Eigenphases are taken on the principal branch (-pi, pi], with an
     eigenvalue of -1 mapped deterministically to +pi (the closed end), so
     gates carrying a -1 eigenvalue (CNOT, SWAP, Hadamard) interpolate
-    without branch ambiguity. A unitary Schur decomposition supplies an
-    orthonormal eigenbasis, which keeps spectral projectors well defined
-    for degenerate eigenphases. The power at 0 is the identity and the
-    power at 1 recovers ``U``.
+    without branch ambiguity. The QR factor Z of the eigenvectors is an
+    orthonormal eigenbasis even for degenerate eigenphases, which are read
+    off diag(Z^dagger U Z); an off-diagonal entry above STRUCTURE_TOL raises.
+    The power at 0 is the identity and the power at 1 recovers ``U``.
     """
 
     def __init__(self, u: np.ndarray):
         u = np.asarray(u, dtype=complex)
         if not is_unitary(u):
             raise ValueError("input is not unitary within tolerance")
-        t, z = sla.schur(u, output="complex")
+        z = np.linalg.qr(np.linalg.eig(u)[1])[0]
+        t = z.conj().T @ u @ z
+        if np.max(np.abs(t - np.diag(np.diagonal(t)))) > STRUCTURE_TOL:
+            raise ValueError("eigenbasis does not diagonalize the unitary")
         phases = np.angle(np.diagonal(t))
         # snap just-below-the-cut phases (eigenvalue -1 with roundoff) to +pi
         phases = np.where(phases <= -np.pi + BRANCH_TOL, phases + 2.0 * np.pi, phases)

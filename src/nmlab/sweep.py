@@ -1,9 +1,9 @@
 """Time grids and the deterministic two-stage angle search.
 
 Both the trace-distance pair optimization and the projective-measurement
-search maximize a function over (theta, phi) on a half sphere. The search
-is a coarse grid followed by local halving refinements, so results are
-reproducible bit for bit for a given configuration.
+search maximize functions over (theta, phi) on a half sphere, a stack of
+independent ones at once. A coarse grid is followed by local halving
+refinements, so results are reproducible bit for bit for a given configuration.
 """
 
 from __future__ import annotations
@@ -69,31 +69,32 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    value: float
-    theta: float
-    phi: float
-    coarse_value: float
+    value: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    coarse_value: np.ndarray
     evaluations: int
 
 
 def two_stage_maximize(
     f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     opt: OptConfig = OptConfig(),
+    rows: int = 1,
 ) -> SearchResult:
-    """Maximize ``f_batch(thetas, phis)`` over [0, THETA_MAX] x [0, 2 pi).
+    """Maximize ``rows`` independent objectives over [0, THETA_MAX] x [0, 2 pi).
 
-    ``f_batch`` evaluates a whole batch of candidate angles at once and
-    returns one value per candidate. Each refinement round halves the steps
-    around the incumbent. Ties resolve to the earliest grid point, which
-    keeps the search deterministic.
+    ``f_batch(thetas, phis)`` scores (rows, k) angle arrays, row i for objective
+    i. Each refinement round halves the steps around each row's incumbent, and
+    ties resolve to the earliest grid point of the row, so the search is
+    deterministic. The result has one entry per row; `evaluations` sums them.
     """
     thetas = np.repeat(np.linspace(0.0, THETA_MAX, opt.coarse_theta), opt.coarse_phi)
     phis = np.tile(np.linspace(0.0, 2.0 * np.pi, opt.coarse_phi, endpoint=False),
                    opt.coarse_theta)
-    values = np.asarray(f_batch(thetas, phis), dtype=float)
-    k = int(np.argmax(values))
-    best, b_theta, b_phi = float(values[k]), float(thetas[k]), float(phis[k])
-    coarse_value = best
+    values = np.asarray(f_batch(np.tile(thetas, (rows, 1)), np.tile(phis, (rows, 1))), float)
+    at = np.arange(rows)
+    k = np.argmax(values, axis=1)
+    best, b_theta, b_phi = values.max(axis=1), thetas[k], phis[k]
     evaluations = values.size
 
     d_theta = THETA_MAX / max(opt.coarse_theta - 1, 1)
@@ -102,14 +103,14 @@ def two_stage_maximize(
     for _ in range(opt.refine_rounds):
         d_theta /= 2.0
         d_phi /= 2.0
-        tt = np.clip(b_theta + d_theta * span, 0.0, THETA_MAX)
-        pp = b_phi + d_phi * span
-        grid_t, grid_p = np.meshgrid(tt, pp, indexing="ij")
-        vv = np.asarray(f_batch(grid_t.ravel(), grid_p.ravel()), dtype=float)
+        tt = np.clip(b_theta[:, None] + d_theta * span, 0.0, THETA_MAX)
+        pp = b_phi[:, None] + d_phi * span
+        grid_t, grid_p = np.repeat(tt, span.size, axis=1), np.tile(pp, span.size)  # ij order
+        vv = np.asarray(f_batch(grid_t, grid_p), dtype=float)
         evaluations += vv.size
-        kk = int(np.argmax(vv))
-        if vv[kk] > best:
-            best = float(vv[kk])
-            b_theta = float(grid_t.ravel()[kk])
-            b_phi = float(grid_p.ravel()[kk])
-    return SearchResult(best, b_theta, b_phi % (2.0 * np.pi), coarse_value, evaluations)
+        kk = np.argmax(vv, axis=1)
+        better = vv[at, kk] > best
+        best = np.where(better, vv[at, kk], best)
+        b_theta = np.where(better, grid_t[at, kk], b_theta)
+        b_phi = np.where(better, grid_p[at, kk], b_phi)
+    return SearchResult(best, b_theta, b_phi % (2.0 * np.pi), values.max(axis=1), evaluations)

@@ -261,19 +261,17 @@ def check_werner_boundary() -> CheckResult:
 
 
 def check_end_correlations() -> CheckResult:
-    rows = []
-    ok = True
+    ps = (0.2, 0.5, 0.8, 1.0)
     rho0 = np.outer(KET0, KET0.conj())
-    for p in (0.2, 0.5, 0.8):
-        state = joint_states(BLOCK_SWAP, p, np.array([1.0]), rho0)[0]
-        neg = log_negativity(state, "S")
-        cla = classical_correlations(state, "S")
-        dis = mutual_information(state, "S") - cla
-        ok &= neg <= 1e-9 and dis <= 1e-6 and cla >= 1e-3
-        rows.append(f"p={p}: neg {neg:.1e} dis {dis:.1e} cla {cla:.3f}")
-    state = joint_states(BLOCK_SWAP, 1.0, np.array([1.0]), rho0)[0]
-    cla = classical_correlations(state, "S")
-    vals = (log_negativity(state, "S"), mutual_information(state, "S") - cla, cla)
+    states = np.stack([joint_states(BLOCK_SWAP, p, np.array([1.0]), rho0)[0] for p in ps])
+    # one stacked basis search for all four states
+    cla = classical_correlations(states, "S")
+    neg = log_negativity(states, "S")
+    dis = mutual_information(states, "S") - cla
+    ok = all(n <= 1e-9 and d <= 1e-6 and c >= 1e-3 for n, d, c in zip(neg, dis, cla[:-1]))
+    rows = [f"p={p}: neg {n:.1e} dis {d:.1e} cla {c:.3f}"
+            for p, n, d, c in zip(ps, neg, dis, cla[:-1])]
+    vals = (neg[-1], dis[-1], cla[-1])
     ok &= all(v <= 1e-6 for v in vals)
     rows.append("p=1: " + " ".join(f"{v:.1e}" for v in vals))
     return CheckResult(

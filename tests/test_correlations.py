@@ -7,7 +7,6 @@ from nmlab import correlations
 from nmlab.correlations import (
     classical_correlations,
     correlation_trajectory,
-    discord,
     log_negativity,
 )
 from nmlab.qmath import (
@@ -45,6 +44,11 @@ CLASSICAL_PAIR = 0.5 * (np.diag([1.0, 0, 0, 0]) + np.diag([0, 0, 0, 1.0])).astyp
 
 def joint_state(psi, p, scheme, t):
     return joint_states(scheme, p, [t], np.outer(psi, psi.conj()))[0]
+
+
+def discord(rho, measured="S", layout=REGISTER):
+    """Mutual information minus classical correlations, as every trajectory sample reports it."""
+    return mutual_information(rho, measured, layout) - classical_correlations(rho, measured, layout)
 
 
 # gates acting on E1/E2 only: their segments carry the measures across S | (E1 E2)
@@ -150,10 +154,37 @@ class TestBlochKernel:
             kept = partial_trace(rho, layout.complement(measured), layout)
             assert np.allclose(blocks[0], kept, atol=1e-15)
             s_a = float(vn_entropy(kept))
-            got = correlations._j_values(blocks, s_a, thetas, phis)
+            # the kernel scores a stack of states; this is a stack of one
+            got = correlations._j_values(blocks[None], np.array([s_a]), thetas[None],
+                                         phis[None])[0]
             want = [projector_oracle_j(rho, measured, layout, th, ph)
                     for th, ph in zip(thetas, phis)]
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("n", [1, 16, 17])
+    def test_stack_matches_per_state_loop(self, rng, n):
+        # 16 fills one search chunk, 17 spills one state into a second chunk
+        stack = np.stack([random_density(rng, 8) for _ in range(n)])
+        got = classical_correlations(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (n,)
+        single = [classical_correlations(rho) for rho in stack]
+        assert all(isinstance(v, float) for v in single)
+        assert np.array_equal(got, single)
+
+    def test_fig6_trajectory_slice(self):
+        # gates 6 to 8 of the fig6 run, where S is correlated with (E1 E2)
+        ts = TimeGrid(5.0, 8.0, 31).times()[1:]
+        stack = joint_states(GATES_SWAP, 0.6, ts, np.outer(KET0, KET0.conj()))
+        got = classical_correlations(stack)
+        assert np.array_equal(got, [classical_correlations(rho) for rho in stack])
+
+    def test_stack_axes_are_kept(self, rng):
+        stack = np.stack([random_density(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        got = classical_correlations(stack, "B", QQ)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), classical_correlations(stack.reshape(6, 4, 4), "B", QQ))
 
 
 TINY_FIGURES = {
@@ -189,7 +220,7 @@ class TestMutualCertificate:
         searched = []
 
         def counted(rho, *args, **kwargs):
-            searched.append(mutual_information(rho, "S"))
+            searched.extend(mutual_information(rho, "S"))
             return classical_correlations(rho, *args, **kwargs)
 
         monkeypatch.setattr(correlations, "classical_correlations", counted)
@@ -285,9 +316,9 @@ class TestSegmentCarry:
         grid = TimeGrid(0.0, n_gates, 4 * n_gates + 1)
         searches = []
 
-        def counted(*args, **kwargs):
-            searches.append(args)
-            return classical_correlations(*args, **kwargs)
+        def counted(rho, *args, **kwargs):
+            searches.extend(rho)
+            return classical_correlations(rho, *args, **kwargs)
 
         with monkeypatch.context() as m:
             m.setattr(correlations, "classical_correlations", counted)

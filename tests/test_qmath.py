@@ -255,6 +255,40 @@ class TestFractionalPower:
         with pytest.raises(ValueError):
             FractionalUnitary(np.diag([1.0, 2.0 + 0j]))
 
+    @pytest.mark.parametrize("phases", [
+        (np.pi, np.pi, 0.0, 0.0),
+        (np.pi, np.pi, np.pi, 0.7, 0.7, -2.1, 0.0, 0.0),
+        (0.4, 0.4, 0.4, 0.4),
+    ], ids=["cnot-like", "mixed", "scalar"])
+    def test_degenerate_spectra(self, rng, phases):
+        # repeated eigenvalues, -1 included, in a random eigenbasis
+        w = random_unitary(rng, len(phases))
+        u = (w * np.exp(1j * np.array(phases))) @ w.conj().T
+        f = FractionalUnitary(u)
+        ends = f.at_many([0.0, 1.0])
+        assert np.max(np.abs(ends[0] - np.eye(len(phases)))) <= 1e-12
+        assert np.max(np.abs(ends[1] - u)) <= 1e-12
+        half = f.at_many([0.5])[0]
+        assert np.max(np.abs(half @ half - u)) <= 1e-12
+
+    def test_non_diagonalizing_basis_raises(self, rng, monkeypatch):
+        u = random_unitary(rng, 4)
+        monkeypatch.setattr(qmath.np.linalg, "eig", lambda a: (np.diagonal(a), np.eye(len(a))))
+        with pytest.raises(ValueError, match="diagonalize"):
+            FractionalUnitary(u)
+
+
+class TestPermuteWires:
+    def test_stack_matches_single(self, rng):
+        stack = np.stack([random_density(rng, 8) for _ in range(3)])
+        got = qmath.permute_wires(stack, ("E2", "S", "E1"))
+        assert got.shape == (3, 8, 8)
+        for rho, out in zip(stack, got):
+            assert np.array_equal(out, qmath.permute_wires(rho, ("E2", "S", "E1")))
+        # moving S last: the 4*s + 2*e1 + e2 index becomes 4*e1 + 2*e2 + s
+        rho = kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+        assert qmath.permute_wires(rho, ("E1", "E2", "S"))[1, 1] == 1.0
+
 
 def conjugation(u):
     return lambda ops: u @ ops @ u.conj().T

@@ -1,0 +1,51 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import nmlab
+from nmlab.sweep import THETA_MAX, OptConfig, two_stage_maximize
+
+
+def bump(theta0, phi0):
+    """Smooth objective peaked at (theta0, phi0), off every grid point."""
+    return lambda th, ph: np.cos(th - theta0) + 0.5 * np.cos(ph - phi0)
+
+
+class TestStackedSearch:
+    def test_tie_resolves_to_earliest_point(self):
+        # row 0 is flat; row 1 ties at phi = pi/2 and phi = pi for every theta
+        def f(th, ph):
+            v = np.zeros(th.shape)
+            v[1] = np.isclose(ph[1], np.pi / 2) | np.isclose(ph[1], np.pi)
+            return v
+
+        res = two_stage_maximize(f, OptConfig(coarse_theta=5, coarse_phi=4), rows=2)
+        assert np.array_equal(res.theta, [0.0, 0.0])
+        assert np.array_equal(res.phi, [0.0, np.pi / 2])
+        assert np.array_equal(res.value, [0.0, 1.0])
+
+    def test_rows_are_independent(self):
+        peaks = [(0.3, 1.0), (1.2, 4.0), (THETA_MAX, 5.9)]
+        objectives = [bump(*pk) for pk in peaks]
+
+        def stacked(th, ph):
+            return np.stack([g(t, p) for g, t, p in zip(objectives, th, ph)])
+
+        res = two_stage_maximize(stacked, rows=3)
+        alone = [two_stage_maximize(lambda th, ph, g=g: g(th[0], ph[0])[None])
+                 for g in objectives]
+        for field in ("value", "theta", "phi", "coarse_value"):
+            assert np.array_equal(getattr(res, field),
+                                  np.concatenate([getattr(a, field) for a in alone]))
+        assert res.evaluations == sum(a.evaluations for a in alone) == 3 * (325 + 3 * 25)
+        assert np.allclose(res.theta, [pk[0] for pk in peaks], atol=0.02)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(nmlab.__file__).resolve().parents[1])
+    code = "import sys, nmlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
