@@ -6,7 +6,7 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along both interpolations of the dynamics.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .qmath import (
     REGISTER,
@@ -39,12 +39,10 @@ from .register import (
     werner,
 )
 from .channel import (
-    apply_effective_channel,
     bell_sandwich_table,
     distance_after_block1,
     final_distance,
     kraus_set,
-    output_fidelity,
 )
 from .sweep import OptConfig, TimeGrid, default_grid
 from .nonmarkov import (

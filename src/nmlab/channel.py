@@ -13,19 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .qmath import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .register import alpha_ket, bell_basis, circuit_unitary
+from .register import bell_basis, circuit_unitary
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 
-def bell_sandwich_table(u: np.ndarray | None = None) -> dict[tuple[str, int, int], np.ndarray]:
+def bell_sandwich_table() -> dict[tuple[str, int, int], np.ndarray]:
     """The 16 operators <jk| U |B> on S of the 8x8 circuit unitary, keyed by (bell label, j, k)."""
-    if u is None:
-        u = circuit_unitary()
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (8, 8):
-        raise ValueError("expected the full 8x8 circuit unitary")
-    ut = u.reshape(2, 2, 2, 2, 2, 2)  # [s, e1, e2, s', e1', e2']
+    ut = circuit_unitary().reshape(2, 2, 2, 2, 2, 2)  # [s, e1, e2, s', e1', e2']
     entries = {}
     for label, ket in zip(BELL_LABELS, bell_basis()):
         b = ket.reshape(2, 2)
@@ -42,22 +37,6 @@ def kraus_set(p: float) -> tuple[np.ndarray, ...]:
     c_id = np.sqrt((1.0 + 3.0 * p) / 4.0)
     c_pauli = np.sqrt((1.0 - p) / 4.0)
     return c_id * PAULI_I, c_pauli * PAULI_Z, c_pauli * PAULI_X, c_pauli * PAULI_Y
-
-
-def apply_effective_channel(rho: np.ndarray, p: float) -> np.ndarray:
-    """End-to-end channel on S; equals p rho + (1 - p) I/2."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for k in kraus_set(p):
-        out += k @ rho @ k.conj().T
-    return out
-
-
-def output_fidelity(alpha: float, p: float) -> float:
-    """Overlap of the channel output with the input |psi(alpha)>; equals (1+p)/2."""
-    psi = alpha_ket(alpha)
-    rho = np.outer(psi, psi.conj())
-    return float(np.real(psi.conj() @ apply_effective_channel(rho, p) @ psi))
 
 
 def distance_after_block1(a1: float, a2: float) -> float:

@@ -1,30 +1,28 @@
 """Entanglement, discord, and classical correlations across S | (E1 E2).
 
-Classical correlations follow the measurement-based definition: the best
-reduction of the unmeasured side's entropy achievable by a projective
-measurement on the measured side. The measured side is a single qubit (S by
-default), whose bases form a two-angle family that the deterministic grid
-search covers; the grid value is a lower bound. A two-qubit measured side is
-rejected. Discord is total minus classical correlations, hence an upper
-bound under the projective restriction.
+Classical correlations follow the one-sided measurement-based definition
+(Henderson and Vedral, J. Phys. A 34, 6899 (2001)): the best reduction of the
+kept side's entropy achievable by a projective measurement on S, the first
+wire of the state. Its bases form a two-angle family that the deterministic
+grid search covers; the grid value is a lower bound. Discord is total minus
+classical correlations, hence an upper bound under the projective
+restriction.
 
 Along the gate-by-gate dynamics a trajectory computes the measures only
-where they can change. A gate that acts only on the unmeasured side, and
-on one side of the S | (E1 E2) cut, moves the state by a unitary local to
-both splits: negativity and mutual information are invariant, and after any
-measurement of the measured side the conditional states of the kept side
-differ only by that unitary, so every candidate basis of the search extracts
-the same information and the grid-search value is unchanged too. Such a
-segment is evaluated at its first sample and its values are carried across
-the rest. A gate touching the measured side (H_S for the default) leaves the
-true classical correlations invariant but rotates the measured bases against
-the fixed angle grid, so its segment is computed in full.
+where they can change. A gate that acts only on E1/E2 moves the state by a
+unitary local to the kept side: negativity and mutual information are
+invariant, and after any measurement of S the conditional states of the kept
+side differ only by that unitary, so every candidate basis of the search
+extracts the same information and the grid-search value is unchanged too.
+Such a segment is evaluated at its first sample and its values are carried
+across the rest. A gate touching S (H_S) leaves the true classical
+correlations invariant but rotates the measured bases against the fixed
+angle grid, so its segment is computed in full.
 
 Certificate: the grid value lies in [0, J] and 0 <= J <= I, the mutual
-information (Henderson and Vedral, J. Phys. A 34, 6899 (2001)). So where
-I <= MUTUAL_FLOOR = 1e-12 a trajectory skips the search and reports classical
-correlations of exactly 0 and discord equal to I, off by at most 1e-12 (the
-dust convention of log_negativity's collapse to zero).
+information. So where I <= MUTUAL_FLOOR = 1e-12 a trajectory skips the search
+and reports classical correlations of exactly 0 and discord equal to I, off
+by at most 1e-12 (the dust convention of log_negativity's collapse to zero).
 
 Every measure takes a stack of states (a single state gives a float). The
 search runs SEARCH_CHUNK = 16 states at a time; each gets its value alone.
@@ -42,7 +40,6 @@ from .qmath import (
     RegisterLayout,
     mutual_information,
     partial_transpose,
-    permute_wires,
     spectrum_entropy,
     trace_norm,
     vn_entropy,
@@ -82,24 +79,17 @@ def log_negativity(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) -> 
     return float(val) if val.ndim == 0 else val
 
 
-def _bloch_blocks(rho_ab: np.ndarray, measured, layout: RegisterLayout) -> np.ndarray:
+def _bloch_blocks(rho: np.ndarray) -> np.ndarray:
     """Kept-side blocks (rho_K, T_x, T_y, T_z) of a state, each made Hermitian.
 
-    rho_K is the reduced state of the kept wires and
-    T_j = tr_m[(sigma_j on the measured qubit) rho]. Measuring the qubit along
-    the unit vector n leaves the kept side in the unnormalized states
-    (rho_K +- n.T) / 2, with probabilities (1 +- n.r) / 2 where r_j = tr T_j.
+    The measured qubit is the first wire. rho_K is the reduced state of the
+    other wires and T_j = tr_S[(sigma_j on S) rho]. Measuring S along the unit
+    vector n leaves the kept side in the unnormalized states (rho_K +- n.T) / 2,
+    with probabilities (1 +- n.r) / 2 where r_j = tr T_j.
     """
-    pos_b = layout.positions(measured)
-    pos_a = layout.complement(measured)
-    if not pos_a:
-        raise ValueError("measuring every wire leaves nothing to correlate with")
-    d_b = int(np.prod([layout.dims[i] for i in pos_b]))
-    if d_b != 2:
-        raise ValueError(f"measured side must be a single qubit, got dimension {d_b}")
-    rho = permute_wires(rho_ab, pos_a + pos_b, layout)  # kept wires, then the measured qubit
-    rho4 = rho.reshape(rho.shape[:-2] + (layout.dim // 2, 2, layout.dim // 2, 2))
-    blocks = np.einsum("jvu,...aubv->...jab", PAULIS, rho4)
+    d = rho.shape[-1] // 2
+    rho4 = rho.reshape(rho.shape[:-2] + (2, d, 2, d))
+    blocks = np.einsum("jvu,...uavb->...jab", PAULIS, rho4)
     return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 
@@ -123,19 +113,18 @@ def _j_values(blocks: np.ndarray, s_a: np.ndarray, th: np.ndarray, ph: np.ndarra
     return s_a[:, None] - branch.sum(axis=-1)
 
 
-def classical_correlations(
-    rho_ab: np.ndarray,
-    measured="S",
-    layout: RegisterLayout = REGISTER,
-    opt: OptConfig = OptConfig(),
-) -> float | np.ndarray:
-    """Maximal information about the kept side from measuring the qubit `measured`.
+def classical_correlations(rho: np.ndarray, opt: OptConfig = OptConfig()) -> float | np.ndarray:
+    """Maximal information about the other wires from measuring the first qubit (S).
 
     The deterministic two-stage angle grid searches the measurement bases
     (basis pairs are unordered, so theta in [0, pi/2] suffices), so the
-    result is a lower bound by construction. `rho_ab` may be a stack.
+    result is a lower bound by construction. `rho` may be a stack of states
+    of dimension 2d, d >= 2.
     """
-    blocks = _bloch_blocks(rho_ab, measured, layout)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1] or rho.shape[-1] % 2 or rho.shape[-1] < 4:
+        raise ValueError(f"expected states of shape (2d, 2d) with d >= 2, got {rho.shape}")
+    blocks = _bloch_blocks(rho)
     flat = blocks.reshape((-1,) + blocks.shape[-3:])
     s_a = vn_entropy(flat[:, 0])
     value = np.empty(len(flat))
@@ -146,22 +135,19 @@ def classical_correlations(
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 
 
-def _carried(scheme: DynamicsScheme, ts: np.ndarray, measured) -> np.ndarray:
+def _carried(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
     """True where a sample may copy the measures of the sample before it.
 
     That holds when both samples lie in one gate-by-gate segment whose gate
-    acts only on the kept side and on one side of the S | (E1 E2) cut.
+    leaves S alone.
     """
     carry = np.zeros(len(ts), dtype=bool)
     if scheme.interpolation is not Interpolation.GATE_BY_GATE:
         return carry
     gates = gate_sequence(scheme.variant)
     seg = active_gate(ts, len(gates))
-    kept = set(REGISTER.complement(measured))
-    s_side = set(REGISTER.positions("S"))
     for i, gate in enumerate(gates, start=1):
-        wires = set(REGISTER.positions(gate.wires))
-        if wires <= kept and (wires <= s_side or not wires & s_side):
+        if "S" not in gate.wires:
             carry[1:] |= (seg[1:] == i) & (seg[:-1] == i)
     return carry
 
@@ -172,7 +158,6 @@ def correlation_trajectory(
     p: float,
     grid: TimeGrid,
     opt: OptConfig = OptConfig(),
-    measured="S",
 ) -> list[CorrelationSample]:
     """Sample negativity, discord, and classical correlations along a run.
 
@@ -181,13 +166,12 @@ def correlation_trajectory(
     evaluated (discord as mutual - classical, so the identity holds exactly
     in every sample).
 
-    Under gate-by-gate dynamics, a segment whose gate acts only on the
-    unmeasured side (E1/E2 for the default ``measured="S"``) is evaluated at
-    its first sample only; the later samples of that segment copy its values
-    with their own ``t``. The copy is exact, grid search included: the gate
-    is a unitary local to the kept side, which leaves every measure and
-    every candidate basis's extracted information unchanged. Segments whose
-    gate touches the measured side are computed in full.
+    Under gate-by-gate dynamics, a segment whose gate acts only on E1/E2 is
+    evaluated at its first sample only; the later samples of that segment
+    copy its values with their own ``t`` and are never evolved. The copy is
+    exact, grid search included: the gate is a unitary local to the kept
+    side, which leaves every measure and every candidate basis's extracted
+    information unchanged. Segments whose gate touches S are computed in full.
 
     The basis search runs, as one stack, where the mutual information exceeds
     MUTUAL_FLOOR; elsewhere classical is exactly 0 and discord equals mutual,
@@ -195,14 +179,13 @@ def correlation_trajectory(
     """
     psi = np.asarray(psi, dtype=complex)
     ts = grid.times()
-    states = joint_states(scheme, p, ts, np.outer(psi, psi.conj()))
-    fresh = ~_carried(scheme, ts, measured)
-    states = states[fresh]
+    fresh = ~_carried(scheme, ts)
+    states = joint_states(scheme, p, ts[fresh], np.outer(psi, psi.conj()))
     neg = log_negativity(states, "S")
-    mutual = mutual_information(states, measured, REGISTER)
+    mutual = mutual_information(states, "S")
     classical = np.zeros(len(states))
     searched = mutual > MUTUAL_FLOOR
-    classical[searched] = classical_correlations(states[searched], measured, REGISTER, opt)
+    classical[searched] = classical_correlations(states[searched], opt)
     # every carried sample copies the last freshly computed one
     return [
         CorrelationSample(

@@ -143,18 +143,6 @@ def partial_transpose(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) 
     return r.reshape(r.shape[:-2 * n] + (layout.dim, layout.dim))
 
 
-def permute_wires(rho: np.ndarray, order, layout: RegisterLayout = REGISTER) -> np.ndarray:
-    """Reorder the register wires of `rho` into `order`, keeping leading stack axes."""
-    pos = [layout.positions(w)[0] if isinstance(w, (str, int)) else w for w in order]
-    if sorted(pos) != list(range(layout.n_wires)):
-        raise ValueError("order must be a permutation of all wires")
-    n = layout.n_wires
-    r = _reshaped(rho, layout)
-    lead = r.ndim - 2 * n
-    axes = list(range(lead)) + [lead + i for i in pos] + [lead + n + i for i in pos]
-    return r.transpose(axes).reshape(r.shape[:lead] + (layout.dim, layout.dim))
-
-
 def trace_norm(a: np.ndarray) -> float | np.ndarray:
     """Sum of singular values, one per matrix of a stack."""
     return np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum(axis=-1)

@@ -25,7 +25,6 @@ from .qmath import (
     PAULIS,
     REGISTER,
     FractionalUnitary,
-    RegisterLayout,
     kron,
     partial_trace,
 )
@@ -82,6 +81,9 @@ class GateSpec:
             raise ValueError(f"{self.kind} takes {expected[self.kind]} wire(s)")
         if len(set(self.wires)) != len(self.wires):
             raise ValueError("gate wires must be distinct")
+        unknown = [w for w in self.wires if w not in REGISTER.wires]
+        if unknown:
+            raise ValueError(f"unknown wire {unknown[0]!r}; the register has {REGISTER.wires}")
 
 
 def alpha_ket(alpha: float) -> np.ndarray:
@@ -91,28 +93,25 @@ def alpha_ket(alpha: float) -> np.ndarray:
     return np.array([alpha, np.sqrt(1.0 - alpha * alpha)], dtype=complex)
 
 
-def _place(ops: dict[int, np.ndarray], layout: RegisterLayout) -> np.ndarray:
-    return kron(*(ops.get(w, PAULI_I) for w in range(layout.n_wires)))
+def _place(ops: dict[int, np.ndarray]) -> np.ndarray:
+    return kron(*(ops.get(w, PAULI_I) for w in range(REGISTER.n_wires)))
 
 
-def gate_unitary(g: GateSpec, layout: RegisterLayout = REGISTER) -> np.ndarray:
+def gate_unitary(g: GateSpec) -> np.ndarray:
     """Embed a 1- or 2-qubit gate into the full register unitary."""
-    pos = [layout.wires.index(w) if isinstance(w, str) else int(w) for w in g.wires]
-    for p in pos:
-        if not 0 <= p < layout.n_wires:
-            raise ValueError(f"wire {p} outside layout")
+    pos = [REGISTER.wires.index(w) for w in g.wires]
     if g.kind == "h":
-        return _place({pos[0]: HADAMARD}, layout)
+        return _place({pos[0]: HADAMARD})
     if g.kind == "cnot":
         c, t = pos
-        return _place({c: _P0}, layout) + _place({c: _P1, t: PAULI_X}, layout)
+        return _place({c: _P0}) + _place({c: _P1, t: PAULI_X})
     # swap as half the sum of two-qubit Pauli correlators
     a, b = pos
     return 0.5 * (
-        _place({}, layout)
-        + _place({a: PAULI_X, b: PAULI_X}, layout)
-        + _place({a: PAULI_Y, b: PAULI_Y}, layout)
-        + _place({a: PAULI_Z, b: PAULI_Z}, layout)
+        _place({})
+        + _place({a: PAULI_X, b: PAULI_X})
+        + _place({a: PAULI_Y, b: PAULI_Y})
+        + _place({a: PAULI_Z, b: PAULI_Z})
     )
 
 

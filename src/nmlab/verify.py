@@ -265,7 +265,7 @@ def check_end_correlations() -> CheckResult:
     rho0 = np.outer(KET0, KET0.conj())
     states = np.stack([joint_states(BLOCK_SWAP, p, np.array([1.0]), rho0)[0] for p in ps])
     # one stacked basis search for all four states
-    cla = classical_correlations(states, "S")
+    cla = classical_correlations(states)
     neg = log_negativity(states, "S")
     dis = mutual_information(states, "S") - cla
     ok = all(n <= 1e-9 and d <= 1e-6 and c >= 1e-3 for n, d, c in zip(neg, dis, cla[:-1]))

@@ -46,9 +46,9 @@ def joint_state(psi, p, scheme, t):
     return joint_states(scheme, p, [t], np.outer(psi, psi.conj()))[0]
 
 
-def discord(rho, measured="S", layout=REGISTER):
+def discord(rho, layout=REGISTER):
     """Mutual information minus classical correlations, as every trajectory sample reports it."""
-    return mutual_information(rho, measured, layout) - classical_correlations(rho, measured, layout)
+    return mutual_information(rho, layout.wires[0], layout) - classical_correlations(rho)
 
 
 # gates acting on E1/E2 only: their segments carry the measures across S | (E1 E2)
@@ -88,36 +88,26 @@ class TestLogNegativity:
 class TestClassicalCorrelations:
     def test_product_state(self, rng):
         rho = kron(random_density(rng), random_density(rng))
-        assert classical_correlations(rho, "B", QQ) == pytest.approx(0.0, abs=1e-9)
+        assert classical_correlations(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_pair(self):
-        assert classical_correlations(BELL, "B", QQ) == pytest.approx(1.0, abs=1e-9)
+        assert classical_correlations(BELL) == pytest.approx(1.0, abs=1e-9)
 
     def test_classically_correlated_pair(self):
-        assert classical_correlations(CLASSICAL_PAIR, "B", QQ) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert classical_correlations(CLASSICAL_PAIR) == pytest.approx(1.0, abs=1e-9)
 
     def test_refinement_never_decreases(self):
         state = joint_state(KET_PLUS, 0.6, GATES_SWAP, 7.4)
-        coarse = classical_correlations(state, "S", opt=OptConfig(refine_rounds=0))
-        refined = classical_correlations(state, "S", opt=OptConfig(refine_rounds=3))
+        coarse = classical_correlations(state, OptConfig(refine_rounds=0))
+        refined = classical_correlations(state, OptConfig(refine_rounds=3))
         assert refined >= coarse - 1e-15
 
-    def test_measuring_environment_side(self):
-        # only a qubit can be the measured side; the two-qubit environment is rejected
-        rho = 0.5 * (
-            kron(np.diag([1.0, 0.0]), np.diag([1.0, 0, 0, 0]))
-            + kron(np.diag([0.0, 1.0]), np.diag([0, 0, 0, 1.0]))
-        ).astype(complex)
-        with pytest.raises(ValueError, match="single qubit"):
-            classical_correlations(rho, ("E1", "E2"))
-        with pytest.raises(ValueError, match="single qubit"):
-            discord(rho, ("E1", "E2"))
-
-    def test_measuring_everything_rejected(self):
-        with pytest.raises(ValueError):
-            classical_correlations(BELL, ("A", "B"), QQ)
+    @pytest.mark.parametrize("rho", [np.eye(2) / 2, np.eye(3) / 3, np.zeros((4, 2))],
+                             ids=["qubit", "odd", "non-square"])
+    def test_rejects_bad_state_shapes(self, rho):
+        # a lone qubit leaves nothing to keep; an odd dimension has no qubit S to split off
+        with pytest.raises(ValueError, match=r"\(2d, 2d\)"):
+            classical_correlations(rho)
 
 
 def projector_oracle_j(rho, measured, layout, theta, phi):
@@ -144,13 +134,13 @@ def projector_oracle_j(rho, measured, layout, theta, phi):
 
 
 class TestBlochKernel:
-    @pytest.mark.parametrize("layout,measured", [(REGISTER, "S"), (QQ, "B")], ids=["S", "QQ"])
+    @pytest.mark.parametrize("layout,measured", [(REGISTER, "S"), (QQ, "A")], ids=["S", "QQ"])
     def test_j_values_match_projector_oracle(self, rng, layout, measured):
         thetas = np.concatenate([[0.0, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
         phis = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2 * np.pi, 30)])
         for _ in range(4):
             rho = random_density(rng, layout.dim)
-            blocks = correlations._bloch_blocks(rho, measured, layout)
+            blocks = correlations._bloch_blocks(rho)
             kept = partial_trace(rho, layout.complement(measured), layout)
             assert np.allclose(blocks[0], kept, atol=1e-15)
             s_a = float(vn_entropy(kept))
@@ -182,9 +172,9 @@ class TestStackedSearch:
 
     def test_stack_axes_are_kept(self, rng):
         stack = np.stack([random_density(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
-        got = classical_correlations(stack, "B", QQ)
+        got = classical_correlations(stack)
         assert got.shape == (2, 3)
-        assert np.array_equal(got.ravel(), classical_correlations(stack.reshape(6, 4, 4), "B", QQ))
+        assert np.array_equal(got.ravel(), classical_correlations(stack.reshape(6, 4, 4)))
 
 
 TINY_FIGURES = {
@@ -234,13 +224,13 @@ class TestMutualCertificate:
 class TestDiscord:
     def test_product_state(self, rng):
         rho = kron(random_density(rng), random_density(rng))
-        assert discord(rho, "B", QQ) == pytest.approx(0.0, abs=1e-9)
+        assert discord(rho, QQ) == pytest.approx(0.0, abs=1e-9)
 
     def test_classical_state_has_none(self):
-        assert discord(CLASSICAL_PAIR, "B", QQ) == pytest.approx(0.0, abs=1e-9)
+        assert discord(CLASSICAL_PAIR, QQ) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_pair(self):
-        assert discord(BELL, "B", QQ) == pytest.approx(1.0, abs=1e-9)
+        assert discord(BELL, QQ) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTrajectory:
@@ -262,14 +252,14 @@ class TestTrajectory:
         for p in (0.2, 0.5, 0.8):
             state = joint_state(KET0, p, BLOCK_SWAP, 1.0)
             assert log_negativity(state, "S") <= 1e-9
-            assert discord(state, "S") <= 1e-6
-            assert classical_correlations(state, "S") >= 1e-3
+            assert discord(state) <= 1e-6
+            assert classical_correlations(state) >= 1e-3
 
     def test_end_of_protocol_perfect_resource(self):
         state = joint_state(KET0, 1.0, BLOCK_SWAP, 1.0)
         assert log_negativity(state, "S") <= 1e-6
-        assert discord(state, "S") <= 1e-6
-        assert classical_correlations(state, "S") <= 1e-6
+        assert discord(state) <= 1e-6
+        assert classical_correlations(state) <= 1e-6
 
     def test_gate_scheme_quiet_before_swap_block(self):
         # input |0>: S stays uncorrelated until the final gates
@@ -343,3 +333,20 @@ class TestSegmentCarry:
         assert sum(carried) == 3 * len(ENV_LOCAL_GATES[scheme])
         searched = [not c and not u for c, u in zip(carried, uncorrelated)]
         assert len(searches) == sum(searched)
+
+    @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC, BLOCK_SWAP],
+                             ids=["swap", "bbc", "block"])
+    def test_only_fresh_samples_are_evolved(self, scheme, monkeypatch):
+        n_gates = round(scheme.time_domain[1])
+        grid = TimeGrid(0.0, n_gates, 4 * n_gates + 1)
+        evolved = []
+
+        def counted(scheme, p, ts, ops):
+            evolved.extend(ts)
+            return joint_states(scheme, p, ts, ops)
+
+        monkeypatch.setattr(correlations, "joint_states", counted)
+        correlation_trajectory(scheme, KET_PLUS, 0.6, grid)
+        fresh = ~correlations._carried(scheme, grid.times())
+        assert len(evolved) == fresh.sum()
+        assert np.array_equal(evolved, grid.times()[fresh])

@@ -278,18 +278,6 @@ class TestFractionalPower:
             FractionalUnitary(u)
 
 
-class TestPermuteWires:
-    def test_stack_matches_single(self, rng):
-        stack = np.stack([random_density(rng, 8) for _ in range(3)])
-        got = qmath.permute_wires(stack, ("E2", "S", "E1"))
-        assert got.shape == (3, 8, 8)
-        for rho, out in zip(stack, got):
-            assert np.array_equal(out, qmath.permute_wires(rho, ("E2", "S", "E1")))
-        # moving S last: the 4*s + 2*e1 + e2 index becomes 4*e1 + 2*e2 + s
-        rho = kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
-        assert qmath.permute_wires(rho, ("E1", "E2", "S"))[1, 1] == 1.0
-
-
 def conjugation(u):
     return lambda ops: u @ ops @ u.conj().T
 

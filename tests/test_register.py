@@ -81,6 +81,11 @@ class TestGates:
         with pytest.raises(ValueError):
             GateSpec("spin", ("S",))
 
+    @pytest.mark.parametrize("wires", [("E3",), ("S", 1)])
+    def test_wires_outside_register_rejected(self, wires):
+        with pytest.raises(ValueError, match="unknown wire"):
+            GateSpec("h" if len(wires) == 1 else "cnot", wires)
+
 
 class TestSequence:
     def test_block_products(self):
