@@ -6,7 +6,7 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along both interpolations of the dynamics.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .qmath import (
     REGISTER,
@@ -44,7 +44,7 @@ from .channel import (
     final_distance,
     kraus_set,
 )
-from .sweep import OptConfig, TimeGrid, default_grid
+from .sweep import TimeGrid, default_grid
 from .nonmarkov import (
     MeasureReport,
     blp_measure,

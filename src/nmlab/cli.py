@@ -9,7 +9,7 @@ Subcommands:
 
 A JSON config file (see RunConfig) supplies sweep settings; command-line
 flags override it. NMLAB_WORKERS sets the default worker count. Invalid
-input (a bad config value, NMLAB_WORKERS, Werner parameter or missing file)
+input (a bad config value, NMLAB_WORKERS, Werner parameter or unreadable file)
 ends the command with one ``error:`` line on stderr and exit status 2.
 """
 
@@ -50,7 +50,7 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     if args.out is not None:
         cfg = cfg.replace(out_dir=args.out)
-    results = run_all(cfg)
+    results, sweep_s = run_all(cfg)
     for r in results:
         print(r.line())
     n_fail = sum(not r.passed for r in results)
@@ -59,6 +59,7 @@ def _cmd_verify(args) -> int:
         "config_hash": cfg.config_hash(),
         "checks": [r.to_dict() for r in results],
         "failures": n_fail,
+        "sweep_duration_s": sweep_s,
     }
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -77,12 +78,12 @@ def _cmd_measure(args) -> int:
     grid = default_grid(scheme, cfg.steps_per_unit)
     if args.name == "blp":
         observe = "S" if args.observe == "s" else "E2"
-        report = blp_measure(scheme, args.p, grid, cfg.opt_config(), observe=observe)
+        report = blp_measure(scheme, args.p, grid, observe=observe)
     else:
         if args.observe != "s":
             raise ValueError("only the BLP measure supports --observe e2")
         if args.name == "rhp":
-            report = rhp_measure(scheme, args.p, grid, cfg.rhp_eps, cfg.svd_tol)
+            report = rhp_measure(scheme, args.p, grid)
         else:
             report = lfs_measure(scheme, args.p, grid)
     print(json.dumps(report.to_dict(), indent=2))
@@ -135,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,7 +45,7 @@ from .qmath import (
     vn_entropy,
 )
 from .register import DynamicsScheme, Interpolation, active_gate, gate_sequence, joint_states
-from .sweep import OptConfig, TimeGrid, two_stage_maximize
+from .sweep import TimeGrid, two_stage_maximize
 
 # Outcomes rarer than this contribute nothing to the conditional entropy.
 PROB_FLOOR = 1e-12
@@ -113,7 +113,7 @@ def _j_values(blocks: np.ndarray, s_a: np.ndarray, th: np.ndarray, ph: np.ndarra
     return s_a[:, None] - branch.sum(axis=-1)
 
 
-def classical_correlations(rho: np.ndarray, opt: OptConfig = OptConfig()) -> float | np.ndarray:
+def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     """Maximal information about the other wires from measuring the first qubit (S).
 
     The deterministic two-stage angle grid searches the measurement bases
@@ -131,7 +131,7 @@ def classical_correlations(rho: np.ndarray, opt: OptConfig = OptConfig()) -> flo
     for lo in range(0, len(flat), SEARCH_CHUNK):
         b, s = flat[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK]
         value[lo:lo + len(b)] = two_stage_maximize(
-            lambda th, ph: _j_values(b, s, th, ph), opt, len(b)).value
+            lambda th, ph: _j_values(b, s, th, ph), len(b)).value
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 
 
@@ -157,7 +157,6 @@ def correlation_trajectory(
     psi: np.ndarray,
     p: float,
     grid: TimeGrid,
-    opt: OptConfig = OptConfig(),
 ) -> list[CorrelationSample]:
     """Sample negativity, discord, and classical correlations along a run.
 
@@ -185,7 +184,7 @@ def correlation_trajectory(
     mutual = mutual_information(states, "S")
     classical = np.zeros(len(states))
     searched = mutual > MUTUAL_FLOOR
-    classical[searched] = classical_correlations(states[searched], opt)
+    classical[searched] = classical_correlations(states[searched])
     # every carried sample copies the last freshly computed one
     return [
         CorrelationSample(

@@ -30,15 +30,9 @@ import numpy as np
 
 from . import __version__
 from .correlations import correlation_trajectory
-from .nonmarkov import (
-    DEFAULT_RHP_EPS,
-    blp_measure,
-    lfs_measure,
-    pair_distance_curve,
-    rhp_measure,
-)
+from .nonmarkov import blp_measure, lfs_measure, pair_distance_curve, rhp_measure
 from .register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, KET_PLUS
-from .sweep import OptConfig, default_grid, is_count
+from .sweep import default_grid, is_count
 
 FIG_IDS = ("fig2", "fig2_inset", "fig3", "fig4", "fig5", "fig6", "fig7")
 
@@ -56,19 +50,12 @@ class RunConfig:
     p_step: float = 0.01               # resource grid for fig2 and inset
     heatmap_p_step: float = 0.05       # resource rows of the heatmap figures
     fig4_p_values: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    coarse_theta: int = 13
-    coarse_phi: int = 25
-    refine_rounds: int = 3
-    rhp_eps: float = DEFAULT_RHP_EPS
-    svd_tol: float = 1e-10
-    threshold_cutoff: float = 1e-7
     out_dir: str = "."
     workers: int = 0                   # 0 -> NMLAB_WORKERS env var, else 1
 
     def __post_init__(self):
         for name, minimum in (("steps_per_unit", 1), ("heatmap_steps_per_unit", 1),
-                              ("coarse_theta", 1), ("coarse_phi", 1),
-                              ("refine_rounds", 0), ("workers", 0)):
+                              ("workers", 0)):
             value = getattr(self, name)
             if not is_count(value, minimum):
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
@@ -77,13 +64,10 @@ class RunConfig:
                 p_grid(getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
-        for name in ("rhp_eps", "svd_tol", "threshold_cutoff"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
         if not (isinstance(self.fig4_p_values, tuple) and all(
-                isinstance(p, numbers.Real) and 0 <= p <= 1 for p in self.fig4_p_values)):
-            raise ValueError(f"fig4_p_values must be a list of values in [0, 1], got {self.fig4_p_values!r}")
+                isinstance(p, numbers.Real) and not isinstance(p, bool) and 0 <= p <= 1
+                for p in self.fig4_p_values)):
+            raise ValueError(f"fig4_p_values must be a list of numbers in [0, 1], got {self.fig4_p_values!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -92,6 +76,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -113,13 +99,6 @@ class RunConfig:
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
-    def opt_config(self) -> OptConfig:
-        return OptConfig(
-            coarse_theta=self.coarse_theta,
-            coarse_phi=self.coarse_phi,
-            refine_rounds=self.refine_rounds,
-        )
-
     def resolve_workers(self) -> int:
         if self.workers > 0:
             return self.workers
@@ -133,8 +112,8 @@ class RunConfig:
 
 def p_grid(step: float) -> np.ndarray:
     """Resource values 0, step, ..., 1; the step must be 1/n for an integer n."""
-    if not (isinstance(step, numbers.Real) and step > 0):
-        raise ValueError(f"p step must be positive, got {step}")
+    if isinstance(step, bool) or not (isinstance(step, numbers.Real) and step > 0):
+        raise ValueError(f"p step must be a positive number, got {step}")
     n = round(1.0 / step)
     if n < 1 or abs(1.0 / step - n) > 1e-9:
         raise ValueError(f"p step must be 1/n for an integer n, got {step}")
@@ -165,11 +144,10 @@ def _pmap(fn, items, workers: int):
 def _fig2_cell(args):
     p, cfg = args
     grid = default_grid(BLOCK_SWAP, cfg.steps_per_unit)
-    opt = cfg.opt_config()
     return (
         p,
-        blp_measure(BLOCK_SWAP, p, grid, opt).value,
-        rhp_measure(BLOCK_SWAP, p, grid, cfg.rhp_eps, cfg.svd_tol).value,
+        blp_measure(BLOCK_SWAP, p, grid).value,
+        rhp_measure(BLOCK_SWAP, p, grid).value,
         lfs_measure(BLOCK_SWAP, p, grid).value,
     )
 
@@ -177,7 +155,7 @@ def _fig2_cell(args):
 def _fig2_inset_cell(args):
     p, cfg = args
     grid = default_grid(GATES_SWAP, cfg.steps_per_unit)
-    return (p, blp_measure(GATES_SWAP, p, grid, cfg.opt_config()).value)
+    return (p, blp_measure(GATES_SWAP, p, grid).value)
 
 
 def _corr_rows(args):
@@ -185,7 +163,7 @@ def _corr_rows(args):
     scheme = BLOCK_SWAP if fig_id == "fig5" else GATES_SWAP
     psi = KET_PLUS if fig_id == "fig7" else KET0
     grid = default_grid(scheme, cfg.heatmap_steps_per_unit)
-    samples = correlation_trajectory(scheme, psi, p, grid, cfg.opt_config())
+    samples = correlation_trajectory(scheme, psi, p, grid)
     return [(s.t, s.p, s.neg, s.discord, s.classical) for s in samples]
 
 

@@ -28,10 +28,13 @@ import numpy as np
 
 from .qmath import PAULIS, SYSTEM_ANCILLA, choi_state, mutual_information, trace_norm
 from .register import DynamicsScheme, system_map_stack
-from .sweep import OptConfig, TimeGrid, default_grid, two_stage_maximize
+from .sweep import TimeGrid, default_grid, two_stage_maximize
 
 INCREMENT_FLOOR = 1e-12
-DEFAULT_RHP_EPS = 1e-3
+# Forward step of the RHP intermediate map, and the relative singular-value
+# floor below which its base map counts as singular.
+RHP_EPS = 1e-3
+SVD_TOL = 1e-10
 # Smallest measure value counted as genuine non-Markovianity when scanning
 # for onset thresholds. Sits well above the ~1e-12 numerical dust of the
 # integrals and below the ~1e-7..1e-6 values right at the onsets.
@@ -153,7 +156,6 @@ def blp_measure(
     scheme: DynamicsScheme,
     p: float,
     grid: TimeGrid | None = None,
-    opt: OptConfig = OptConfig(),
     observe: str = "S",
 ) -> MeasureReport:
     """BLP measure: pair gain maximized over antipodal pure input pairs.
@@ -172,7 +174,7 @@ def blp_measure(
         return np.linalg.norm(m @ n, axis=1).T  # (candidate, time)
 
     result = two_stage_maximize(
-        lambda th, ph: _positive_steps(distances(th[0], ph[0])).sum(-1)[None], opt)
+        lambda th, ph: _positive_steps(distances(th[0], ph[0])).sum(-1)[None])
     report = _pair_report(scheme, p, grid, observe, distances(result.theta, result.phi)[0])
     report.optimal_pair = (float(result.theta[0]), float(result.phi[0]))
     report.diagnostics.update(coarse_value=float(result.coarse_value[0]),
@@ -180,18 +182,18 @@ def blp_measure(
     return report
 
 
-def _g_curve(scheme, p, ts, eps, tol):
+def _g_curve(scheme, p, ts, eps):
     """Momentary CP-violation rate of the intermediate map from t to t + eps.
 
     A sample whose base map is singular (largest singular value <= 0, or
-    smallest below ``tol`` times the largest) is not inverted: it gets rate 0
+    smallest below ``SVD_TOL`` times the largest) is not inverted: it gets rate 0
     and is counted in the returned number of singular samples.
     """
     base = np.minimum(ts, ts[-1] - eps)
     s_base = system_map_stack(scheme, p, base)
     s_fwd = system_map_stack(scheme, p, base + eps)
     u, sig, vh = np.linalg.svd(s_base)
-    singular = (sig[:, 0] <= 0.0) | (sig[:, -1] < tol * sig[:, 0])
+    singular = (sig[:, 0] <= 0.0) | (sig[:, -1] < SVD_TOL * sig[:, 0])
     sig = np.where(singular[:, None], 1.0, sig)
     inv = (vh.transpose(0, 2, 1) / sig[:, None, :]) @ u.transpose(0, 2, 1)
     f_ncp = trace_norm(choi_state(s_fwd @ inv))
@@ -203,23 +205,21 @@ def rhp_measure(
     scheme: DynamicsScheme,
     p: float,
     grid: TimeGrid | None = None,
-    eps: float = DEFAULT_RHP_EPS,
-    tol: float = 1e-10,
 ) -> MeasureReport:
     """RHP measure: trapezoidal integral of g(t) over the scheme's domain.
 
     g(t) is the momentary complete-positivity violation of the intermediate
-    map between t and t + eps. A sample whose base map has any singular value
-    below ``tol`` times the largest contributes 0 and is counted in the
-    ``singular_samples`` diagnostic. The forward step at the right end of the
-    domain is taken from t1 - eps so every sample stays inside the domain. A
-    control run at eps/2 is recorded in the diagnostics together with half
-    the value, which lower bounds the robustness of non-Markovianity.
+    map between t and t + RHP_EPS. A sample whose base map has any singular
+    value below ``SVD_TOL`` times the largest contributes 0 and is counted in
+    the ``singular_samples`` diagnostic. The forward step at the right end of
+    the domain is taken from t1 - RHP_EPS so every sample stays inside the
+    domain. A control run at RHP_EPS/2 is recorded in the diagnostics together
+    with half the value, which lower bounds the robustness of non-Markovianity.
     """
     if grid is None:
         grid = default_grid(scheme)
     ts = grid.times()
-    g, singular = _g_curve(scheme, p, ts, eps, tol)
+    g, singular = _g_curve(scheme, p, ts, RHP_EPS)
     dt = ts[1] - ts[0]
     contribs = 0.5 * (g[:-1] + g[1:]) * dt
     intervals = [
@@ -228,15 +228,15 @@ def rhp_measure(
         if c > INCREMENT_FLOOR
     ]
     value = float(sum(c for _, c in intervals))
-    g_half, _ = _g_curve(scheme, p, ts, eps / 2.0, tol)
+    g_half, _ = _g_curve(scheme, p, ts, RHP_EPS / 2.0)
     value_half = float(np.clip(0.5 * (g_half[:-1] + g_half[1:]) * dt, 0.0, None).sum())
     denom = max(abs(value), abs(value_half))
     rel = abs(value - value_half) / denom if denom > 0 else 0.0
     return MeasureReport(
         value=value, p=p, scheme=scheme, grid=grid, increments=intervals,
         diagnostics={
-            "eps": eps,
-            "svd_tol": tol,
+            "eps": RHP_EPS,
+            "svd_tol": SVD_TOL,
             "singular_samples": singular,
             "value_half_eps": value_half,
             "richardson_rel_diff": rel,
@@ -269,11 +269,9 @@ def lfs_measure(
     )
 
 
-def first_crossing(
-    p_values: Iterable[float], values: Iterable[float], cutoff: float = THRESHOLD_CUTOFF
-) -> float | None:
-    """Smallest p whose measure exceeds the cutoff, or None."""
+def first_crossing(p_values: Iterable[float], values: Iterable[float]) -> float | None:
+    """Smallest p whose measure exceeds THRESHOLD_CUTOFF, or None."""
     for p, v in zip(p_values, values):
-        if v > cutoff:
+        if v > THRESHOLD_CUTOFF:
             return float(p)
     return None

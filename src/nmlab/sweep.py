@@ -3,7 +3,7 @@
 Both the trace-distance pair optimization and the projective-measurement
 search maximize functions over (theta, phi) on a half sphere, a stack of
 independent ones at once. A coarse grid is followed by local halving
-refinements, so results are reproducible bit for bit for a given configuration.
+refinements, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -54,17 +54,10 @@ def default_grid(scheme: DynamicsScheme, steps_per_unit: int = 200) -> TimeGrid:
 
 # Half sphere: a measurement basis or antipodal pair is the same at -n and n.
 THETA_MAX = np.pi / 2
+# Coarse grid points in theta and phi, then halving refinement rounds.
+COARSE_THETA, COARSE_PHI, REFINE_ROUNDS = 13, 25, 3
 # Steps on each side of the incumbent in a refinement round.
 REFINE_HALFSPAN = 2
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    """Settings for the two-stage (theta, phi) maximization."""
-
-    coarse_theta: int = 13
-    coarse_phi: int = 25
-    refine_rounds: int = 3
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,6 @@ class SearchResult:
 
 def two_stage_maximize(
     f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    opt: OptConfig = OptConfig(),
     rows: int = 1,
 ) -> SearchResult:
     """Maximize ``rows`` independent objectives over [0, THETA_MAX] x [0, 2 pi).
@@ -88,19 +80,18 @@ def two_stage_maximize(
     ties resolve to the earliest grid point of the row, so the search is
     deterministic. The result has one entry per row; `evaluations` sums them.
     """
-    thetas = np.repeat(np.linspace(0.0, THETA_MAX, opt.coarse_theta), opt.coarse_phi)
-    phis = np.tile(np.linspace(0.0, 2.0 * np.pi, opt.coarse_phi, endpoint=False),
-                   opt.coarse_theta)
+    thetas = np.repeat(np.linspace(0.0, THETA_MAX, COARSE_THETA), COARSE_PHI)
+    phis = np.tile(np.linspace(0.0, 2.0 * np.pi, COARSE_PHI, endpoint=False), COARSE_THETA)
     values = np.asarray(f_batch(np.tile(thetas, (rows, 1)), np.tile(phis, (rows, 1))), float)
     at = np.arange(rows)
     k = np.argmax(values, axis=1)
     best, b_theta, b_phi = values.max(axis=1), thetas[k], phis[k]
     evaluations = values.size
 
-    d_theta = THETA_MAX / max(opt.coarse_theta - 1, 1)
-    d_phi = 2.0 * np.pi / opt.coarse_phi
+    d_theta = THETA_MAX / (COARSE_THETA - 1)
+    d_phi = 2.0 * np.pi / COARSE_PHI
     span = np.arange(-REFINE_HALFSPAN, REFINE_HALFSPAN + 1)
-    for _ in range(opt.refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         d_theta /= 2.0
         d_phi /= 2.0
         tt = np.clip(b_theta[:, None] + d_theta * span, 0.0, THETA_MAX)

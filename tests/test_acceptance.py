@@ -42,7 +42,7 @@ def test_criterion_04_closed_form_distances():
 
 
 def test_criterion_05_thresholds(sweep):
-    _run(verify.check_thresholds(sweep, CFG))
+    _run(verify.check_thresholds(sweep))
 
 
 def test_criterion_06_gate_backflow():
@@ -92,7 +92,7 @@ def test_criterion_12_determinism():
 def test_nonmarkovian_region_is_an_upset(sweep):
     # once a measure turns on it stays on as p grows
     for name in ("blp", "rhp", "lfs"):
-        onset = first_crossing(sweep["p"], sweep[name], THRESHOLD_CUTOFF)
+        onset = first_crossing(sweep["p"], sweep[name])
         flagged = sweep[name] > THRESHOLD_CUTOFF
         assert onset is not None
         assert np.all(flagged[sweep["p"] >= onset - 1e-12]), name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nmlab import correlations
+from nmlab import correlations, sweep
 from nmlab.correlations import (
     classical_correlations,
     correlation_trajectory,
@@ -30,7 +30,7 @@ from nmlab.register import (
     joint_states,
     werner,
 )
-from nmlab.sweep import OptConfig, TimeGrid
+from nmlab.sweep import TimeGrid
 
 from conftest import random_density
 
@@ -96,10 +96,11 @@ class TestClassicalCorrelations:
     def test_classically_correlated_pair(self):
         assert classical_correlations(CLASSICAL_PAIR) == pytest.approx(1.0, abs=1e-9)
 
-    def test_refinement_never_decreases(self):
+    def test_refinement_never_decreases(self, monkeypatch):
         state = joint_state(KET_PLUS, 0.6, GATES_SWAP, 7.4)
-        coarse = classical_correlations(state, OptConfig(refine_rounds=0))
-        refined = classical_correlations(state, OptConfig(refine_rounds=3))
+        refined = classical_correlations(state)
+        monkeypatch.setattr(sweep, "REFINE_ROUNDS", 0)
+        coarse = classical_correlations(state)
         assert refined >= coarse - 1e-15
 
     @pytest.mark.parametrize("rho", [np.eye(2) / 2, np.eye(3) / 3, np.zeros((4, 2))],

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,17 @@ BAD_FIELDS = [
     ("steps_per_unit", 2.5), ("steps_per_unit", 0), ("heatmap_steps_per_unit", 2.5),
     ("heatmap_steps_per_unit", -1), ("p_step", 0.03), ("heatmap_p_step", 0),
     ("fig4_p_values", [0.0, 1.2]), ("fig4_p_values", [-0.1]), ("fig4_p_values", 0.5),
+    ("fig4_p_values", [True]), ("p_step", True), ("workers", -3), ("workers", 1.5),
+]
+# Keys of earlier versions, now fixed constants in `sweep` and `nonmarkov`: a
+# config naming one is refused as an unknown key, whatever the value.
+DROPPED_FIELDS = [
     ("coarse_theta", 0), ("coarse_phi", 12.5), ("refine_rounds", -1),
     ("rhp_eps", 0), ("svd_tol", -1e-10), ("threshold_cutoff", "x"),
-    ("workers", -3), ("workers", 1.5),
 ]
+OLD_DEFAULTS = {"coarse_theta": 13, "coarse_phi": 25, "refine_rounds": 3,
+                "rhp_eps": 1e-3, "svd_tol": 1e-10, "threshold_cutoff": 1e-7}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def fast_config(tmp_path, **overrides):
@@ -51,10 +60,20 @@ class TestConfig:
         monkeypatch.delenv("NMLAB_WORKERS")
         assert RunConfig().resolve_workers() == 1
 
-    @pytest.mark.parametrize("field, value", BAD_FIELDS)
+    @pytest.mark.parametrize("field, value", BAD_FIELDS + DROPPED_FIELDS)
     def test_invalid_field_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("field, value", OLD_DEFAULTS.items())
+    def test_dropped_key_rejected_at_its_old_default(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{field}']")):
+            RunConfig.from_dict({field: value})
+
+    def test_readme_lists_the_defaults(self):
+        section = README.read_text().split("## Configuration", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert json.loads(block) == RunConfig().to_dict()
 
     @pytest.mark.parametrize("steps", [2.5, 0, -4, True])
     def test_default_grid_rejects_bad_steps(self, steps):
@@ -258,12 +277,39 @@ class TestCli:
         code = cli.main(["figure", "fig6", "--config", str(cfg_path), "--out", str(tmp_path)])
         self._assert_one_error_line(code, capsys, "p step")
 
-    @pytest.mark.parametrize("field, value", BAD_FIELDS)
+    @pytest.mark.parametrize("field, value", BAD_FIELDS + DROPPED_FIELDS)
     def test_bad_config_field_is_one_error_line(self, tmp_path, capsys, field, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({field: value}))
         code = cli.main(["figure", "fig3", "--config", str(cfg_path), "--out", str(tmp_path)])
         self._assert_one_error_line(code, capsys, field)
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
+    def test_config_not_an_object_is_one_error_line(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = cli.main(["figure", "fig2", "--config", str(cfg_path), "--out", str(tmp_path)])
+        self._assert_one_error_line(code, capsys, "config must be a JSON object")
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig3", "--config"], ["verify", "--config"],
+        ["measure", "lfs", "--p", "0.5", "--scheme", "block", "--config"],
+        ["plot", "--kind", "line"],
+    ], ids=["figure", "verify", "measure", "plot"])
+    def test_directory_path_is_one_error_line(self, tmp_path, capsys, argv):
+        code = cli.main(argv + [str(tmp_path)])
+        self._assert_one_error_line(code, capsys, str(tmp_path))
+
+    def test_verify_report_times_every_check(self, tmp_path, capsys):
+        # a coarse p grid keeps the sweep short; the timing fields do not depend on it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"p_step": 0.1}))
+        cli.main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        durations = [c["duration_s"] for c in report["checks"]] + [report["sweep_duration_s"]]
+        assert len(durations) == 17
+        assert all(isinstance(d, float) and d >= 0.0 for d in durations)
+        assert "duration" not in capsys.readouterr().out
 
     def test_negative_workers_flag_is_one_error_line(self, tmp_path, capsys):
         code = cli.main(["figure", "fig3", "--workers", "-3", "--out", str(tmp_path)])

@@ -3,7 +3,7 @@ import pytest
 
 from nmlab import nonmarkov, register
 from nmlab.nonmarkov import (
-    DEFAULT_RHP_EPS,
+    RHP_EPS,
     THRESHOLD_CUTOFF,
     _g_curve,
     blp_measure,
@@ -23,7 +23,7 @@ from nmlab.register import (
     reduced_evolution,
     system_map_stack,
 )
-from nmlab.sweep import OptConfig, TimeGrid, default_grid
+from nmlab.sweep import TimeGrid, default_grid
 
 from conftest import random_ket
 
@@ -40,7 +40,7 @@ LFS_BLOCK_P08 = 0.0102555
 
 def rate_at(p, t):
     """RHP rate g(t) of the block dynamics; the grid end 1.0 only bounds the step."""
-    g, _ = _g_curve(BLOCK_SWAP, p, np.array([t, 1.0]), DEFAULT_RHP_EPS, 1e-10)
+    g, _ = _g_curve(BLOCK_SWAP, p, np.array([t, 1.0]), RHP_EPS)
     return g[0]
 
 
@@ -212,7 +212,7 @@ class TestRhp:
         """Run the batched rate on given base and forward map stacks."""
         stacks = [np.asarray(base, dtype=float), np.asarray(fwd, dtype=float)]
         monkeypatch.setattr(nonmarkov, "system_map_stack", lambda *args: stacks.pop(0))
-        return _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(base)), eps, 1e-10)
+        return _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(base)), eps)
 
     def test_singular_base_contributes_zero(self, monkeypatch):
         # the p=0 map is exactly singular at t=1 (full depolarization); such
@@ -270,9 +270,8 @@ class TestSearchBehaviour:
             assert gain <= optimum + 1e-9
 
     def test_refinement_never_hurts(self):
-        coarse = blp_measure(GATES_SWAP, 0.5, opt=OptConfig(refine_rounds=0))
-        refined = blp_measure(GATES_SWAP, 0.5, opt=OptConfig(refine_rounds=3))
-        assert refined.value >= coarse.value - 1e-15
+        refined = blp_measure(GATES_SWAP, 0.5)
+        assert refined.value >= refined.diagnostics["coarse_value"] - 1e-15
 
     def test_grid_doubling_stable(self):
         grid = default_grid(BLOCK_SWAP)
@@ -289,4 +288,5 @@ class TestFirstCrossing:
         assert first_crossing(ps, [0.0, 0.0, 0.0]) is None
 
     def test_cutoff_respected(self):
-        assert first_crossing([0.1, 0.2], [5e-5, 2e-4], cutoff=1e-4) == 0.2
+        below, above = 0.5 * THRESHOLD_CUTOFF, 2.0 * THRESHOLD_CUTOFF
+        assert first_crossing([0.1, 0.2], [below, above]) == 0.2

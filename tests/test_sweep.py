@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 
 import nmlab
-from nmlab.sweep import THETA_MAX, OptConfig, two_stage_maximize
+from nmlab import sweep
+from nmlab.sweep import THETA_MAX, two_stage_maximize
 
 
 def bump(theta0, phi0):
@@ -14,14 +15,16 @@ def bump(theta0, phi0):
 
 
 class TestStackedSearch:
-    def test_tie_resolves_to_earliest_point(self):
+    def test_tie_resolves_to_earliest_point(self, monkeypatch):
         # row 0 is flat; row 1 ties at phi = pi/2 and phi = pi for every theta
         def f(th, ph):
             v = np.zeros(th.shape)
             v[1] = np.isclose(ph[1], np.pi / 2) | np.isclose(ph[1], np.pi)
             return v
 
-        res = two_stage_maximize(f, OptConfig(coarse_theta=5, coarse_phi=4), rows=2)
+        monkeypatch.setattr(sweep, "COARSE_THETA", 5)
+        monkeypatch.setattr(sweep, "COARSE_PHI", 4)
+        res = two_stage_maximize(f, rows=2)
         assert np.array_equal(res.theta, [0.0, 0.0])
         assert np.array_equal(res.phi, [0.0, np.pi / 2])
         assert np.array_equal(res.value, [0.0, 1.0])
