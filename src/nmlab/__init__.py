@@ -6,12 +6,9 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along both interpolations of the dynamics.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .qmath import (
-    REGISTER,
-    SYSTEM_ANCILLA,
-    RegisterLayout,
     choi_state,
     kron,
     mutual_information,

@@ -36,8 +36,7 @@ import numpy as np
 
 from .qmath import (
     PAULIS,
-    REGISTER,
-    RegisterLayout,
+    cut_view,
     mutual_information,
     partial_transpose,
     spectrum_entropy,
@@ -67,14 +66,14 @@ class CorrelationSample:
     mutual: float
 
 
-def log_negativity(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) -> float | np.ndarray:
-    """log2 of the trace norm of the partial transpose, clamped at zero.
+def log_negativity(rho: np.ndarray) -> float | np.ndarray:
+    """log2 of the trace norm of the first qubit's partial transpose, clamped at zero.
 
     Values within 1e-12 of zero collapse to an exact zero so separable
     states do not report float dust as entanglement. Leading axes of `rho`
     are stack axes; a single state gives a float.
     """
-    val = np.log2(trace_norm(partial_transpose(rho, side, layout)))
+    val = np.log2(trace_norm(partial_transpose(rho)))
     val = np.where(val < 1e-12, 0.0, val)
     return float(val) if val.ndim == 0 else val
 
@@ -87,9 +86,7 @@ def _bloch_blocks(rho: np.ndarray) -> np.ndarray:
     vector n leaves the kept side in the unnormalized states (rho_K +- n.T) / 2,
     with probabilities (1 +- n.r) / 2 where r_j = tr T_j.
     """
-    d = rho.shape[-1] // 2
-    rho4 = rho.reshape(rho.shape[:-2] + (2, d, 2, d))
-    blocks = np.einsum("jvu,...uavb->...jab", PAULIS, rho4)
+    blocks = np.einsum("jvu,...uavb->...jab", PAULIS, cut_view(rho))
     return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 
@@ -121,9 +118,6 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     result is a lower bound by construction. `rho` may be a stack of states
     of dimension 2d, d >= 2.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1] or rho.shape[-1] % 2 or rho.shape[-1] < 4:
-        raise ValueError(f"expected states of shape (2d, 2d) with d >= 2, got {rho.shape}")
     blocks = _bloch_blocks(rho)
     flat = blocks.reshape((-1,) + blocks.shape[-3:])
     s_a = vn_entropy(flat[:, 0])
@@ -180,8 +174,8 @@ def correlation_trajectory(
     ts = grid.times()
     fresh = ~_carried(scheme, ts)
     states = joint_states(scheme, p, ts[fresh], np.outer(psi, psi.conj()))
-    neg = log_negativity(states, "S")
-    mutual = mutual_information(states, "S")
+    neg = log_negativity(states)
+    mutual = mutual_information(states)
     classical = np.zeros(len(states))
     searched = mutual > MUTUAL_FLOOR
     classical[searched] = classical_correlations(states[searched])

@@ -68,6 +68,8 @@ class RunConfig:
                 isinstance(p, numbers.Real) and not isinstance(p, bool) and 0 <= p <= 1
                 for p in self.fig4_p_values)):
             raise ValueError(f"fig4_p_values must be a list of numbers in [0, 1], got {self.fig4_p_values!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -137,7 +139,8 @@ def _pmap(fn, items, workers: int):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # the fork start method launches every worker up front, wanted or not
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as ex:
         return list(ex.map(fn, items))
 
 

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .qmath import PAULIS, SYSTEM_ANCILLA, choi_state, mutual_information, trace_norm
+from .qmath import PAULIS, choi_state, mutual_information, trace_norm
 from .register import DynamicsScheme, system_map_stack
 from .sweep import TimeGrid, default_grid, two_stage_maximize
 
@@ -261,7 +261,7 @@ def lfs_measure(
         grid = default_grid(scheme)
     ts = grid.times()
     chois = choi_state(system_map_stack(scheme, p, ts))
-    mi = mutual_information(chois, "S", SYSTEM_ANCILLA)
+    mi = mutual_information(chois)
     value, intervals = positive_increments(ts, mi)
     return MeasureReport(
         value=value, p=p, scheme=scheme, grid=grid, increments=intervals,

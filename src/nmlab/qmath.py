@@ -8,8 +8,6 @@ with deterministic spectral decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Structural tolerance of the unitarity check.
@@ -30,67 +28,6 @@ PAULIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 _CHOI_UNITS = np.einsum("iab,jdc->ijacbd", PAULIS, PAULIS).reshape(4, 4, 4, 4) / 4.0
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Ordered tensor factors of a composite register.
-
-    The first wire is the most significant factor: for qubit wires
-    ``(S, E1, E2)`` the composite basis index is ``b = 4*s + 2*e1 + e2``.
-    Wires can be addressed by name or by position.
-    """
-
-    wires: tuple[str, ...] = ("S", "E1", "E2")
-    dims: tuple[int, ...] = (2, 2, 2)
-
-    def __post_init__(self):
-        if len(self.wires) != len(self.dims):
-            raise ValueError("wires and dims must have equal length")
-        if any(d < 2 for d in self.dims):
-            raise ValueError("wire dimensions must be >= 2")
-        if len(set(self.wires)) != len(self.wires):
-            raise ValueError("wire names must be unique")
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def n_wires(self) -> int:
-        return len(self.wires)
-
-    def positions(self, subset) -> tuple[int, ...]:
-        """Resolve a wire subset (names, positions, or a single one) to positions.
-
-        Returns positions in layout order. Raises ValueError for empty,
-        unknown, or repeated wires.
-        """
-        if isinstance(subset, (str, int)):
-            subset = (subset,)
-        pos = []
-        for w in subset:
-            if isinstance(w, str):
-                if w not in self.wires:
-                    raise ValueError(f"unknown wire {w!r}; layout has {self.wires}")
-                pos.append(self.wires.index(w))
-            else:
-                if not 0 <= int(w) < self.n_wires:
-                    raise ValueError(f"wire position {w} out of range")
-                pos.append(int(w))
-        if not pos:
-            raise ValueError("wire subset must not be empty")
-        if len(set(pos)) != len(pos):
-            raise ValueError("wire subset contains duplicates")
-        return tuple(sorted(pos))
-
-    def complement(self, subset) -> tuple[int, ...]:
-        pos = set(self.positions(subset))
-        return tuple(i for i in range(self.n_wires) if i not in pos)
-
-
-REGISTER = RegisterLayout()
-SYSTEM_ANCILLA = RegisterLayout(("S", "A"), (2, 2))
-
-
 def kron(*mats: np.ndarray) -> np.ndarray:
     """Tensor product of one or more matrices, left factor most significant."""
     if not mats:
@@ -108,39 +45,35 @@ def is_unitary(a: np.ndarray, tol: float = STRUCTURE_TOL) -> bool:
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
 
 
-def _reshaped(rho: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """View of `rho` with one row and one column axis per wire, after any stack axes."""
+def cut_view(rho: np.ndarray) -> np.ndarray:
+    """View of `rho` as (..., 2, d, 2, d): the first qubit against the rest.
+
+    Every correlation cut of this package separates the first tensor factor,
+    a qubit, from the other factors, whose total dimension is d >= 2.
+    Leading axes of `rho` are stack axes.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (layout.dim, layout.dim):
-        raise ValueError(f"state of dim {rho.shape} does not match layout dim {layout.dim}")
-    return rho.reshape(rho.shape[:-2] + layout.dims + layout.dims)
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1] or rho.shape[-1] % 2 or rho.shape[-1] < 4:
+        raise ValueError(f"expected states of shape (2d, 2d) with d >= 2, got {rho.shape}")
+    d = rho.shape[-1] // 2
+    return rho.reshape(rho.shape[:-2] + (2, d, 2, d))
 
 
-def partial_trace(rho: np.ndarray, keep, layout: RegisterLayout = REGISTER) -> np.ndarray:
-    """Reduced state on the `keep` wires, tracing out the rest.
+def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Reduced state of factor `keep` (0 or 1) of a state on dimensions (a, b).
 
     Leading axes of `rho` are stack axes and are kept.
     """
-    keep_pos = layout.positions(keep)
-    n = layout.n_wires
-    r = _reshaped(rho, layout)
-    # einsum indices: row axis i and col axis i share a letter when traced out
-    letters = "abcdefghijkl"
-    row = list(letters[:n])
-    col = [letters[n + i] if i in keep_pos else letters[i] for i in range(n)]
-    out = "".join(row[i] for i in keep_pos) + "".join(col[i] for i in keep_pos)
-    d_keep = int(np.prod([layout.dims[i] for i in keep_pos]))
-    red = np.einsum("..." + "".join(row) + "".join(col) + "->..." + out, r)
-    return red.reshape(red.shape[:-2 * len(keep_pos)] + (d_keep, d_keep))
+    a, b = dims
+    rho = np.asarray(rho, dtype=complex)
+    r = rho.reshape(rho.shape[:-2] + (a, b, a, b))
+    return np.einsum("...ijkj->...ik" if keep == 0 else "...ijil->...jl", r)
 
 
-def partial_transpose(rho: np.ndarray, side, layout: RegisterLayout = REGISTER) -> np.ndarray:
-    """Transpose the row/column indices of the `side` wires, keeping leading stack axes."""
-    n = layout.n_wires
-    r = _reshaped(rho, layout)
-    for i in layout.positions(side):  # row axis i - 2n, column axis i - n
-        r = r.swapaxes(i - 2 * n, i - n)
-    return r.reshape(r.shape[:-2 * n] + (layout.dim, layout.dim))
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose the first qubit's row and column indices, keeping leading stack axes."""
+    r = cut_view(rho).swapaxes(-4, -2)
+    return r.reshape(r.shape[:-4] + (2 * r.shape[-1],) * 2)
 
 
 def trace_norm(a: np.ndarray) -> float | np.ndarray:
@@ -171,16 +104,15 @@ def vn_entropy(rho: np.ndarray) -> float | np.ndarray:
     return spectrum_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
 
 
-def mutual_information(
-    rho: np.ndarray, side, layout: RegisterLayout = REGISTER
-) -> float | np.ndarray:
-    """Quantum mutual information S(side) + S(rest) - S(rho) across the cut at `side`.
+def mutual_information(rho: np.ndarray) -> float | np.ndarray:
+    """Quantum mutual information S(first qubit) + S(rest) - S(rho) across `cut_view`.
 
     Leading axes of `rho` are stack axes.
     """
+    dims = cut_view(rho).shape[-2:]
     return (
-        vn_entropy(partial_trace(rho, side, layout))
-        + vn_entropy(partial_trace(rho, layout.complement(side), layout))
+        vn_entropy(partial_trace(rho, dims, 0))
+        + vn_entropy(partial_trace(rho, dims, 1))
         - vn_entropy(rho)
     )
 

@@ -23,7 +23,6 @@ from .qmath import (
     PAULI_Y,
     PAULI_Z,
     PAULIS,
-    REGISTER,
     FractionalUnitary,
     kron,
     partial_trace,
@@ -35,6 +34,10 @@ _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+# Register wires, most significant tensor factor first, and the register dimension.
+WIRES = ("S", "E1", "E2")
+DIM = 8
 
 
 class CircuitVariant(str, Enum):
@@ -81,9 +84,9 @@ class GateSpec:
             raise ValueError(f"{self.kind} takes {expected[self.kind]} wire(s)")
         if len(set(self.wires)) != len(self.wires):
             raise ValueError("gate wires must be distinct")
-        unknown = [w for w in self.wires if w not in REGISTER.wires]
+        unknown = [w for w in self.wires if w not in WIRES]
         if unknown:
-            raise ValueError(f"unknown wire {unknown[0]!r}; the register has {REGISTER.wires}")
+            raise ValueError(f"unknown wire {unknown[0]!r}; the register has {WIRES}")
 
 
 def alpha_ket(alpha: float) -> np.ndarray:
@@ -94,12 +97,12 @@ def alpha_ket(alpha: float) -> np.ndarray:
 
 
 def _place(ops: dict[int, np.ndarray]) -> np.ndarray:
-    return kron(*(ops.get(w, PAULI_I) for w in range(REGISTER.n_wires)))
+    return kron(*(ops.get(w, PAULI_I) for w in range(len(WIRES))))
 
 
 def gate_unitary(g: GateSpec) -> np.ndarray:
     """Embed a 1- or 2-qubit gate into the full register unitary."""
-    pos = [REGISTER.wires.index(w) for w in g.wires]
+    pos = [WIRES.index(w) for w in g.wires]
     if g.kind == "h":
         return _place({pos[0]: HADAMARD})
     if g.kind == "cnot":
@@ -143,7 +146,7 @@ def _gate_unitaries(variant: CircuitVariant) -> tuple[np.ndarray, ...]:
 
 def circuit_unitary(variant: CircuitVariant = CircuitVariant.SWAP_TERMINATED) -> np.ndarray:
     """Full 8x8 product of the circuit's gates in order."""
-    out = np.eye(REGISTER.dim, dtype=complex)
+    out = np.eye(DIM, dtype=complex)
     for g in _gate_unitaries(variant):
         out = g @ out
     return out
@@ -188,7 +191,7 @@ def _block_fractional(variant: CircuitVariant) -> FractionalUnitary:
 def _gate_interpolator(variant: CircuitVariant):
     """Fractional gates and the products of the gates before each of them."""
     gates = _gate_unitaries(variant)
-    prefixes = [np.eye(REGISTER.dim, dtype=complex)]
+    prefixes = [np.eye(DIM, dtype=complex)]
     for g in gates:
         prefixes.append(g @ prefixes[-1])
     return [FractionalUnitary(g) for g in gates], prefixes
@@ -207,9 +210,9 @@ def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
     if scheme.interpolation is Interpolation.BLOCK_LOG:
         return _block_fractional(scheme.variant).at_many(ts)
     fractional, prefixes = _gate_interpolator(scheme.variant)
-    out = np.empty((len(ts), REGISTER.dim, REGISTER.dim), dtype=complex)
+    out = np.empty((len(ts), DIM, DIM), dtype=complex)
     seg = active_gate(ts, len(fractional))
-    out[seg == 0] = np.eye(REGISTER.dim, dtype=complex)
+    out[seg == 0] = np.eye(DIM, dtype=complex)
     for i in range(1, len(fractional) + 1):
         mask = seg == i
         if not mask.any():
@@ -233,7 +236,7 @@ def joint_states(scheme: DynamicsScheme, p: float, ts: np.ndarray, ops) -> np.nd
     w = werner(p)
     b = np.stack([kron(op, w) for op in ops.reshape(-1, 2, 2)])
     sand = us[:, None] @ b @ us.conj().transpose(0, 2, 1)[:, None]
-    return sand.reshape((len(us),) + ops.shape[:-2] + (REGISTER.dim, REGISTER.dim))
+    return sand.reshape((len(us),) + ops.shape[:-2] + (DIM, DIM))
 
 
 def reduced_evolution(
@@ -249,9 +252,10 @@ def reduced_evolution(
     shape (len(ts), *leading axes, 2, 2) and holds the reduced state on
     `observe` ("S" or "E2").
     """
-    if observe not in ("S", "E2"):
+    cuts = {"S": ((2, 4), 0), "E2": ((4, 2), 1)}
+    if observe not in cuts:
         raise ValueError(f"observe must be 'S' or 'E2', got {observe!r}")
-    return partial_trace(joint_states(scheme, p, ts, initial_ops), observe)
+    return partial_trace(joint_states(scheme, p, ts, initial_ops), *cuts[observe])
 
 
 @lru_cache(maxsize=32)

@@ -30,7 +30,6 @@ from .nonmarkov import (
 from .qmath import (
     PAULI_I,
     PAULIS,
-    RegisterLayout,
     choi_state,
     mutual_information,
     trace_distance,
@@ -242,13 +241,12 @@ def check_bbc_e2_law() -> CheckResult:
 
 
 def check_werner_boundary() -> CheckResult:
-    pair = RegisterLayout(("E1", "E2"), (2, 2))
     worst = 0.0
     ok = True
     for p in (0.0, 0.2, 1.0 / 3.0):
-        ok &= log_negativity(werner(p), "E1", pair) == 0.0
+        ok &= log_negativity(werner(p)) == 0.0
     for p in (0.34, 0.5, 1.0):
-        dev = abs(log_negativity(werner(p), "E1", pair) - np.log2((1.0 + 3.0 * p) / 2.0))
+        dev = abs(log_negativity(werner(p)) - np.log2((1.0 + 3.0 * p) / 2.0))
         worst = max(worst, dev)
         ok &= dev <= 1e-10
     return CheckResult(
@@ -264,8 +262,8 @@ def check_end_correlations() -> CheckResult:
     states = np.stack([joint_states(BLOCK_SWAP, p, np.array([1.0]), rho0)[0] for p in ps])
     # one stacked basis search for all four states
     cla = classical_correlations(states)
-    neg = log_negativity(states, "S")
-    dis = mutual_information(states, "S") - cla
+    neg = log_negativity(states)
+    dis = mutual_information(states) - cla
     ok = all(n <= 1e-9 and d <= 1e-6 and c >= 1e-3 for n, d, c in zip(neg, dis, cla[:-1]))
     rows = [f"p={p}: neg {n:.1e} dis {d:.1e} cla {c:.3f}"
             for p, n, d, c in zip(ps, neg, dis, cla[:-1])]

@@ -134,7 +134,7 @@ class TestFidelity:
         uc = circuit_unitary()
         psi = alpha_ket(0.3)
         rho = kron(np.outer(psi, psi.conj()), werner(0.5))
-        out = partial_trace(uc @ rho @ uc.conj().T, "S")
+        out = partial_trace(uc @ rho @ uc.conj().T, (2, 4), 0)
         assert np.real(psi.conj() @ out @ psi) == pytest.approx(0.75, abs=1e-12)
 
     def test_alpha_independent(self):
@@ -156,7 +156,7 @@ class TestClosedFormDistances:
         for a in (a1, a2):
             psi = alpha_ket(a)
             rho = kron(np.outer(psi, psi.conj()), werner(0.6))
-            outs.append(partial_trace(u1 @ rho @ u1.conj().T, "S"))
+            outs.append(partial_trace(u1 @ rho @ u1.conj().T, (2, 4), 0))
         d = trace_distance(outs[0], outs[1])
         assert distance_after_block1(a1, a2) == pytest.approx(0.5)
         assert d == pytest.approx(distance_after_block1(a1, a2), abs=1e-12)
@@ -175,7 +175,7 @@ class TestClosedFormDistances:
         for a in (a1, a2):
             psi = alpha_ket(a)
             rho = kron(np.outer(psi, psi.conj()), werner(p))
-            outs.append(partial_trace(uc @ rho @ uc.conj().T, "S"))
+            outs.append(partial_trace(uc @ rho @ uc.conj().T, (2, 4), 0))
         assert trace_distance(outs[0], outs[1]) == pytest.approx(
             final_distance(a1, a2, p), abs=1e-12
         )

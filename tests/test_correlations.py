@@ -13,11 +13,10 @@ from nmlab.qmath import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    REGISTER,
-    RegisterLayout,
     kron,
     mutual_information,
     partial_trace,
+    partial_transpose,
     vn_entropy,
 )
 from nmlab.register import (
@@ -34,9 +33,6 @@ from nmlab.sweep import TimeGrid
 
 from conftest import random_density
 
-QQ = RegisterLayout(("A", "B"), (2, 2))
-PAIR = RegisterLayout(("E1", "E2"), (2, 2))
-
 PHI = bell_basis()[0]
 BELL = np.outer(PHI, PHI.conj())
 CLASSICAL_PAIR = 0.5 * (np.diag([1.0, 0, 0, 0]) + np.diag([0, 0, 0, 1.0])).astype(complex)
@@ -46,9 +42,9 @@ def joint_state(psi, p, scheme, t):
     return joint_states(scheme, p, [t], np.outer(psi, psi.conj()))[0]
 
 
-def discord(rho, layout=REGISTER):
+def discord(rho):
     """Mutual information minus classical correlations, as every trajectory sample reports it."""
-    return mutual_information(rho, layout.wires[0], layout) - classical_correlations(rho)
+    return mutual_information(rho) - classical_correlations(rho)
 
 
 # gates acting on E1/E2 only: their segments carry the measures across S | (E1 E2)
@@ -58,30 +54,28 @@ ENV_LOCAL_GATES = {GATES_SWAP: (3, 4, 5, 7), GATES_BBC: (3, 4, 6)}
 class TestLogNegativity:
     def test_product_state(self, rng):
         rho = kron(random_density(rng), random_density(rng))
-        assert log_negativity(rho, "A", QQ) == 0.0
+        assert log_negativity(rho) == 0.0
 
     def test_bell_pair(self):
-        assert log_negativity(BELL, "A", QQ) == pytest.approx(1.0, abs=1e-12)
+        assert log_negativity(BELL) == pytest.approx(1.0, abs=1e-12)
 
     def test_stack_matches_single(self, rng):
         stack = np.stack([random_density(rng, 8) for _ in range(5)]
                          + [joint_state(KET0, 0.8, GATES_SWAP, 7.5), np.eye(8) / 8])
-        got = log_negativity(stack, "S")
+        got = log_negativity(stack)
         assert isinstance(got, np.ndarray) and got.shape == (7,)
-        single = [log_negativity(rho, "S") for rho in stack]
+        single = [log_negativity(rho) for rho in stack]
         assert all(isinstance(v, float) for v in single)
         assert np.array_equal(got, single)
         assert got[-2] > 0.0 and got[-1] == 0.0
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.34, 0.5, 1.0])
     def test_werner_boundary(self, p):
-        got = log_negativity(werner(p), "E1", PAIR)
+        got = log_negativity(werner(p))
         expected = max(0.0, np.log2((1 + 3 * p) / 2))
         assert got == pytest.approx(expected, abs=1e-10)
         # independent spectrum route: sum of |eigenvalues| of the transpose
-        from nmlab.qmath import partial_transpose
-
-        lam = np.linalg.eigvalsh(partial_transpose(werner(p), "E1", PAIR))
+        lam = np.linalg.eigvalsh(partial_transpose(werner(p)))
         assert got == pytest.approx(max(0.0, np.log2(np.abs(lam).sum())), abs=1e-12)
 
 
@@ -107,27 +101,27 @@ class TestClassicalCorrelations:
                              ids=["qubit", "odd", "non-square"])
     def test_rejects_bad_state_shapes(self, rho):
         # a lone qubit leaves nothing to keep; an odd dimension has no qubit S to split off
-        with pytest.raises(ValueError, match=r"\(2d, 2d\)"):
-            classical_correlations(rho)
+        for measure in (classical_correlations, mutual_information, log_negativity,
+                        partial_transpose):
+            with pytest.raises(ValueError, match=r"\(2d, 2d\)"):
+                measure(rho)
 
 
-def projector_oracle_j(rho, measured, layout, theta, phi):
-    """Information gained about the kept side by measuring along (theta, phi), written out."""
+def projector_oracle_j(rho, theta, phi):
+    """Information gained about the rest by measuring the first qubit along (theta, phi)."""
     n_sigma = (np.sin(theta) * np.cos(phi) * PAULI_X + np.sin(theta) * np.sin(phi) * PAULI_Y
                + np.cos(theta) * PAULI_Z)
-    pos = layout.positions(measured)[0]
-    kept = layout.complement(measured)
+    d = rho.shape[-1] // 2
 
     def entropy(m):
         lam = np.linalg.eigvalsh(m)
         lam = lam[lam > 1e-12]
         return float(-(lam * np.log2(lam)).sum())
 
-    info = entropy(partial_trace(rho, kept, layout))
+    info = entropy(partial_trace(rho, (2, d), 1))
     for sign in (1.0, -1.0):
         proj = 0.5 * (np.eye(2) + sign * n_sigma)
-        lifted = kron(*[proj if i == pos else np.eye(d) for i, d in enumerate(layout.dims)])
-        cond = partial_trace(lifted @ rho, kept, layout)
+        cond = partial_trace(kron(proj, np.eye(d)) @ rho, (2, d), 1)
         prob = np.trace(cond).real
         if prob > 1e-12:
             info -= prob * entropy(cond / prob)
@@ -135,20 +129,20 @@ def projector_oracle_j(rho, measured, layout, theta, phi):
 
 
 class TestBlochKernel:
-    @pytest.mark.parametrize("layout,measured", [(REGISTER, "S"), (QQ, "A")], ids=["S", "QQ"])
-    def test_j_values_match_projector_oracle(self, rng, layout, measured):
+    @pytest.mark.parametrize("dim", [8, 4, 6], ids=["S", "QQ", "qutrit"])
+    def test_j_values_match_projector_oracle(self, rng, dim):
         thetas = np.concatenate([[0.0, np.pi / 2], rng.uniform(0.0, np.pi / 2, 30)])
         phis = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2 * np.pi, 30)])
         for _ in range(4):
-            rho = random_density(rng, layout.dim)
+            rho = random_density(rng, dim)
             blocks = correlations._bloch_blocks(rho)
-            kept = partial_trace(rho, layout.complement(measured), layout)
+            kept = partial_trace(rho, (2, dim // 2), 1)
             assert np.allclose(blocks[0], kept, atol=1e-15)
             s_a = float(vn_entropy(kept))
             # the kernel scores a stack of states; this is a stack of one
             got = correlations._j_values(blocks[None], np.array([s_a]), thetas[None],
                                          phis[None])[0]
-            want = [projector_oracle_j(rho, measured, layout, th, ph)
+            want = [projector_oracle_j(rho, th, ph)
                     for th, ph in zip(thetas, phis)]
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -211,7 +205,7 @@ class TestMutualCertificate:
         searched = []
 
         def counted(rho, *args, **kwargs):
-            searched.extend(mutual_information(rho, "S"))
+            searched.extend(mutual_information(rho))
             return classical_correlations(rho, *args, **kwargs)
 
         monkeypatch.setattr(correlations, "classical_correlations", counted)
@@ -225,13 +219,13 @@ class TestMutualCertificate:
 class TestDiscord:
     def test_product_state(self, rng):
         rho = kron(random_density(rng), random_density(rng))
-        assert discord(rho, QQ) == pytest.approx(0.0, abs=1e-9)
+        assert discord(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_classical_state_has_none(self):
-        assert discord(CLASSICAL_PAIR, QQ) == pytest.approx(0.0, abs=1e-9)
+        assert discord(CLASSICAL_PAIR) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_pair(self):
-        assert discord(BELL, QQ) == pytest.approx(1.0, abs=1e-9)
+        assert discord(BELL) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTrajectory:
@@ -252,13 +246,13 @@ class TestTrajectory:
     def test_end_of_protocol_classical_only(self):
         for p in (0.2, 0.5, 0.8):
             state = joint_state(KET0, p, BLOCK_SWAP, 1.0)
-            assert log_negativity(state, "S") <= 1e-9
+            assert log_negativity(state) <= 1e-9
             assert discord(state) <= 1e-6
             assert classical_correlations(state) >= 1e-3
 
     def test_end_of_protocol_perfect_resource(self):
         state = joint_state(KET0, 1.0, BLOCK_SWAP, 1.0)
-        assert log_negativity(state, "S") <= 1e-6
+        assert log_negativity(state) <= 1e-6
         assert discord(state) <= 1e-6
         assert classical_correlations(state) <= 1e-6
 
@@ -289,13 +283,13 @@ class TestTrajectory:
         negs = []
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):
             state = joint_state(KET0, p, GATES_SWAP, 7.5)
-            negs.append(log_negativity(state, "S"))
+            negs.append(log_negativity(state))
         assert all(b >= a - 1e-9 for a, b in zip(negs, negs[1:]))
 
     def test_plus_input_differs(self):
         # the |+> input couples S to the environment already at the first gate
         state = joint_state(KET_PLUS, 1.0, GATES_SWAP, 0.5)
-        assert log_negativity(state, "S") > 1e-3
+        assert log_negativity(state) > 1e-3
 
 
 class TestSegmentCarry:
@@ -318,8 +312,8 @@ class TestSegmentCarry:
         uncorrelated = []
         for s in traj:
             state = joint_state(psi, p, scheme, s.t)
-            mutual = mutual_information(state, "S")
-            assert s.neg == pytest.approx(log_negativity(state, "S"), abs=1e-12)
+            mutual = mutual_information(state)
+            assert s.neg == pytest.approx(log_negativity(state), abs=1e-12)
             assert s.mutual == pytest.approx(mutual, abs=1e-12)
             assert s.classical == pytest.approx(classical_correlations(state), abs=1e-12)
             uncorrelated.append(mutual <= correlations.MUTUAL_FLOOR)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmlab import cli
+from nmlab import cli, figures
 from nmlab.figures import RunConfig, p_grid, run_figure, write_csv
 from nmlab.plotting import emit_plot, read_csv
 from nmlab.register import BLOCK_SWAP, GATES_SWAP
@@ -21,6 +21,7 @@ BAD_FIELDS = [
     ("heatmap_steps_per_unit", -1), ("p_step", 0.03), ("heatmap_p_step", 0),
     ("fig4_p_values", [0.0, 1.2]), ("fig4_p_values", [-0.1]), ("fig4_p_values", 0.5),
     ("fig4_p_values", [True]), ("p_step", True), ("workers", -3), ("workers", 1.5),
+    ("out_dir", 5), ("out_dir", None),
 ]
 # Keys of earlier versions, now fixed constants in `sweep` and `nonmarkov`: a
 # config naming one is refused as an unknown key, whatever the value.
@@ -149,6 +150,28 @@ class TestFigures:
             (path,) = run_figure("fig6", fast_config(tmp_path / sub, workers=workers))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("workers, started", [(64, 3), (2, 2)])
+    def test_pool_never_exceeds_the_tasks(self, tmp_path, monkeypatch, workers, started):
+        # fig2 at p_step 0.5 has three cells; the fake pool maps in-process
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(figures, "ProcessPoolExecutor", FakePool)
+        run_figure("fig2", fast_config(tmp_path, workers=workers))
+        assert pools == [started]
 
     def test_fig2_inset_schema(self, tmp_path):
         (path,) = run_figure("fig2_inset", fast_config(tmp_path))

@@ -10,9 +10,7 @@ from nmlab.qmath import (
     PAULI_Y,
     PAULI_Z,
     PAULIS,
-    REGISTER,
     FractionalUnitary,
-    RegisterLayout,
     choi_state,
     kron,
     mutual_information,
@@ -32,8 +30,6 @@ from nmlab.register import (
 )
 
 from conftest import random_density, random_ket, random_unitary, transfer_matrix
-
-QQ = RegisterLayout(("A", "B"), (2, 2))
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -70,15 +66,35 @@ class TestKron:
             assert k[i * 3 + l, j * 3 + m] == pytest.approx(a[i, j] * b[l, m])
 
 
+def index_sum_trace(rho, dims, keep):
+    """Reduced state of factor `keep` of an (a, b) state, summed index by index."""
+    a, b = dims
+    d_keep, d_out = (a, b) if keep == 0 else (b, a)
+    out = np.zeros((d_keep, d_keep), dtype=complex)
+    for i in range(d_keep):
+        for j in range(d_keep):
+            for k in range(d_out):
+                row, col = (i * b + k, j * b + k) if keep == 0 else (k * b + i, k * b + j)
+                out[i, j] += rho[row, col]
+    return out
+
+
 class TestPartialTrace:
     def test_bell_reduction(self):
-        out = partial_trace(bell_projector(), "A", QQ)
+        out = partial_trace(bell_projector(), (2, 2), 0)
         assert np.allclose(out, np.eye(2) / 2, atol=1e-14)
 
     def test_product_state(self, rng):
         ra, rb = random_density(rng), random_density(rng)
-        assert np.allclose(partial_trace(kron(ra, rb), "A", QQ), ra, atol=1e-14)
-        assert np.allclose(partial_trace(kron(ra, rb), "B", QQ), rb, atol=1e-14)
+        assert np.allclose(partial_trace(kron(ra, rb), (2, 2), 0), ra, atol=1e-14)
+        assert np.allclose(partial_trace(kron(ra, rb), (2, 2), 1), rb, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(2, 4), (4, 2), (2, 2)])
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_matches_index_sum(self, rng, dims, keep):
+        rho = random_density(rng, dims[0] * dims[1])
+        want = index_sum_trace(rho, dims, keep)
+        assert np.allclose(partial_trace(rho, dims, keep), want, atol=1e-14)
 
     def test_werner_marginal_by_index_sum(self):
         # independent oracle: sum over the E2 indices of the 4x4 Werner state
@@ -88,60 +104,62 @@ class TestPartialTrace:
             for i in range(2):
                 for j in range(2):
                     expected[i, j] += w[2 * i + e2, 2 * j + e2]
-        pair = RegisterLayout(("E1", "E2"), (2, 2))
-        assert np.allclose(partial_trace(w, "E1", pair), expected, atol=1e-14)
+        assert np.allclose(partial_trace(w, (2, 2), 0), expected, atol=1e-14)
         assert np.allclose(expected, np.eye(2) / 2, atol=1e-14)
 
     def test_trace_preserved_three_wires(self, rng):
         rho = random_density(rng, 8)
-        red = partial_trace(rho, ("S", "E2"), REGISTER)
-        assert np.trace(red) == pytest.approx(1.0, abs=1e-12)
+        for dims, keep in (((2, 4), 0), ((2, 4), 1), ((4, 2), 0), ((4, 2), 1)):
+            red = partial_trace(rho, dims, keep)
+            assert np.trace(red) == pytest.approx(1.0, abs=1e-12)
 
     def test_stack_axes_kept(self, rng):
         stack = np.stack([[random_density(rng, 8) for _ in range(2)] for _ in range(3)])
-        for keep in ("S", "E2", ("S", "E1")):
-            red = partial_trace(stack, keep, REGISTER)
+        for dims, keep in (((2, 4), 0), ((4, 2), 1), ((4, 2), 0)):
+            red = partial_trace(stack, dims, keep)
             for idx in np.ndindex(3, 2):
-                assert np.array_equal(red[idx], partial_trace(stack[idx], keep, REGISTER))
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4) / 4, (), QQ)
-
-    def test_unknown_wire_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4) / 4, "C", QQ)
+                assert np.array_equal(red[idx], partial_trace(stack[idx], dims, keep))
 
 
 class TestPartialTranspose:
     def test_product_factorizes(self, rng):
         ra, rb = random_density(rng), random_density(rng)
-        out = partial_transpose(kron(ra, rb), "A", QQ)
+        out = partial_transpose(kron(ra, rb))
         assert np.allclose(out, kron(ra.T, rb), atol=1e-14)
 
+    @pytest.mark.parametrize("dim", [4, 6, 8])
+    def test_matches_index_sum(self, rng, dim):
+        # transposing the first qubit swaps its row index s with its column index t
+        rho = random_density(rng, dim)
+        d = dim // 2
+        want = np.empty_like(rho)
+        for s, k, t, l in np.ndindex(2, d, 2, d):
+            want[s * d + k, t * d + l] = rho[t * d + k, s * d + l]
+        assert np.array_equal(partial_transpose(rho), want)
+
     def test_bell_min_eigenvalue(self):
-        pt = partial_transpose(bell_projector(), "A", QQ)
+        pt = partial_transpose(bell_projector())
         assert np.linalg.eigvalsh(pt)[0] == pytest.approx(-0.5, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_werner_spectrum(self, p):
         # analytic spectrum: (1+p)/4 three times, (1-3p)/4 once
-        pt = partial_transpose(werner4(p), "E1", RegisterLayout(("E1", "E2"), (2, 2)))
+        pt = partial_transpose(werner4(p))
         got = np.sort(np.linalg.eigvalsh(pt))
         expected = np.sort([(1 + p) / 4] * 3 + [(1 - 3 * p) / 4])
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_trace_unchanged(self, rng):
         rho = random_density(rng, 8)
-        assert np.trace(partial_transpose(rho, "E1")) == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(partial_transpose(rho)) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("side", ["S", "E1", ("S", "E2"), ("E1", "E2")])
-    def test_stack_axes_kept(self, rng, side):
-        stack = np.stack([[random_density(rng, 8) for _ in range(2)] for _ in range(3)])
-        got = partial_transpose(stack, side)
+    @pytest.mark.parametrize("dim", [8, 4, 6], ids=["S", "pair", "qutrit"])
+    def test_stack_axes_kept(self, rng, dim):
+        stack = np.stack([[random_density(rng, dim) for _ in range(2)] for _ in range(3)])
+        got = partial_transpose(stack)
         assert got.shape == stack.shape
         for idx in np.ndindex(3, 2):
-            assert np.array_equal(got[idx], partial_transpose(stack[idx], side))
+            assert np.array_equal(got[idx], partial_transpose(stack[idx]))
 
 
 class TestNorms:
@@ -204,26 +222,24 @@ class TestEntropy:
 
     def test_mutual_information_product(self, rng):
         ra, rb = random_density(rng), random_density(rng)
-        assert mutual_information(kron(ra, rb), "A", QQ) == pytest.approx(0.0, abs=1e-9)
+        assert mutual_information(kron(ra, rb)) == pytest.approx(0.0, abs=1e-9)
 
     def test_mutual_information_bell(self):
-        assert mutual_information(bell_projector(), "A", QQ) == pytest.approx(2.0, abs=1e-10)
+        assert mutual_information(bell_projector()) == pytest.approx(2.0, abs=1e-10)
 
     def test_mutual_information_werner_half(self):
         # analytic: eigenvalues (1+3p)/4 and three copies of (1-p)/4 at p=1/2
         s = -(5 / 8) * np.log2(5 / 8) - 3 * (1 / 8) * np.log2(1 / 8)
-        got = mutual_information(werner4(0.5), "B", QQ)
+        got = mutual_information(werner4(0.5))
         assert got == pytest.approx(2.0 - s, abs=1e-12)
 
     def test_mutual_information_across_register_cut(self, rng):
         rho = random_density(rng, 8)
-        s_pair = vn_entropy(partial_trace(rho, ("E1", "E2")))
-        expected = vn_entropy(partial_trace(rho, "S")) + s_pair - vn_entropy(rho)
-        assert mutual_information(rho, "S") == pytest.approx(expected, abs=1e-12)
+        s_pair = vn_entropy(index_sum_trace(rho, (2, 4), 1))
+        expected = vn_entropy(index_sum_trace(rho, (2, 4), 0)) + s_pair - vn_entropy(rho)
+        assert mutual_information(rho) == pytest.approx(expected, abs=1e-12)
         stack = np.stack([rho, random_density(rng, 8)])
-        assert mutual_information(stack, "S")[0] == pytest.approx(expected, abs=1e-12)
-        with pytest.raises(ValueError):
-            mutual_information(rho, ("S", "E1", "E2"))
+        assert mutual_information(stack)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestFractionalPower:
@@ -385,5 +401,4 @@ class TestChoi:
 def test_partial_trace_kron_consistency(seed):
     rng = np.random.default_rng(seed)
     ra, rb = random_density(rng), random_density(rng, 4)
-    lay = RegisterLayout(("A", "B"), (2, 4))
-    assert np.allclose(partial_trace(kron(ra, rb), "A", lay), ra, atol=1e-14)
+    assert np.allclose(partial_trace(kron(ra, rb), (2, 4), 0), ra, atol=1e-14)

@@ -194,13 +194,13 @@ class TestJointState:
     def test_perfect_resource_teleports(self, rng):
         psi = random_ket(rng)
         st = joint_states(BLOCK_SWAP, 1.0, [1.0], projector(psi))[0]
-        out = partial_trace(st, "S")
+        out = partial_trace(st, (2, 4), 0)
         assert trace_distance(out, np.outer(psi, psi.conj())) < 1e-12
 
     def test_useless_resource_depolarizes(self, rng):
         psi = random_ket(rng)
         st = joint_states(BLOCK_SWAP, 0.0, [1.0], projector(psi))[0]
-        assert trace_distance(partial_trace(st, "S"), np.eye(2) / 2) < 1e-12
+        assert trace_distance(partial_trace(st, (2, 4), 0), np.eye(2) / 2) < 1e-12
 
 
 class TestOnePath:
@@ -221,8 +221,8 @@ class TestOnePath:
         red_s = reduced_evolution(scheme, p, ts, ops, observe="S")
         red_e2 = reduced_evolution(scheme, p, ts, ops, observe="E2")
         assert red_s.shape == red_e2.shape == (len(ts), len(ops), 2, 2)
-        assert np.allclose(red_s, partial_trace(ref, "S"), atol=1e-12)
-        assert np.allclose(red_e2, partial_trace(ref, "E2"), atol=1e-12)
+        assert np.allclose(red_s, partial_trace(ref, (2, 4), 0), atol=1e-12)
+        assert np.allclose(red_e2, partial_trace(ref, (4, 2), 1), atol=1e-12)
         # transfer matrices act on Pauli coordinates x_j = tr(sigma_j op) / 2
         coords = 0.5 * np.einsum("jab,kba->kj", PAULIS, ops)
         images = np.einsum("tij,kj,iab->tkab", system_map_stack(scheme, p, ts), coords, PAULIS)
@@ -285,7 +285,7 @@ class TestSystemMap:
         for p in (0.0, 0.7):
             w = werner(p)
             s = transfer_matrix(lambda r: np.stack(
-                [partial_trace(u2 @ kron(op, w) @ u2.conj().T, "S") for op in r]))
+                [partial_trace(u2 @ kron(op, w) @ u2.conj().T, (2, 4), 0) for op in r]))
             assert np.allclose(s, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1 / np.sqrt(2), 1.0])
@@ -298,7 +298,7 @@ class TestSystemMap:
         outs = []
         for p in (0.2, 0.9):
             rho = kron(np.outer(psi, psi.conj()), werner(p))
-            outs.append(partial_trace(u1 @ rho @ u1.conj().T, "S"))
+            outs.append(partial_trace(u1 @ rho @ u1.conj().T, (2, 4), 0))
             assert np.allclose(outs[-1], expected, atol=1e-12)
         assert np.allclose(outs[0], outs[1], atol=1e-12)  # p-independent
 
