@@ -23,6 +23,9 @@ Certificate: the grid value lies in [0, J] and 0 <= J <= I, the mutual
 information. So where I <= MUTUAL_FLOOR = 1e-12 a trajectory skips the search
 and reports classical correlations of exactly 0 and discord equal to I, off
 by at most 1e-12 (the dust convention of log_negativity's collapse to zero).
+Nor does a pure state: measuring S leaves pure conditional states, so
+J = S(rho_S) = I/2 in every basis. At p = 1 the register state
+|psi><psi| (x) |phi+><phi+| stays pure, so a trajectory reports I/2.
 
 Every measure takes a stack of states (a single state gives a float). The
 search runs SEARCH_CHUNK = 16 states at a time; each gets its value alone.
@@ -169,6 +172,7 @@ def correlation_trajectory(
     The basis search runs, as one stack, where the mutual information exceeds
     MUTUAL_FLOOR; elsewhere classical is exactly 0 and discord equals mutual,
     off by at most MUTUAL_FLOOR since 0 <= grid value <= classical <= mutual.
+    At p = 1 the register stays pure and classical = discord = mutual / 2.
     """
     psi = np.asarray(psi, dtype=complex)
     ts = grid.times()
@@ -178,7 +182,8 @@ def correlation_trajectory(
     mutual = mutual_information(states)
     classical = np.zeros(len(states))
     searched = mutual > MUTUAL_FLOOR
-    classical[searched] = classical_correlations(states[searched])
+    classical[searched] = (0.5 * mutual[searched] if p == 1
+                           else classical_correlations(states[searched]))
     # every carried sample copies the last freshly computed one
     return [
         CorrelationSample(

@@ -8,9 +8,10 @@ R_t = [[1, 0], [c_t, M_t]] of ``register.system_map_stack``.
   the trace distance between two evolved inputs, maximized over antipodal
   pure pairs. Every distance is read off the Bloch block M_t; the antipodal
   pair at ±n is at distance |M_t n| (Wißmann et al., PRA 86, 062108 (2012)).
-* RHP: integral of the momentary complete-positivity violation of the
-  intermediate map R_{t+eps} R_t^-1, obtained from the trace norm of its
-  Choi state.
+* RHP (Rivas, Huelga & Plenio, PRL 105, 050403 (2010)): integral of the
+  momentary complete-positivity violation of the time-local generator
+  L_t = dR_t/dt R_t^-1, with the exact dR_t/dt of
+  ``register.system_map_derivative_stack``.
 * LFS: summed increases of the system-ancilla mutual information starting
   from a maximally entangled pair, i.e. of the Choi states of R_t.
 
@@ -26,19 +27,19 @@ from typing import Iterable
 
 import numpy as np
 
-from .qmath import PAULIS, choi_state, mutual_information, trace_norm
-from .register import DynamicsScheme, system_map_stack
+from .qmath import PAULIS, choi_state, mutual_information
+from .register import DynamicsScheme, system_map_derivative_stack, system_map_stack
 from .sweep import TimeGrid, default_grid, two_stage_maximize
 
 INCREMENT_FLOOR = 1e-12
-# Forward step of the RHP intermediate map, and the relative singular-value
-# floor below which its base map counts as singular.
-RHP_EPS = 1e-3
+# Relative singular-value floor below which an RHP map counts as singular.
 SVD_TOL = 1e-10
 # Smallest measure value counted as genuine non-Markovianity when scanning
 # for onset thresholds. Sits well above the ~1e-12 numerical dust of the
 # integrals and below the ~1e-7..1e-6 values right at the onsets.
 THRESHOLD_CUTOFF = 1e-7
+# Projector onto the complement of |Phi><Phi|, the Choi state of the identity map.
+_Q_PHI = np.eye(4) - choi_state(np.eye(4))
 
 
 @dataclass
@@ -182,22 +183,22 @@ def blp_measure(
     return report
 
 
-def _g_curve(scheme, p, ts, eps):
-    """Momentary CP-violation rate of the intermediate map from t to t + eps.
+def _g_curve(scheme, p, ts):
+    """Momentary CP-violation rate g(t) of the time-local generator L_t = dR_t/dt R_t^-1.
 
-    A sample whose base map is singular (largest singular value <= 0, or
-    smallest below ``SVD_TOL`` times the largest) is not inverted: it gets rate 0
-    and is counted in the returned number of singular samples.
+    g = lim_{eps -> 0} (|Choi(1 + eps L_t)|_1 - 1) / eps. As tr Choi(L_t) = 0,
+    that is twice the summed magnitude of the negative eigenvalues of
+    Q Choi(L_t) Q with Q = 1 - |Phi><Phi|. A singular map (largest singular
+    value <= 0, or smallest below ``SVD_TOL`` times the largest) is not
+    inverted: it gets rate 0 and is counted in the returned singular samples.
     """
-    base = np.minimum(ts, ts[-1] - eps)
-    s_base = system_map_stack(scheme, p, base)
-    s_fwd = system_map_stack(scheme, p, base + eps)
-    u, sig, vh = np.linalg.svd(s_base)
+    u, sig, vh = np.linalg.svd(system_map_stack(scheme, p, ts))
     singular = (sig[:, 0] <= 0.0) | (sig[:, -1] < SVD_TOL * sig[:, 0])
     sig = np.where(singular[:, None], 1.0, sig)
     inv = (vh.transpose(0, 2, 1) / sig[:, None, :]) @ u.transpose(0, 2, 1)
-    f_ncp = trace_norm(choi_state(s_fwd @ inv))
-    g = np.where(singular, 0.0, np.maximum(0.0, (f_ncp - 1.0) / eps))
+    gen = system_map_derivative_stack(scheme, p, ts) @ inv
+    mu = np.linalg.eigvalsh(_Q_PHI @ choi_state(gen) @ _Q_PHI)
+    g = np.where(singular, 0.0, 2.0 * np.maximum(0.0, -mu).sum(-1))
     return g, int(singular.sum())
 
 
@@ -208,39 +209,28 @@ def rhp_measure(
 ) -> MeasureReport:
     """RHP measure: trapezoidal integral of g(t) over the scheme's domain.
 
-    g(t) is the momentary complete-positivity violation of the intermediate
-    map between t and t + RHP_EPS. A sample whose base map has any singular
-    value below ``SVD_TOL`` times the largest contributes 0 and is counted in
-    the ``singular_samples`` diagnostic. The forward step at the right end of
-    the domain is taken from t1 - RHP_EPS so every sample stays inside the
-    domain. A control run at RHP_EPS/2 is recorded in the diagnostics together
-    with half the value, which lower bounds the robustness of non-Markovianity.
+    g(t) is the momentary complete-positivity violation of the time-local
+    generator, read off the exact derivative of the reduced map. A sample
+    whose map has any singular value below ``SVD_TOL`` times the largest
+    contributes 0 and is counted in the ``singular_samples`` diagnostic. Half
+    the value lower bounds the robustness of non-Markovianity.
     """
     if grid is None:
         grid = default_grid(scheme)
     ts = grid.times()
-    g, singular = _g_curve(scheme, p, ts, RHP_EPS)
-    dt = ts[1] - ts[0]
-    contribs = 0.5 * (g[:-1] + g[1:]) * dt
+    g, singular = _g_curve(scheme, p, ts)
+    contribs = 0.5 * (g[:-1] + g[1:]) * (ts[1] - ts[0])
     intervals = [
         ((float(ts[k]), float(ts[k + 1])), float(c))
         for k, c in enumerate(contribs)
         if c > INCREMENT_FLOOR
     ]
     value = float(sum(c for _, c in intervals))
-    g_half, _ = _g_curve(scheme, p, ts, RHP_EPS / 2.0)
-    value_half = float(np.clip(0.5 * (g_half[:-1] + g_half[1:]) * dt, 0.0, None).sum())
-    denom = max(abs(value), abs(value_half))
-    rel = abs(value - value_half) / denom if denom > 0 else 0.0
     return MeasureReport(
         value=value, p=p, scheme=scheme, grid=grid, increments=intervals,
         diagnostics={
-            "eps": RHP_EPS,
             "svd_tol": SVD_TOL,
             "singular_samples": singular,
-            "value_half_eps": value_half,
-            "richardson_rel_diff": rel,
-            "richardson_ok": bool(rel < 0.05 or max(abs(value), abs(value_half)) < 1e-9),
             "robustness_lower_bound": value / 2.0,
         },
     )

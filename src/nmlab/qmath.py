@@ -144,6 +144,11 @@ class FractionalUnitary:
         self._phases = phases
         self.dim = u.shape[0]
 
+    @property
+    def generator(self) -> np.ndarray:
+        """Hermitian H = Z diag(phases) Z^dagger, so that d(U^t)/dt = i H U^t."""
+        return (self._basis * self._phases) @ self._basis.conj().T
+
     def at_many(self, ts: np.ndarray) -> np.ndarray:
         """Stacked powers, shape (len(ts), d, d)."""
         ts = np.asarray(ts, dtype=float)

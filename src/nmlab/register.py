@@ -258,16 +258,45 @@ def reduced_evolution(
     return partial_trace(joint_states(scheme, p, ts, initial_ops), *cuts[observe])
 
 
+def _transfer(images: np.ndarray) -> np.ndarray:
+    """Read-only real transfer matrices (t, i, j) of the images (t, j, 2, 2) of the Paulis."""
+    r = 0.5 * np.einsum("iab,tjba->tij", PAULIS, images).real
+    r.flags.writeable = False
+    return r
+
+
 @lru_cache(maxsize=32)
 def _transfer_endpoints(scheme: DynamicsScheme, observe: str, ts: tuple[float, ...]):
-    """Read-only transfer-matrix stacks at p = 0 and p = 1 on the times `ts`."""
-    ends = []
-    for p in (0.0, 1.0):
-        images = reduced_evolution(scheme, p, np.array(ts), PAULIS, observe)
-        r = 0.5 * np.einsum("iab,tjba->tij", PAULIS, images).real
-        r.flags.writeable = False
-        ends.append(r)
-    return tuple(ends)
+    """Transfer-matrix stacks at p = 0 and p = 1 on the times `ts`."""
+    return tuple(_transfer(reduced_evolution(scheme, p, np.array(ts), PAULIS, observe))
+                 for p in (0.0, 1.0))
+
+
+@lru_cache(maxsize=32)
+def _derivative_endpoints(scheme: DynamicsScheme, ts: tuple[float, ...]):
+    """Time derivatives of the S transfer-matrix stacks at p = 0 and p = 1.
+
+    With dU/dt = i H U, each evolved operator rho moves as i[H, rho], and so
+    does its partial trace onto S. Gate by gate, H generates the running gate:
+    the next one at a gate boundary (the right derivative), the last one at
+    the domain end.
+    """
+    times = np.array(ts)
+    if scheme.interpolation is Interpolation.BLOCK_LOG:
+        h = _block_fractional(scheme.variant).generator[None, None]
+    else:
+        gens = np.stack([f.generator for f in _gate_interpolator(scheme.variant)[0]])
+        h = gens[np.clip(np.floor(times + 1e-12).astype(int), 0, len(gens) - 1), None]
+    rhos = (joint_states(scheme, p, times, PAULIS) for p in (0.0, 1.0))
+    return tuple(_transfer(partial_trace(1j * (h @ rho - rho @ h), (2, 4), 0)) for rho in rhos)
+
+
+def _affine_in_p(endpoints, p: float, *key) -> np.ndarray:
+    """New array E(0) + p (E(1) - E(0)) of the cached pair `endpoints(*key)`, key times last."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
+    e0, e1 = endpoints(*key[:-1], tuple(np.asarray(key[-1], dtype=float).tolist()))
+    return e0 + p * (e1 - e0)
 
 
 def system_map_stack(
@@ -281,7 +310,10 @@ def system_map_stack(
     The result is a new array, R_t(0) + p (R_t(1) - R_t(0)) of the cached
     endpoints.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
-    r0, r1 = _transfer_endpoints(scheme, observe, tuple(np.asarray(ts, dtype=float).tolist()))
-    return r0 + p * (r1 - r0)
+    return _affine_in_p(_transfer_endpoints, p, scheme, observe, ts)
+
+
+def system_map_derivative_stack(scheme: DynamicsScheme, p: float, ts: np.ndarray) -> np.ndarray:
+    """Exact time derivatives dR_t/dt of the S maps of `system_map_stack`, cached apart
+    from them; a gate boundary takes the right derivative, the domain end the left one."""
+    return _affine_in_p(_derivative_endpoints, p, scheme, ts)

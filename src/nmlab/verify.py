@@ -388,6 +388,19 @@ def check_determinism(cfg: RunConfig) -> CheckResult:
                        f"identical={identical}", "exact", bool(identical))
 
 
+def check_implementation_dependence() -> CheckResult:
+    # the paper's claim: one channel end to end, yet the back-flow depends on how it is driven
+    end_dev = float(np.max(np.abs(_end_map(BLOCK_SWAP, 0.6) - _end_map(GATES_SWAP, 0.6))))
+    (b0, b6), (g0, g6) = ([blp_measure(s, p).value for p in (0.0, 0.6)]
+                          for s in (BLOCK_SWAP, GATES_SWAP))
+    passed = end_dev <= 1e-10 and g6 >= 100.0 * b6 and g0 > 0.05 and b0 <= THRESHOLD_CUTOFF
+    return CheckResult(
+        "13 implementation dependence",
+        "equal end maps at p=0.6, N_BLP gates >= 100x block there; at p=0 gates > 0.05, block off",
+        f"end-map deviation {end_dev:.1e}; N_BLP gates/block {g6:.4f}/{b6:.1e} at p=0.6, "
+        f"{g0:.4f}/{b0:.1e} at p=0", f"1e-10; 100x; 0.05; {THRESHOLD_CUTOFF:g}", bool(passed))
+
+
 def run_all(cfg: RunConfig | None = None) -> tuple[list[CheckResult], float]:
     """Execute every acceptance check; the sweep feeding 5 and 10 runs once.
 
@@ -415,6 +428,7 @@ def run_all(cfg: RunConfig | None = None) -> tuple[list[CheckResult], float]:
         (check_blp_antipodal_optimality,),
         (check_grid_doubling, cfg),
         (check_determinism, cfg),
+        (check_implementation_dependence,),
     ]
     results = []
     for check, *args in checks:

@@ -89,6 +89,10 @@ def test_criterion_12_determinism():
     _run(verify.check_determinism(CFG))
 
 
+def test_criterion_13_implementation_dependence():
+    _run(verify.check_implementation_dependence())
+
+
 def test_nonmarkovian_region_is_an_upset(sweep):
     # once a measure turns on it stays on as p grows
     for name in ("blp", "rhp", "lfs"):

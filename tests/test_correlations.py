@@ -216,6 +216,25 @@ class TestMutualCertificate:
         assert all(s.classical == 0.0 and s.discord == s.mutual for s in quiet)
 
 
+    @pytest.mark.parametrize("fig", sorted(TINY_FIGURES))
+    def test_pure_rows_skip_the_search(self, fig, monkeypatch):
+        # at p = 1 every measurement of S leaves pure conditional states
+        scheme, psi, grid = TINY_FIGURES[fig]
+
+        def forbidden(rho, *args, **kwargs):
+            raise AssertionError("p = 1 row was searched")
+
+        monkeypatch.setattr(correlations, "classical_correlations", forbidden)
+        traj = correlation_trajectory(scheme, psi, 1.0, grid)
+        monkeypatch.undo()
+        states = joint_states(scheme, 1.0, grid.times(), np.outer(psi, psi.conj()))
+        direct = classical_correlations(states)
+        assert max(s.mutual for s in traj) > 0.5
+        for s, c in zip(traj, direct):
+            assert s.classical == pytest.approx(c, abs=1e-12)
+            assert s.discord == pytest.approx(s.mutual - c, abs=1e-12)
+
+
 class TestDiscord:
     def test_product_state(self, rng):
         rho = kron(random_density(rng), random_density(rng))
@@ -318,15 +337,16 @@ class TestSegmentCarry:
             assert s.classical == pytest.approx(classical_correlations(state), abs=1e-12)
             uncorrelated.append(mutual <= correlations.MUTUAL_FLOOR)
         # gate i runs over i-1 < t <= i; a sample is searched unless the
-        # sample before it lies in the same environment-local segment, or
-        # its mutual information certifies zero classical correlations
+        # sample before it lies in the same environment-local segment, its
+        # mutual information certifies zero classical correlations, or the
+        # register is pure (p = 1)
         gate = [math.ceil(t) for t in grid.times()]
         carried = [
             k > 0 and gate[k] == gate[k - 1] and gate[k] in ENV_LOCAL_GATES[scheme]
             for k in range(len(gate))
         ]
         assert sum(carried) == 3 * len(ENV_LOCAL_GATES[scheme])
-        searched = [not c and not u for c, u in zip(carried, uncorrelated)]
+        searched = [not c and not u and p < 1 for c, u in zip(carried, uncorrelated)]
         assert len(searches) == sum(searched)
 
     @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC, BLOCK_SWAP],

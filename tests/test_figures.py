@@ -330,7 +330,7 @@ class TestCli:
         cli.main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
         report = json.loads((tmp_path / "verify_report.json").read_text())
         durations = [c["duration_s"] for c in report["checks"]] + [report["sweep_duration_s"]]
-        assert len(durations) == 17
+        assert len(durations) == 18
         assert all(isinstance(d, float) and d >= 0.0 for d in durations)
         assert "duration" not in capsys.readouterr().out
 

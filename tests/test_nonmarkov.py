@@ -3,7 +3,6 @@ import pytest
 
 from nmlab import nonmarkov, register
 from nmlab.nonmarkov import (
-    RHP_EPS,
     THRESHOLD_CUTOFF,
     _g_curve,
     blp_measure,
@@ -13,14 +12,16 @@ from nmlab.nonmarkov import (
     pair_distance_curve,
     rhp_measure,
 )
-from nmlab.qmath import trace_distance
+from nmlab.qmath import choi_state, trace_distance, trace_norm
 from nmlab.register import (
     BLOCK_SWAP,
     GATES_BBC,
     GATES_SWAP,
     KET0,
     KET1,
+    joint_states,
     reduced_evolution,
+    system_map_derivative_stack,
     system_map_stack,
 )
 from nmlab.sweep import TimeGrid, default_grid
@@ -28,20 +29,30 @@ from nmlab.sweep import TimeGrid, default_grid
 from conftest import random_ket
 
 # reference values computed with an independent direct-simulation script
-# (spectral interpolation of the exact 8x8 circuit unitary, 201-point grid)
+# (spectral interpolation of the exact 8x8 circuit unitary, 201-point grid);
+# the RHP rates are second-order Richardson limits of finite-eps rates
+# (eps = 1e-3, 5e-4, 2.5e-4; 2e-4 and below at p = 0.8)
 BLP_BLOCK_P1 = 0.0774110156779
-RHP_BLOCK_P1 = 0.0826448
+RHP_BLOCK_P1 = 0.0826341
 LFS_BLOCK_P1 = 0.273398
-RHP_G_P1_T05 = 0.0308954531403
+RHP_G_P1_T05 = 0.0305270733
 BLP_BLOCK_P08 = 0.0159989
-RHP_BLOCK_P08 = 0.0210701
+RHP_BLOCK_P08 = 0.0210657
 LFS_BLOCK_P08 = 0.0102555
+# Pauli-transfer matrix of the transpose map: it flips only the Y coordinate
+TRANSPOSE = np.diag([1.0, 1.0, -1.0, 1.0])
 
 
 def rate_at(p, t):
-    """RHP rate g(t) of the block dynamics; the grid end 1.0 only bounds the step."""
-    g, _ = _g_curve(BLOCK_SWAP, p, np.array([t, 1.0]), RHP_EPS)
+    """RHP rate g(t) of the block dynamics."""
+    g, _ = _g_curve(BLOCK_SWAP, p, np.array([t]))
     return g[0]
+
+
+def finite_eps_rate(p, t, eps):
+    """(|Choi(R_{t+eps} R_t^-1)|_1 - 1) / eps of the block dynamics."""
+    base, fwd = system_map_stack(BLOCK_SWAP, p, np.array([t, t + eps]))
+    return (trace_norm(choi_state(fwd @ np.linalg.inv(base))) - 1.0) / eps
 
 
 def report_is_consistent(report):
@@ -196,7 +207,6 @@ class TestRhp:
     def test_perfect_resource_value(self):
         report = rhp_measure(BLOCK_SWAP, 1.0)
         assert report.value == pytest.approx(RHP_BLOCK_P1, abs=1e-5)
-        assert report.diagnostics["richardson_ok"]
         assert report.diagnostics["robustness_lower_bound"] == pytest.approx(
             report.value / 2
         )
@@ -205,23 +215,67 @@ class TestRhp:
     def test_richardson_control(self):
         report = rhp_measure(BLOCK_SWAP, 0.8)
         assert report.value == pytest.approx(RHP_BLOCK_P08, abs=1e-5)
-        assert report.diagnostics["richardson_rel_diff"] < 0.05
+
+    def test_rate_is_the_zero_step_limit(self):
+        # second-order Richardson extrapolation of the finite-eps rates
+        g1, g2, g4 = (finite_eps_rate(1.0, 0.5, eps) for eps in (1e-3, 5e-4, 2.5e-4))
+        limit = (4.0 * (2.0 * g4 - g2) - (2.0 * g2 - g1)) / 3.0
+        assert abs(rate_at(1.0, 0.5) - limit) <= 1e-8
+
+    @pytest.mark.parametrize("scheme, p", [(BLOCK_SWAP, 0.45), (BLOCK_SWAP, 1.0),
+                                           (GATES_SWAP, 0.6), (GATES_BBC, 0.3)],
+                             ids=["block-045", "block-1", "gates-swap", "gates-bbc"])
+    def test_generator_choi_is_traceless(self, scheme, p):
+        ts = np.linspace(*scheme.time_domain, 161)
+        maps = system_map_stack(scheme, p, ts)
+        invertible = np.linalg.cond(maps) < 1e8  # gate dynamics hit singular maps
+        gen = system_map_derivative_stack(scheme, p, ts)[invertible] @ np.linalg.inv(
+            maps[invertible])
+        trace = np.trace(choi_state(gen), axis1=-2, axis2=-1)
+        assert invertible.sum() >= 8
+        assert np.max(np.abs(trace)) <= 1e-12
+
+    def test_new_grid_evolves_four_times(self, monkeypatch):
+        # p = 0 and p = 1 for the maps and again for their derivatives
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return joint_states(*args, **kwargs)
+
+        monkeypatch.setattr(register, "joint_states", counting)
+        register._transfer_endpoints.cache_clear()
+        register._derivative_endpoints.cache_clear()
+        grid = TimeGrid(0.0, 1.0, 37)
+        rhp_measure(BLOCK_SWAP, 0.7, grid)
+        rhp_measure(BLOCK_SWAP, 0.2, grid)
+        assert calls == [0.0, 1.0, 0.0, 1.0]
+
+    def test_blp_and_lfs_never_build_the_derivative(self):
+        register._derivative_endpoints.cache_clear()
+        grid = TimeGrid(0.0, 8.0, 41)
+        blp_measure(GATES_SWAP, 0.5, grid)
+        lfs_measure(GATES_SWAP, 0.5, grid)
+        pair_distance_curve(KET0, KET1, GATES_SWAP, 0.5, grid.times())
+        assert register._derivative_endpoints.cache_info().currsize == 0
 
     @staticmethod
-    def _g_from(monkeypatch, base, fwd, eps=1e-3):
-        """Run the batched rate on given base and forward map stacks."""
-        stacks = [np.asarray(base, dtype=float), np.asarray(fwd, dtype=float)]
-        monkeypatch.setattr(nonmarkov, "system_map_stack", lambda *args: stacks.pop(0))
-        return _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(base)), eps)
+    def _g_from(monkeypatch, maps, derivatives):
+        """Run the batched rate on given map and map-derivative stacks."""
+        monkeypatch.setattr(nonmarkov, "system_map_stack",
+                            lambda *args: np.asarray(maps, dtype=float))
+        monkeypatch.setattr(nonmarkov, "system_map_derivative_stack",
+                            lambda *args: np.asarray(derivatives, dtype=float))
+        return _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(maps)))
 
     def test_singular_base_contributes_zero(self, monkeypatch):
         # the p=0 map is exactly singular at t=1 (full depolarization); such
-        # a base map yields no sample instead of a regularized blow-up
+        # a map yields no sample instead of a regularized blow-up
         report = rhp_measure(BLOCK_SWAP, 0.0)
         assert report.value <= 1e-9
-        assert report.diagnostics["singular_samples"] == 0
+        assert report.diagnostics["singular_samples"] == 1
         mats = system_map_stack(BLOCK_SWAP, 0.0, np.array([1.0, 0.5]))
-        g, singular = self._g_from(monkeypatch, mats, mats[::-1])
+        g, singular = self._g_from(monkeypatch, mats, (TRANSPOSE - np.eye(4)) @ mats)
         assert singular == 1
         assert g[0] == 0.0
         assert np.isfinite(g[1])
@@ -234,13 +288,12 @@ class TestRhp:
         (np.diag([1.0, 1.0, 1.0, 0.0]), True),
     ], ids=["identity", "scaled", "dynamics", "zero", "rank_deficient"])
     def test_base_map_inverse(self, monkeypatch, base, singular):
-        # forward map = transpose after base: an exact inverse of the base
-        # leaves the transpose map, whose Choi state has trace norm 2; the
-        # transpose flips only the sign of the Y coordinate
-        transpose = np.diag([1.0, 1.0, -1.0, 1.0])
-        g, count = self._g_from(monkeypatch, [base], [transpose @ base], eps=1e-3)
+        # derivative (T - I) R of the map R: an exact inverse of R leaves the
+        # generator T - I of the transpose T, whose Choi state has one negative
+        # eigenvalue -1/2 off |Phi><Phi|, so the rate is 1
+        g, count = self._g_from(monkeypatch, [base], [(TRANSPOSE - np.eye(4)) @ base])
         assert count == int(singular)
-        assert g[0] == (0.0 if singular else pytest.approx(1e3, rel=1e-9))
+        assert g[0] == (0.0 if singular else pytest.approx(1.0, rel=1e-9))
 
 
 class TestLfs:

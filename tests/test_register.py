@@ -27,6 +27,7 @@ from nmlab.register import (
     joint_states,
     propagator_stack,
     reduced_evolution,
+    system_map_derivative_stack,
     system_map_stack,
     werner,
 )
@@ -267,6 +268,36 @@ class TestOnePath:
         assert np.array_equal(system_map_stack(BLOCK_SWAP, 0.4, ts), before)
         for end in register._transfer_endpoints(BLOCK_SWAP, "S", tuple(ts.tolist())):
             assert not end.flags.writeable
+
+
+class TestMapDerivative:
+    """The exact derivative of R_t against finite differences of `system_map_stack`."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("scheme", [BLOCK_SWAP, GATES_SWAP, GATES_BBC],
+                             ids=["block", "gates-swap", "gates-bbc"])
+    def test_interior_times_match_central_difference(self, scheme, p, rng):
+        lo, hi = scheme.time_domain
+        # at least 0.01 away from every gate boundary
+        ts = np.floor(rng.uniform(lo, hi, size=7)) + rng.uniform(0.01, 0.99, size=7)
+        h = 1e-5
+        fd = (system_map_stack(scheme, p, ts + h) - system_map_stack(scheme, p, ts - h)) / (2 * h)
+        assert np.max(np.abs(system_map_derivative_stack(scheme, p, ts) - fd)) <= 1e-8
+
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC], ids=["swap", "bbc"])
+    def test_gate_boundaries_take_the_one_sided_derivative(self, scheme, p):
+        h = 1e-6
+        starts = np.arange(scheme.time_domain[1])  # t = 0 .. n-1: the next gate
+        fwd = (system_map_stack(scheme, p, starts + h) - system_map_stack(scheme, p, starts)) / h
+        assert np.max(np.abs(system_map_derivative_stack(scheme, p, starts) - fwd)) <= 1e-5
+        end = np.array([scheme.time_domain[1]])  # the domain end: the last gate
+        bwd = (system_map_stack(scheme, p, end) - system_map_stack(scheme, p, end - h)) / h
+        assert np.max(np.abs(system_map_derivative_stack(scheme, p, end) - bwd)) <= 1e-5
+
+    def test_resource_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="Werner parameter"):
+            system_map_derivative_stack(BLOCK_SWAP, 1.5, [0.5])
 
 
 class TestSystemMap:
