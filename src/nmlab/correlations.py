@@ -27,6 +27,31 @@ Nor does a pure state: measuring S leaves pure conditional states, so
 J = S(rho_S) = I/2 in every basis. At p = 1 the register state
 |psi><psi| (x) |phi+><phi+| stays pure, so a trajectory reports I/2.
 
+Pruning certificate of the coarse grid. Measuring S along n leaves
+sigma+-(n) = (rho_K +- n.T) / 2 with p+- = tr sigma+-, and
+J(n) = S(rho_K) - sum_{p+- > PROB_FLOOR} p+- S(sigma+- / p+-). The von Neumann
+entropy is at least the Renyi-2 entropy S_2 = -log2(tr sigma^2 / p^2), and
+S_2 <= S <= log2 d, so J(n) <= B(n) = S(rho_K) - sum p+- clip(S_2, 0, log2 d).
+B needs tr sigma^2, the squared Frobenius norm of the conditional state, and no
+eigensolve. (The expansion (tr rho_K^2 +- 2 n.a + n.G.n) / 4 is exact too, but
+its O(1) terms cancel to ~1e-16, which swamps tr sigma^2 ~ p^2 below p ~ 1e-7.)
+Per row, the SEEDS = 8 candidates of largest B are eigensolved and their best
+J is L; then every candidate with B >= L - BOUND_MARGIN is eigensolved and the
+rest score -inf. A pruned candidate has J <= B + BOUND_MARGIN < L, below the
+row maximum, so it is never the winner nor tied with it, and the coarse
+winner, its value and the refinement are those of the full grid bit for bit.
+
+BOUND_MARGIN = 1e-9 covers how the computed J may exceed B. J and B read the
+same computed sigma and p, so the Renyi inequality holds for them up to
+rounding. The EIG_CLAMP truncation of spectrum_entropy drops eigenvalues
+mu <= 1e-12 of sigma / p, each worth -mu log2 mu <= 1e-12 log2(1e12) < 4e-11
+bits: at most 4 eigenvalues x 2 outcomes x 4e-11 = 3.2e-10. Rounding (the
+eigensolver's backward error, sigma's trace against p, eigenvalues a rounding
+below zero) adds ~1e-14 at unit probability; near PROB_FLOOR, where the
+purity ratio is noise, the clip and the weight p keep it below
+2 p log2 d ~ 4e-11. The sum stays below 4e-10, 2.5 times inside the margin;
+on the stress states of the tests J exceeds B by at most 2.4e-12.
+
 Every measure takes a stack of states (a single state gives a float). The
 search runs SEARCH_CHUNK = 16 states at a time; each gets its value alone.
 """
@@ -55,6 +80,10 @@ PROB_FLOOR = 1e-12
 MUTUAL_FLOOR = 1e-12
 # States per stacked basis search; bounds the candidate arrays, not the values.
 SEARCH_CHUNK = 16
+# Coarse candidates per state eigensolved first, by largest entropy bound.
+SEEDS = 8
+# Slack of the entropy bound against the computed J (derived in the module docstring).
+BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,24 +122,75 @@ def _bloch_blocks(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 
-def _j_values(blocks: np.ndarray, s_a: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """Extracted information of state i along the directions of angle row i.
+def _directions(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """Unit vectors (..., 3) of the measurement angles."""
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
-    `blocks` stacks `_bloch_blocks` of m states, `s_a` the entropies of their
-    rho_K. Outcome probabilities below PROB_FLOOR contribute zero.
+
+def _conditionals(blocks: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional states (m, k, 2, d, d) of state i along n[i] (m, k, 3), and their probabilities.
+
+    Outcome +- of measuring S along n leaves the kept side in the unnormalized
+    state (rho_K +- n.T) / 2, of trace (1 +- n.r) / 2.
     """
-    n = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
     m, _, d, _ = blocks.shape
     sign = np.array([1.0, -1.0])
     n_t = (n @ blocks[:, 1:].reshape(m, 3, d * d)).reshape(m, -1, 1, d, d)
     cond = 0.5 * (blocks[:, None, None, 0] + sign[:, None, None] * n_t)
     r = np.trace(blocks[:, 1:], axis1=-2, axis2=-1).real
-    probs = 0.5 * (1.0 + (n @ r[:, :, None]) * sign)
+    return cond, 0.5 * (1.0 + (n @ r[:, :, None]) * sign)
+
+
+def _conditional_entropy(cond: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Sum over outcomes of p S(sigma / p); outcomes at or below PROB_FLOOR contribute zero."""
     lam = np.linalg.eigvalsh(cond)
     p_safe = np.where(probs > PROB_FLOOR, probs, 1.0)
-    mu = lam / p_safe[..., None]
-    branch = np.where(probs > PROB_FLOOR, probs * spectrum_entropy(mu), 0.0)
-    return s_a[:, None] - branch.sum(axis=-1)
+    branch = np.where(probs > PROB_FLOOR, probs * spectrum_entropy(lam / p_safe[..., None]), 0.0)
+    return branch.sum(axis=-1)
+
+
+def _j_values(blocks: np.ndarray, s_a: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """Extracted information of state i along the directions of angle row i.
+
+    `blocks` stacks `_bloch_blocks` of m states, `s_a` the entropies of their
+    rho_K.
+    """
+    return s_a[:, None] - _conditional_entropy(*_conditionals(blocks, _directions(th, ph)))
+
+
+def _entropy_bound(s_a: np.ndarray, cond: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The Renyi-2 bound B >= J - BOUND_MARGIN of the module docstring, without an eigensolve.
+
+    `cond` and `probs` come from `_conditionals`; tr sigma^2 is the squared
+    Frobenius norm of the conditional state.
+    """
+    purity = (cond.real**2 + cond.imag**2).sum(axis=(-2, -1))
+    p_safe = np.where(probs > PROB_FLOOR, probs, 1.0)
+    renyi = -np.log2(np.clip(purity / p_safe**2, 1.0 / cond.shape[-1], 1.0))
+    return s_a[:, None] - np.where(probs > PROB_FLOOR, probs * renyi, 0.0).sum(axis=-1)
+
+
+def _pruned_j_values(blocks: np.ndarray, s_a: np.ndarray, th: np.ndarray,
+                     ph: np.ndarray) -> np.ndarray:
+    """`_j_values` where a candidate can reach its row's maximum, -inf elsewhere.
+
+    The SEEDS candidates of largest bound (earliest first among equals) are
+    eigensolved first; their best value L rules out every candidate whose
+    bound lies below L - BOUND_MARGIN, and the rest are eigensolved.
+    """
+    cond, probs = _conditionals(blocks, _directions(th, ph))
+    bound = _entropy_bound(s_a, cond, probs)
+    values = np.full(bound.shape, -np.inf)
+    seeds = np.zeros(bound.shape, dtype=bool)
+    np.put_along_axis(seeds, np.argsort(-bound, axis=1, kind="stable")[:, :SEEDS], True, axis=1)
+
+    def score(picked):
+        i, k = np.nonzero(picked)
+        values[i, k] = s_a[i] - _conditional_entropy(cond[i, k], probs[i, k])
+
+    score(seeds)
+    score(~seeds & (bound >= values.max(axis=1, keepdims=True) - BOUND_MARGIN))
+    return values
 
 
 def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
@@ -118,8 +198,9 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
 
     The deterministic two-stage angle grid searches the measurement bases
     (basis pairs are unordered, so theta in [0, pi/2] suffices), so the
-    result is a lower bound by construction. `rho` may be a stack of states
-    of dimension 2d, d >= 2.
+    result is a lower bound by construction. Coarse candidates that the
+    entropy bound proves below the maximum are never eigensolved. `rho` may
+    be a stack of states of dimension 2d, d >= 2.
     """
     blocks = _bloch_blocks(rho)
     flat = blocks.reshape((-1,) + blocks.shape[-3:])
@@ -128,7 +209,8 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     for lo in range(0, len(flat), SEARCH_CHUNK):
         b, s = flat[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK]
         value[lo:lo + len(b)] = two_stage_maximize(
-            lambda th, ph: _j_values(b, s, th, ph), len(b)).value
+            lambda th, ph: _j_values(b, s, th, ph), len(b),
+            coarse_batch=lambda th, ph: _pruned_j_values(b, s, th, ph)).value
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 
 

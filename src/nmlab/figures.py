@@ -22,7 +22,6 @@ import hashlib
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,6 +138,8 @@ def _pmap(fn, items, workers: int):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # ~30 ms, paid only by a pool
+
     # the fork start method launches every worker up front, wanted or not
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as ex:
         return list(ex.map(fn, items))

@@ -72,21 +72,26 @@ class SearchResult:
 def two_stage_maximize(
     f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rows: int = 1,
+    coarse_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> SearchResult:
     """Maximize ``rows`` independent objectives over [0, THETA_MAX] x [0, 2 pi).
 
     ``f_batch(thetas, phis)`` scores (rows, k) angle arrays, row i for objective
-    i. Each refinement round halves the steps around each row's incumbent, and
-    ties resolve to the earliest grid point of the row, so the search is
-    deterministic. The result has one entry per row; `evaluations` sums them.
+    i. ``coarse_batch``, if given, scores the coarse grid instead; it may leave
+    at -inf a candidate it proves to lie below its row's maximum. Each
+    refinement round halves the steps around each row's incumbent, and ties
+    resolve to the earliest grid point of the row, so the search is
+    deterministic. The result has one entry per row; `evaluations` counts the
+    candidates scored, summed over the rows.
     """
     thetas = np.repeat(np.linspace(0.0, THETA_MAX, COARSE_THETA), COARSE_PHI)
     phis = np.tile(np.linspace(0.0, 2.0 * np.pi, COARSE_PHI, endpoint=False), COARSE_THETA)
-    values = np.asarray(f_batch(np.tile(thetas, (rows, 1)), np.tile(phis, (rows, 1))), float)
+    values = np.asarray((coarse_batch or f_batch)(np.tile(thetas, (rows, 1)),
+                                                  np.tile(phis, (rows, 1))), float)
     at = np.arange(rows)
     k = np.argmax(values, axis=1)
     best, b_theta, b_phi = values.max(axis=1), thetas[k], phis[k]
-    evaluations = values.size
+    evaluations = int(np.isfinite(values).sum())
 
     d_theta = THETA_MAX / (COARSE_THETA - 1)
     d_phi = 2.0 * np.pi / COARSE_PHI

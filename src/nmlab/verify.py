@@ -19,6 +19,7 @@ from .correlations import classical_correlations, log_negativity
 from .figures import RunConfig, _fig2_cell, _pmap, p_grid, run_figure
 from .nonmarkov import (
     THRESHOLD_CUTOFF,
+    MeasureReport,
     _bloch_vector,
     blp_measure,
     blp_pair_gain,
@@ -202,8 +203,8 @@ def check_thresholds(sweep: dict[str, np.ndarray]) -> CheckResult:
     )
 
 
-def check_gate_backflow() -> CheckResult:
-    report = blp_measure(GATES_SWAP, 0.0)
+def check_gate_backflow(report: MeasureReport) -> CheckResult:
+    """`report` is blp_measure(GATES_SWAP, 0.0) on the default grid."""
     ts = report.grid.times()
     d = pair_distance_curve(KET0, KET1, GATES_SWAP, 0.0, ts)
     early_dev = float(np.max(np.abs(d[ts <= 5.0 + 1e-12] - 1.0)))
@@ -388,11 +389,12 @@ def check_determinism(cfg: RunConfig) -> CheckResult:
                        f"identical={identical}", "exact", bool(identical))
 
 
-def check_implementation_dependence() -> CheckResult:
+def check_implementation_dependence(gates_report: MeasureReport) -> CheckResult:
+    """`gates_report` is blp_measure(GATES_SWAP, 0.0) on the default grid."""
     # the paper's claim: one channel end to end, yet the back-flow depends on how it is driven
     end_dev = float(np.max(np.abs(_end_map(BLOCK_SWAP, 0.6) - _end_map(GATES_SWAP, 0.6))))
-    (b0, b6), (g0, g6) = ([blp_measure(s, p).value for p in (0.0, 0.6)]
-                          for s in (BLOCK_SWAP, GATES_SWAP))
+    b0, b6 = (blp_measure(BLOCK_SWAP, p).value for p in (0.0, 0.6))
+    g0, g6 = gates_report.value, blp_measure(GATES_SWAP, 0.6).value
     passed = end_dev <= 1e-10 and g6 >= 100.0 * b6 and g0 > 0.05 and b0 <= THRESHOLD_CUTOFF
     return CheckResult(
         "13 implementation dependence",
@@ -402,14 +404,17 @@ def check_implementation_dependence() -> CheckResult:
 
 
 def run_all(cfg: RunConfig | None = None) -> tuple[list[CheckResult], float]:
-    """Execute every acceptance check; the sweep feeding 5 and 10 runs once.
+    """Execute every acceptance check; their shared inputs are built once.
 
-    Each result carries its own wall time; the sweep's is returned beside them.
+    The sweep feeds checks 5 and 10, the gates BLP report at p = 0 checks 6
+    and 13. Each result carries its own wall time; the shared inputs' is
+    returned beside them.
     """
     if cfg is None:
         cfg = RunConfig()
     t0 = perf_counter()
     sweep = block_measure_sweep(cfg)
+    gates_report = blp_measure(GATES_SWAP, 0.0)
     sweep_s = perf_counter() - t0
     checks = [
         (check_channel_identity,),
@@ -417,7 +422,7 @@ def run_all(cfg: RunConfig | None = None) -> tuple[list[CheckResult], float]:
         (check_table1,),
         (check_closed_form_distances,),
         (check_thresholds, sweep),
-        (check_gate_backflow,),
+        (check_gate_backflow, gates_report),
         (check_bbc_e2_law,),
         (check_werner_boundary,),
         (check_end_correlations,),
@@ -428,7 +433,7 @@ def run_all(cfg: RunConfig | None = None) -> tuple[list[CheckResult], float]:
         (check_blp_antipodal_optimality,),
         (check_grid_doubling, cfg),
         (check_determinism, cfg),
-        (check_implementation_dependence,),
+        (check_implementation_dependence, gates_report),
     ]
     results = []
     for check, *args in checks:

@@ -1,8 +1,8 @@
 """Acceptance suite: every quantitative claim at its stated tolerance.
 
 Each test prints one pass/fail line (run with ``pytest -s`` to stream them).
-The measure sweep feeding the threshold and consistency checks runs once
-per session.
+The measure sweep feeding the threshold and consistency checks, and the
+gates BLP report feeding checks 6 and 13, run once per session.
 """
 
 import numpy as np
@@ -10,7 +10,8 @@ import pytest
 
 from nmlab import verify
 from nmlab.figures import RunConfig
-from nmlab.nonmarkov import THRESHOLD_CUTOFF, first_crossing
+from nmlab.nonmarkov import THRESHOLD_CUTOFF, blp_measure, first_crossing
+from nmlab.register import GATES_SWAP
 
 CFG = RunConfig()
 
@@ -18,6 +19,11 @@ CFG = RunConfig()
 @pytest.fixture(scope="module")
 def sweep():
     return verify.block_measure_sweep(CFG)
+
+
+@pytest.fixture(scope="module")
+def gates_report():
+    return blp_measure(GATES_SWAP, 0.0)
 
 
 def _run(result):
@@ -45,8 +51,8 @@ def test_criterion_05_thresholds(sweep):
     _run(verify.check_thresholds(sweep))
 
 
-def test_criterion_06_gate_backflow():
-    _run(verify.check_gate_backflow())
+def test_criterion_06_gate_backflow(gates_report):
+    _run(verify.check_gate_backflow(gates_report))
 
 
 def test_criterion_07_original_circuit_e2_law():
@@ -89,8 +95,8 @@ def test_criterion_12_determinism():
     _run(verify.check_determinism(CFG))
 
 
-def test_criterion_13_implementation_dependence():
-    _run(verify.check_implementation_dependence())
+def test_criterion_13_implementation_dependence(gates_report):
+    _run(verify.check_implementation_dependence(gates_report))
 
 
 def test_nonmarkovian_region_is_an_upset(sweep):

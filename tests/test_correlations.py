@@ -2,14 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmlab import correlations, sweep
 from nmlab.correlations import (
+    BOUND_MARGIN,
+    MUTUAL_FLOOR,
+    PROB_FLOOR,
+    SEARCH_CHUNK,
     classical_correlations,
     correlation_trajectory,
     log_negativity,
 )
 from nmlab.qmath import (
+    EIG_CLAMP,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -29,7 +36,7 @@ from nmlab.register import (
     joint_states,
     werner,
 )
-from nmlab.sweep import TimeGrid
+from nmlab.sweep import TimeGrid, default_grid, two_stage_maximize
 
 from conftest import random_density
 
@@ -170,6 +177,135 @@ class TestStackedSearch:
         got = classical_correlations(stack)
         assert got.shape == (2, 3)
         assert np.array_equal(got.ravel(), classical_correlations(stack.reshape(6, 4, 4)))
+
+
+def low_rank_density(rng, dim, rank):
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+def bound_test_state(rng, d, kind):
+    """A state of dimension 2d of one of the kinds that stress the entropy bound."""
+    if kind == "full":
+        return random_density(rng, 2 * d)
+    if kind == "rank":
+        return low_rank_density(rng, 2 * d, rng.integers(1, 2 * d))
+    # classical on S along z: measuring along z leaves the kept side in `a` or `b`
+    a, b = low_rank_density(rng, d, rng.integers(1, d + 1)), low_rank_density(rng, d, 1)
+    if kind == "floor":
+        q = PROB_FLOOR + rng.uniform(-PROB_FLOOR, 1e-11)
+    elif kind == "rare":  # tr sigma^2 ~ q^2 sits near the rounding of its O(1) terms
+        q = 10.0 ** rng.uniform(-11, -6)
+    else:  # "clamp": `a` is pure but for eigenvalues near EIG_CLAMP, which J drops
+        q = rng.uniform(0.05, 0.95)
+        lam = np.concatenate([EIG_CLAMP * 10.0 ** rng.uniform(-1, 1, d - 1), [1.0]])
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        a = (u * (lam / lam.sum())) @ u.conj().T
+    return np.kron(np.diag([1.0 - q, 0.0]), a) + np.kron(np.diag([0.0, q]), b)
+
+
+def bound_test_angles(rng):
+    """The coarse grid, random directions on the sphere, and directions next to both poles."""
+    th = np.repeat(np.linspace(0.0, np.pi / 2, sweep.COARSE_THETA), sweep.COARSE_PHI)
+    ph = np.tile(np.linspace(0.0, 2 * np.pi, sweep.COARSE_PHI, endpoint=False),
+                 sweep.COARSE_THETA)
+    near = np.array([0.0, 1e-7, 1e-6, 1e-5])
+    th = np.concatenate([th, np.arccos(rng.uniform(-1, 1, 60)), near, np.pi - near])
+    ph = np.concatenate([ph, rng.uniform(0, 2 * np.pi, 60 + 2 * near.size)])
+    return th[None], ph[None]
+
+
+def unpruned_search(stack, rows=SEARCH_CHUNK):
+    """The search on the full coarse grid, one stack of `rows` states at a time."""
+    blocks = correlations._bloch_blocks(stack)
+    s_a = vn_entropy(blocks[:, 0])
+    return np.concatenate([
+        two_stage_maximize(lambda th, ph: correlations._j_values(b, s, th, ph), len(b)).value
+        for b, s in ((blocks[lo:lo + rows], s_a[lo:lo + rows])
+                     for lo in range(0, len(stack), rows))
+    ])
+
+
+def searched_row(fig, p, n):
+    """n evenly spread samples of one heatmap row that the trajectory searches."""
+    scheme, psi = {"fig5": (BLOCK_SWAP, KET0), "fig6": (GATES_SWAP, KET0),
+                   "fig7": (GATES_SWAP, KET_PLUS)}[fig]
+    ts = default_grid(scheme, 100).times()
+    ts = ts[~correlations._carried(scheme, ts)]
+    states = joint_states(scheme, p, ts, np.outer(psi, psi.conj()))
+    states = states[mutual_information(states) > MUTUAL_FLOOR]
+    return states[np.linspace(0, len(states) - 1, n).astype(int)]
+
+
+class TestEntropyBound:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
+           st.sampled_from(["full", "rank", "floor", "rare", "clamp"]))
+    @settings(max_examples=150, deadline=None)
+    def test_bound_is_never_below_j(self, seed, d, kind):
+        rng = np.random.default_rng(seed)
+        rho = bound_test_state(rng, d, kind)
+        blocks = correlations._bloch_blocks(rho)[None]
+        s_a = vn_entropy(blocks[:, 0])
+        th, ph = bound_test_angles(rng)
+        bound = correlations._entropy_bound(
+            s_a, *correlations._conditionals(blocks, correlations._directions(th, ph)))
+        j = correlations._j_values(blocks, s_a, th, ph)
+        assert np.all(bound >= j - BOUND_MARGIN), float(np.max(j - bound))
+
+    def test_pure_conditionals_make_the_bound_tight(self):
+        # measuring one half of a Bell pair leaves pure states: B = J = 1 everywhere
+        blocks = correlations._bloch_blocks(BELL)[None]
+        s_a = vn_entropy(blocks[:, 0])
+        th, ph = bound_test_angles(np.random.default_rng(1))
+        bound = correlations._entropy_bound(
+            s_a, *correlations._conditionals(blocks, correlations._directions(th, ph)))
+        assert np.max(np.abs(bound - 1.0)) <= 1e-12
+        assert np.max(np.abs(bound - correlations._j_values(blocks, s_a, th, ph))) <= 1e-12
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("fig", ["fig5", "fig6", "fig7"])
+    @pytest.mark.parametrize("n", [1, 16, 17])
+    def test_heatmap_rows_match_the_full_grid(self, fig, n):
+        stack = searched_row(fig, 0.4, n)
+        assert np.array_equal(classical_correlations(stack), unpruned_search(stack))
+
+    def test_random_states_match_the_full_grid(self, rng):
+        stack = np.stack([random_density(rng, 8) for _ in range(100)]
+                         + [bound_test_state(rng, 4, "rank") for _ in range(100)])
+        assert np.array_equal(classical_correlations(stack), unpruned_search(stack))
+
+    @pytest.mark.parametrize("rho", [BELL, CLASSICAL_PAIR], ids=["bell", "classical_pair"])
+    def test_ties_keep_the_earliest_winner(self, rho):
+        # Bell: every basis extracts 1 bit; classical pair: the 25 pole points tie
+        blocks = correlations._bloch_blocks(rho)[None]
+        s_a = vn_entropy(blocks[:, 0])
+        full = two_stage_maximize(lambda th, ph: correlations._j_values(blocks, s_a, th, ph))
+        pruned = two_stage_maximize(
+            lambda th, ph: correlations._j_values(blocks, s_a, th, ph),
+            coarse_batch=lambda th, ph: correlations._pruned_j_values(blocks, s_a, th, ph))
+        for field in ("value", "theta", "phi", "coarse_value"):
+            assert np.array_equal(getattr(pruned, field), getattr(full, field)), field
+        assert classical_correlations(rho) == full.value[0]
+
+    def test_evaluations_count_the_scored_candidates(self):
+        stack = searched_row("fig6", 0.4, SEARCH_CHUNK)
+        blocks = correlations._bloch_blocks(stack)
+        s_a = vn_entropy(blocks[:, 0])
+        coarse = []
+
+        def pruned(th, ph):
+            coarse.append(correlations._pruned_j_values(blocks, s_a, th, ph))
+            return coarse[-1]
+
+        result = two_stage_maximize(
+            lambda th, ph: correlations._j_values(blocks, s_a, th, ph), len(stack),
+            coarse_batch=pruned)
+        refined = len(stack) * sweep.REFINE_ROUNDS * (2 * sweep.REFINE_HALFSPAN + 1) ** 2
+        scored = int(np.isfinite(coarse[0]).sum())
+        assert result.evaluations == scored + refined
+        assert correlations.SEEDS * len(stack) <= scored < coarse[0].size
 
 
 TINY_FIGURES = {

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmlab import cli, figures
+from nmlab import cli
 from nmlab.figures import RunConfig, p_grid, run_figure, write_csv
 from nmlab.plotting import emit_plot, read_csv
 from nmlab.register import BLOCK_SWAP, GATES_SWAP
@@ -169,7 +169,7 @@ class TestFigures:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(figures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         run_figure("fig2", fast_config(tmp_path, workers=workers))
         assert pools == [started]
 
