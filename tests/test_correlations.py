@@ -195,7 +195,7 @@ def bound_test_state(rng, d, kind):
     a, b = low_rank_density(rng, d, rng.integers(1, d + 1)), low_rank_density(rng, d, 1)
     if kind == "floor":
         q = PROB_FLOOR + rng.uniform(-PROB_FLOOR, 1e-11)
-    elif kind == "rare":  # tr sigma^2 ~ q^2 sits near the rounding of its O(1) terms
+    elif kind == "rare":  # tr sigma^2 ~ q^2 would drown in the rounding of an O(1) expansion
         q = 10.0 ** rng.uniform(-11, -6)
     else:  # "clamp": `a` is pure but for eigenvalues near EIG_CLAMP, which J drops
         q = rng.uniform(0.05, 0.95)
@@ -216,14 +216,14 @@ def bound_test_angles(rng):
     return th[None], ph[None]
 
 
-def unpruned_search(stack, rows=SEARCH_CHUNK):
-    """The search on the full coarse grid, one stack of `rows` states at a time."""
+def unpruned_search(stack):
+    """The search on the full coarse grid, one chunk of SEARCH_CHUNK states at a time."""
     blocks = correlations._bloch_blocks(stack)
     s_a = vn_entropy(blocks[:, 0])
     return np.concatenate([
         two_stage_maximize(lambda th, ph: correlations._j_values(b, s, th, ph), len(b)).value
-        for b, s in ((blocks[lo:lo + rows], s_a[lo:lo + rows])
-                     for lo in range(0, len(stack), rows))
+        for b, s in ((blocks[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK])
+                     for lo in range(0, len(stack), SEARCH_CHUNK))
     ])
 
 
