@@ -71,14 +71,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_measure(args) -> int:
     cfg = _load_config(args.config)
-    scheme = DynamicsScheme(
-        Interpolation.BLOCK_LOG if args.scheme == "block" else Interpolation.GATE_BY_GATE,
-        CircuitVariant.SWAP_TERMINATED if args.variant == "swap" else CircuitVariant.ORIGINAL_BBC,
-    )
+    scheme = DynamicsScheme(Interpolation(args.scheme), CircuitVariant(args.variant))
     grid = default_grid(scheme, cfg.steps_per_unit)
     if args.name == "blp":
-        observe = "S" if args.observe == "s" else "E2"
-        report = blp_measure(scheme, args.p, grid, observe=observe)
+        report = blp_measure(scheme, args.p, grid, observe=args.observe.upper())
     else:
         if args.observe != "s":
             raise ValueError("only the BLP measure supports --observe e2")

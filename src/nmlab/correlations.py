@@ -122,11 +122,6 @@ def _bloch_blocks(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 
-def _directions(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """Unit vectors (..., 3) of the measurement angles."""
-    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-
-
 def _conditionals(blocks: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional states (m, k, 2, d, d) of state i along n[i] (m, k, 3), and their probabilities.
 
@@ -149,13 +144,13 @@ def _conditional_entropy(cond: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return branch.sum(axis=-1)
 
 
-def _j_values(blocks: np.ndarray, s_a: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """Extracted information of state i along the directions of angle row i.
+def _j_values(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Extracted information of state i along the unit vectors n[i] (m, k, 3).
 
     `blocks` stacks `_bloch_blocks` of m states, `s_a` the entropies of their
     rho_K.
     """
-    return s_a[:, None] - _conditional_entropy(*_conditionals(blocks, _directions(th, ph)))
+    return s_a[:, None] - _conditional_entropy(*_conditionals(blocks, n))
 
 
 def _entropy_bound(s_a: np.ndarray, cond: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -170,15 +165,14 @@ def _entropy_bound(s_a: np.ndarray, cond: np.ndarray, probs: np.ndarray) -> np.n
     return s_a[:, None] - np.where(probs > PROB_FLOOR, probs * renyi, 0.0).sum(axis=-1)
 
 
-def _pruned_j_values(blocks: np.ndarray, s_a: np.ndarray, th: np.ndarray,
-                     ph: np.ndarray) -> np.ndarray:
+def _pruned_j_values(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray) -> np.ndarray:
     """`_j_values` where a candidate can reach its row's maximum, -inf elsewhere.
 
     The SEEDS candidates of largest bound (earliest first among equals) are
     eigensolved first; their best value L rules out every candidate whose
     bound lies below L - BOUND_MARGIN, and the rest are eigensolved.
     """
-    cond, probs = _conditionals(blocks, _directions(th, ph))
+    cond, probs = _conditionals(blocks, n)
     bound = _entropy_bound(s_a, cond, probs)
     values = np.full(bound.shape, -np.inf)
     seeds = np.zeros(bound.shape, dtype=bool)
@@ -209,8 +203,8 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     for lo in range(0, len(flat), SEARCH_CHUNK):
         b, s = flat[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK]
         value[lo:lo + len(b)] = two_stage_maximize(
-            lambda th, ph: _j_values(b, s, th, ph), len(b),
-            coarse_batch=lambda th, ph: _pruned_j_values(b, s, th, ph)).value
+            lambda n: _j_values(b, s, n), len(b),
+            coarse_batch=lambda n: _pruned_j_values(b, s, n)).value
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 
 

@@ -15,9 +15,11 @@ R_t = [[1, 0], [c_t, M_t]] of ``register.system_map_stack``.
 * LFS: summed increases of the system-ancilla mutual information starting
   from a maximally entangled pair, i.e. of the Choi states of R_t.
 
-Increases are accumulated from grid differences (right Riemann sum of the
-positive parts); float dust below ``INCREMENT_FLOOR`` is dropped so that
-ascent intervals carry only genuine gains.
+Every report sums per-step gains: BLP and LFS take the positive grid
+differences of their curve (right Riemann sum of the positive parts), RHP its
+trapezoid contributions. Float dust below ``INCREMENT_FLOOR`` is dropped so
+that the reported ascent intervals, maximal runs of positive gains, carry only
+genuine gains.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .qmath import PAULIS, choi_state, mutual_information
 from .register import DynamicsScheme, system_map_derivative_stack, system_map_stack
-from .sweep import TimeGrid, default_grid, two_stage_maximize
+from .sweep import TimeGrid, default_grid, two_stage_maximize, unit_vectors
 
 INCREMENT_FLOOR = 1e-12
 # Relative singular-value floor below which an RHP map counts as singular.
@@ -77,30 +79,19 @@ def _positive_steps(series: np.ndarray) -> np.ndarray:
     return np.where(diffs > INCREMENT_FLOOR, diffs, 0.0)
 
 
-def positive_increments(
-    ts: np.ndarray, series: np.ndarray
-) -> tuple[float, list[tuple[tuple[float, float], float]]]:
-    """Sum of positive grid increments of `series` and their maximal runs.
+def _report(scheme, p, grid, gains: np.ndarray, **diagnostics) -> MeasureReport:
+    """Report of the per-step `gains` on `grid`, gains[k] earned over [t_k, t_k+1].
 
-    Increments at or below ``INCREMENT_FLOOR`` count as zero. Consecutive
-    positive increments merge into one interval with the accumulated gain, so
-    the reported value always equals the sum over intervals.
+    The value is their sum. Consecutive positive gains merge into one interval
+    with the accumulated gain, so the value equals the sum over intervals.
     """
-    gains = _positive_steps(np.asarray(series, dtype=float))
-    intervals: list[tuple[tuple[float, float], float]] = []
-    run_start = None
-    run_gain = 0.0
-    for k, g in enumerate(gains):
-        if g > 0.0:
-            if run_start is None:
-                run_start = ts[k]
-            run_gain += g
-        elif run_start is not None:
-            intervals.append(((float(run_start), float(ts[k])), float(run_gain)))
-            run_start, run_gain = None, 0.0
-    if run_start is not None:
-        intervals.append(((float(run_start), float(ts[-1])), float(run_gain)))
-    return float(gains.sum()), intervals
+    ts = grid.times()
+    pos = np.concatenate([[False], gains > 0.0, [False]])
+    starts, ends = np.flatnonzero(pos[1:] & ~pos[:-1]), np.flatnonzero(pos[:-1] & ~pos[1:])
+    runs = [((float(ts[a]), float(ts[b])), float(np.cumsum(gains[a:b])[-1]))
+            for a, b in zip(starts, ends)]
+    return MeasureReport(value=float(gains.sum()), p=p, scheme=scheme, grid=grid,
+                         increments=runs, diagnostics=diagnostics)
 
 
 def _bloch_vector(psi: np.ndarray) -> np.ndarray:
@@ -110,14 +101,10 @@ def _bloch_vector(psi: np.ndarray) -> np.ndarray:
     return np.einsum("a,iab,b->i", psi.conj(), PAULIS[1:], psi).real
 
 
-def _pair_report(scheme, p, grid, observe, d) -> MeasureReport:
+def _pair_report(scheme, p, grid, observe, d, **diagnostics) -> MeasureReport:
     """Report of the summed increases of one trace-distance curve `d` on `grid`."""
-    value, intervals = positive_increments(grid.times(), d)
-    return MeasureReport(
-        value=value, p=p, scheme=scheme, grid=grid, increments=intervals,
-        diagnostics={"observe": observe, "distance_start": float(d[0]),
-                     "distance_end": float(d[-1])},
-    )
+    return _report(scheme, p, grid, _positive_steps(d), observe=observe,
+                   distance_start=float(d[0]), distance_end=float(d[-1]), **diagnostics)
 
 
 def pair_distance_curve(
@@ -169,17 +156,16 @@ def blp_measure(
         grid = default_grid(scheme)
     m = system_map_stack(scheme, p, grid.times(), observe)[:, 1:, 1:]
 
-    def distances(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        n = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
-                      np.cos(thetas)])
-        return np.linalg.norm(m @ n, axis=1).T  # (candidate, time)
+    def distances(n: np.ndarray) -> np.ndarray:
+        # a C-ordered (3, candidate) operand keeps the matmul ~1.4x faster than n.T
+        return np.linalg.norm(m @ np.ascontiguousarray(n.T), axis=1).T  # (candidate, time)
 
-    result = two_stage_maximize(
-        lambda th, ph: _positive_steps(distances(th[0], ph[0])).sum(-1)[None])
-    report = _pair_report(scheme, p, grid, observe, distances(result.theta, result.phi)[0])
+    result = two_stage_maximize(lambda n: _positive_steps(distances(n[0])).sum(-1)[None])
+    report = _pair_report(scheme, p, grid, observe,
+                          distances(unit_vectors(result.theta, result.phi))[0],
+                          coarse_value=float(result.coarse_value[0]),
+                          evaluations=result.evaluations)
     report.optimal_pair = (float(result.theta[0]), float(result.phi[0]))
-    report.diagnostics.update(coarse_value=float(result.coarse_value[0]),
-                              evaluations=result.evaluations)
     return report
 
 
@@ -190,7 +176,7 @@ def _g_curve(scheme, p, ts):
     that is twice the summed magnitude of the negative eigenvalues of
     Q Choi(L_t) Q with Q = 1 - |Phi><Phi|. A singular map (largest singular
     value <= 0, or smallest below ``SVD_TOL`` times the largest) is not
-    inverted: it gets rate 0 and is counted in the returned singular samples.
+    inverted: it gets rate 0 and is marked in the returned mask.
     """
     u, sig, vh = np.linalg.svd(system_map_stack(scheme, p, ts))
     singular = (sig[:, 0] <= 0.0) | (sig[:, -1] < SVD_TOL * sig[:, 0])
@@ -199,7 +185,7 @@ def _g_curve(scheme, p, ts):
     gen = system_map_derivative_stack(scheme, p, ts) @ inv
     mu = np.linalg.eigvalsh(_Q_PHI @ choi_state(gen) @ _Q_PHI)
     g = np.where(singular, 0.0, 2.0 * np.maximum(0.0, -mu).sum(-1))
-    return g, int(singular.sum())
+    return g, singular
 
 
 def rhp_measure(
@@ -212,28 +198,24 @@ def rhp_measure(
     g(t) is the momentary complete-positivity violation of the time-local
     generator, read off the exact derivative of the reduced map. A sample
     whose map has any singular value below ``SVD_TOL`` times the largest
-    contributes 0 and is counted in the ``singular_samples`` diagnostic. Half
+    contributes 0 and is counted in the ``singular_samples`` diagnostic. Only
+    the grid's last sample may be singular: next to a singular stretch the
+    rate grows like 1 / (t - t_s), so its integral diverges as the grid is
+    refined, and such dynamics (the gates scheme) raise ``ValueError``. Half
     the value lower bounds the robustness of non-Markovianity.
     """
     if grid is None:
         grid = default_grid(scheme)
     ts = grid.times()
     g, singular = _g_curve(scheme, p, ts)
+    if singular[:-1].any():
+        raise ValueError(f"RHP needs invertible maps before the grid's end, but "
+                         f"{int(singular.sum())} of {len(ts)} samples are singular")
     contribs = 0.5 * (g[:-1] + g[1:]) * (ts[1] - ts[0])
-    intervals = [
-        ((float(ts[k]), float(ts[k + 1])), float(c))
-        for k, c in enumerate(contribs)
-        if c > INCREMENT_FLOOR
-    ]
-    value = float(sum(c for _, c in intervals))
-    return MeasureReport(
-        value=value, p=p, scheme=scheme, grid=grid, increments=intervals,
-        diagnostics={
-            "svd_tol": SVD_TOL,
-            "singular_samples": singular,
-            "robustness_lower_bound": value / 2.0,
-        },
-    )
+    gains = np.where(contribs > INCREMENT_FLOOR, contribs, 0.0)
+    return _report(scheme, p, grid, gains, svd_tol=SVD_TOL,
+                   singular_samples=int(singular.sum()),
+                   robustness_lower_bound=float(gains.sum()) / 2.0)
 
 
 def lfs_measure(
@@ -249,14 +231,9 @@ def lfs_measure(
     """
     if grid is None:
         grid = default_grid(scheme)
-    ts = grid.times()
-    chois = choi_state(system_map_stack(scheme, p, ts))
-    mi = mutual_information(chois)
-    value, intervals = positive_increments(ts, mi)
-    return MeasureReport(
-        value=value, p=p, scheme=scheme, grid=grid, increments=intervals,
-        diagnostics={"initial_mutual": float(mi[0]), "final_mutual": float(mi[-1])},
-    )
+    mi = mutual_information(choi_state(system_map_stack(scheme, p, grid.times())))
+    return _report(scheme, p, grid, _positive_steps(mi), initial_mutual=float(mi[0]),
+                   final_mutual=float(mi[-1]))
 
 
 def first_crossing(p_values: Iterable[float], values: Iterable[float]) -> float | None:

@@ -142,7 +142,6 @@ class FractionalUnitary:
         phases = np.where(phases <= -np.pi + BRANCH_TOL, phases + 2.0 * np.pi, phases)
         self._basis = z
         self._phases = phases
-        self.dim = u.shape[0]
 
     @property
     def generator(self) -> np.ndarray:

@@ -59,9 +59,8 @@ class DynamicsScheme:
 
     @property
     def time_domain(self) -> tuple[float, float]:
-        if self.interpolation is Interpolation.BLOCK_LOG:
-            return (0.0, 1.0)
-        return (0.0, float(len(gate_sequence(self.variant))))
+        """(0, number of unit-time segments): 1 for the block scheme, the gate count otherwise."""
+        return (0.0, float(len(_segments(self)[0])))
 
 
 BLOCK_SWAP = DynamicsScheme(Interpolation.BLOCK_LOG, CircuitVariant.SWAP_TERMINATED)
@@ -183,33 +182,34 @@ def active_gate(ts, n_gates: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _block_fractional(variant: CircuitVariant) -> FractionalUnitary:
-    return FractionalUnitary(circuit_unitary(variant))
+def _segments(scheme: DynamicsScheme):
+    """Fractional segment unitaries and the products of the segments before each of them.
 
-
-@lru_cache(maxsize=None)
-def _gate_interpolator(variant: CircuitVariant):
-    """Fractional gates and the products of the gates before each of them."""
-    gates = _gate_unitaries(variant)
+    Segment i runs over i-1 < t <= i. The block scheme is one segment, the whole
+    circuit; gate by gate, each gate is a segment. This is the one place the
+    dynamics depends on the interpolation.
+    """
+    if scheme.interpolation is Interpolation.BLOCK_LOG:
+        units = (circuit_unitary(scheme.variant),)
+    else:
+        units = _gate_unitaries(scheme.variant)
     prefixes = [np.eye(DIM, dtype=complex)]
-    for g in gates:
-        prefixes.append(g @ prefixes[-1])
-    return [FractionalUnitary(g) for g in gates], prefixes
+    for u in units:
+        prefixes.append(u @ prefixes[-1])
+    return [FractionalUnitary(u) for u in units], prefixes
 
 
 def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
     """Register unitaries U(t) under the scheme's interpolation, shape (len(ts), 8, 8).
 
-    Gate by gate, gate i runs over i-1 < t <= i while the others idle.
+    Segment i runs over i-1 < t <= i while the others idle; U(0) is the identity.
     """
     ts = np.asarray(ts, dtype=float)
     lo, hi = scheme.time_domain
     outside = ts[~((ts >= lo - 1e-9) & (ts <= hi + 1e-9))]
     if outside.size:
         raise ValueError(f"time {outside[0]} outside scheme domain [{lo}, {hi}]")
-    if scheme.interpolation is Interpolation.BLOCK_LOG:
-        return _block_fractional(scheme.variant).at_many(ts)
-    fractional, prefixes = _gate_interpolator(scheme.variant)
+    fractional, prefixes = _segments(scheme)
     out = np.empty((len(ts), DIM, DIM), dtype=complex)
     seg = active_gate(ts, len(fractional))
     out[seg == 0] = np.eye(DIM, dtype=complex)
@@ -277,16 +277,13 @@ def _derivative_endpoints(scheme: DynamicsScheme, ts: tuple[float, ...]):
     """Time derivatives of the S transfer-matrix stacks at p = 0 and p = 1.
 
     With dU/dt = i H U, each evolved operator rho moves as i[H, rho], and so
-    does its partial trace onto S. Gate by gate, H generates the running gate:
-    the next one at a gate boundary (the right derivative), the last one at
-    the domain end.
+    does its partial trace onto S. H generates the running segment: the next
+    one at a segment boundary (the right derivative), the last one at the
+    domain end.
     """
     times = np.array(ts)
-    if scheme.interpolation is Interpolation.BLOCK_LOG:
-        h = _block_fractional(scheme.variant).generator[None, None]
-    else:
-        gens = np.stack([f.generator for f in _gate_interpolator(scheme.variant)[0]])
-        h = gens[np.clip(np.floor(times + 1e-12).astype(int), 0, len(gens) - 1), None]
+    gens = np.stack([f.generator for f in _segments(scheme)[0]])
+    h = gens[np.clip(np.floor(times + 1e-12).astype(int), 0, len(gens) - 1), None]
     rhos = (joint_states(scheme, p, times, PAULIS) for p in (0.0, 1.0))
     return tuple(_transfer(partial_trace(1j * (h @ rho - rho @ h), (2, 4), 0)) for rho in rhos)
 

@@ -1,9 +1,10 @@
 """Time grids and the deterministic two-stage angle search.
 
 Both the trace-distance pair optimization and the projective-measurement
-search maximize functions over (theta, phi) on a half sphere, a stack of
-independent ones at once. A coarse grid is followed by local halving
-refinements, so results are reproducible bit for bit.
+search maximize functions of a unit vector on a half sphere, a stack of
+independent ones at once. The search alone knows its (theta, phi) chart: a
+coarse angle grid is followed by local halving refinements, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ COARSE_THETA, COARSE_PHI, REFINE_ROUNDS = 13, 25, 3
 REFINE_HALFSPAN = 2
 
 
+def unit_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Unit vectors (..., 3) at polar angles `thetas` and azimuths `phis`."""
+    return np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
+                     np.cos(thetas)], axis=-1)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     value: np.ndarray
@@ -70,15 +77,15 @@ class SearchResult:
 
 
 def two_stage_maximize(
-    f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f_batch: Callable[[np.ndarray], np.ndarray],
     rows: int = 1,
-    coarse_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    coarse_batch: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SearchResult:
     """Maximize ``rows`` independent objectives over [0, THETA_MAX] x [0, 2 pi).
 
-    ``f_batch(thetas, phis)`` scores (rows, k) angle arrays, row i for objective
-    i. ``coarse_batch``, if given, scores the coarse grid instead; it may leave
-    at -inf a candidate it proves to lie below its row's maximum. Each
+    ``f_batch(n)`` scores (rows, k, 3) unit vectors, row i for objective i.
+    ``coarse_batch``, if given, scores the coarse grid instead; it may leave at
+    -inf a candidate it proves to lie below its row's maximum. Each
     refinement round halves the steps around each row's incumbent, and ties
     resolve to the earliest grid point of the row, so the search is
     deterministic. The result has one entry per row; `evaluations` counts the
@@ -86,8 +93,8 @@ def two_stage_maximize(
     """
     thetas = np.repeat(np.linspace(0.0, THETA_MAX, COARSE_THETA), COARSE_PHI)
     phis = np.tile(np.linspace(0.0, 2.0 * np.pi, COARSE_PHI, endpoint=False), COARSE_THETA)
-    values = np.asarray((coarse_batch or f_batch)(np.tile(thetas, (rows, 1)),
-                                                  np.tile(phis, (rows, 1))), float)
+    coarse = np.broadcast_to(unit_vectors(thetas, phis), (rows, thetas.size, 3))
+    values = np.asarray((coarse_batch or f_batch)(coarse), float)
     at = np.arange(rows)
     k = np.argmax(values, axis=1)
     best, b_theta, b_phi = values.max(axis=1), thetas[k], phis[k]
@@ -102,7 +109,7 @@ def two_stage_maximize(
         tt = np.clip(b_theta[:, None] + d_theta * span, 0.0, THETA_MAX)
         pp = b_phi[:, None] + d_phi * span
         grid_t, grid_p = np.repeat(tt, span.size, axis=1), np.tile(pp, span.size)  # ij order
-        vv = np.asarray(f_batch(grid_t, grid_p), dtype=float)
+        vv = np.asarray(f_batch(unit_vectors(grid_t, grid_p)), dtype=float)
         evaluations += vv.size
         kk = np.argmax(vv, axis=1)
         better = vv[at, kk] > best

@@ -36,7 +36,7 @@ from nmlab.register import (
     joint_states,
     werner,
 )
-from nmlab.sweep import TimeGrid, default_grid, two_stage_maximize
+from nmlab.sweep import TimeGrid, default_grid, two_stage_maximize, unit_vectors
 
 from conftest import random_density
 
@@ -147,8 +147,8 @@ class TestBlochKernel:
             assert np.allclose(blocks[0], kept, atol=1e-15)
             s_a = float(vn_entropy(kept))
             # the kernel scores a stack of states; this is a stack of one
-            got = correlations._j_values(blocks[None], np.array([s_a]), thetas[None],
-                                         phis[None])[0]
+            got = correlations._j_values(blocks[None], np.array([s_a]),
+                                         unit_vectors(thetas, phis)[None])[0]
             want = [projector_oracle_j(rho, th, ph)
                     for th, ph in zip(thetas, phis)]
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -205,7 +205,7 @@ def bound_test_state(rng, d, kind):
     return np.kron(np.diag([1.0 - q, 0.0]), a) + np.kron(np.diag([0.0, q]), b)
 
 
-def bound_test_angles(rng):
+def bound_test_directions(rng):
     """The coarse grid, random directions on the sphere, and directions next to both poles."""
     th = np.repeat(np.linspace(0.0, np.pi / 2, sweep.COARSE_THETA), sweep.COARSE_PHI)
     ph = np.tile(np.linspace(0.0, 2 * np.pi, sweep.COARSE_PHI, endpoint=False),
@@ -213,7 +213,7 @@ def bound_test_angles(rng):
     near = np.array([0.0, 1e-7, 1e-6, 1e-5])
     th = np.concatenate([th, np.arccos(rng.uniform(-1, 1, 60)), near, np.pi - near])
     ph = np.concatenate([ph, rng.uniform(0, 2 * np.pi, 60 + 2 * near.size)])
-    return th[None], ph[None]
+    return unit_vectors(th, ph)[None]
 
 
 def unpruned_search(stack):
@@ -221,7 +221,7 @@ def unpruned_search(stack):
     blocks = correlations._bloch_blocks(stack)
     s_a = vn_entropy(blocks[:, 0])
     return np.concatenate([
-        two_stage_maximize(lambda th, ph: correlations._j_values(b, s, th, ph), len(b)).value
+        two_stage_maximize(lambda n: correlations._j_values(b, s, n), len(b)).value
         for b, s in ((blocks[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK])
                      for lo in range(0, len(stack), SEARCH_CHUNK))
     ])
@@ -247,21 +247,19 @@ class TestEntropyBound:
         rho = bound_test_state(rng, d, kind)
         blocks = correlations._bloch_blocks(rho)[None]
         s_a = vn_entropy(blocks[:, 0])
-        th, ph = bound_test_angles(rng)
-        bound = correlations._entropy_bound(
-            s_a, *correlations._conditionals(blocks, correlations._directions(th, ph)))
-        j = correlations._j_values(blocks, s_a, th, ph)
+        n = bound_test_directions(rng)
+        bound = correlations._entropy_bound(s_a, *correlations._conditionals(blocks, n))
+        j = correlations._j_values(blocks, s_a, n)
         assert np.all(bound >= j - BOUND_MARGIN), float(np.max(j - bound))
 
     def test_pure_conditionals_make_the_bound_tight(self):
         # measuring one half of a Bell pair leaves pure states: B = J = 1 everywhere
         blocks = correlations._bloch_blocks(BELL)[None]
         s_a = vn_entropy(blocks[:, 0])
-        th, ph = bound_test_angles(np.random.default_rng(1))
-        bound = correlations._entropy_bound(
-            s_a, *correlations._conditionals(blocks, correlations._directions(th, ph)))
+        n = bound_test_directions(np.random.default_rng(1))
+        bound = correlations._entropy_bound(s_a, *correlations._conditionals(blocks, n))
         assert np.max(np.abs(bound - 1.0)) <= 1e-12
-        assert np.max(np.abs(bound - correlations._j_values(blocks, s_a, th, ph))) <= 1e-12
+        assert np.max(np.abs(bound - correlations._j_values(blocks, s_a, n))) <= 1e-12
 
 
 class TestPrunedSearch:
@@ -281,10 +279,10 @@ class TestPrunedSearch:
         # Bell: every basis extracts 1 bit; classical pair: the 25 pole points tie
         blocks = correlations._bloch_blocks(rho)[None]
         s_a = vn_entropy(blocks[:, 0])
-        full = two_stage_maximize(lambda th, ph: correlations._j_values(blocks, s_a, th, ph))
+        full = two_stage_maximize(lambda n: correlations._j_values(blocks, s_a, n))
         pruned = two_stage_maximize(
-            lambda th, ph: correlations._j_values(blocks, s_a, th, ph),
-            coarse_batch=lambda th, ph: correlations._pruned_j_values(blocks, s_a, th, ph))
+            lambda n: correlations._j_values(blocks, s_a, n),
+            coarse_batch=lambda n: correlations._pruned_j_values(blocks, s_a, n))
         for field in ("value", "theta", "phi", "coarse_value"):
             assert np.array_equal(getattr(pruned, field), getattr(full, field)), field
         assert classical_correlations(rho) == full.value[0]
@@ -295,12 +293,12 @@ class TestPrunedSearch:
         s_a = vn_entropy(blocks[:, 0])
         coarse = []
 
-        def pruned(th, ph):
-            coarse.append(correlations._pruned_j_values(blocks, s_a, th, ph))
+        def pruned(n):
+            coarse.append(correlations._pruned_j_values(blocks, s_a, n))
             return coarse[-1]
 
         result = two_stage_maximize(
-            lambda th, ph: correlations._j_values(blocks, s_a, th, ph), len(stack),
+            lambda n: correlations._j_values(blocks, s_a, n), len(stack),
             coarse_batch=pruned)
         refined = len(stack) * sweep.REFINE_ROUNDS * (2 * sweep.REFINE_HALFSPAN + 1) ** 2
         scored = int(np.isfinite(coarse[0]).sum())

@@ -278,6 +278,10 @@ class TestCli:
         ])
         assert code == 2
 
+    def test_gates_rhp_is_one_error_line(self, capsys):
+        code = cli.main(["measure", "rhp", "--p", "0.6", "--scheme", "gates"])
+        self._assert_one_error_line(code, capsys, "samples are singular")
+
     def test_unknown_figure_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["figure", "fig99"])

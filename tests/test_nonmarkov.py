@@ -61,6 +61,62 @@ def report_is_consistent(report):
     assert report.value >= 0.0
 
 
+def merged_runs(ts, gains):
+    """Loop reference: maximal runs of positive gains, each with its accumulated gain."""
+    runs, start, total = [], None, 0.0
+    for k, g in enumerate(gains):
+        if g > 0.0:
+            start = ts[k] if start is None else start
+            total += g
+        elif start is not None:
+            runs.append(((start, ts[k]), total))
+            start, total = None, 0.0
+    if start is not None:
+        runs.append(((start, ts[-1]), total))
+    return runs
+
+
+BUILDERS = {
+    "pair_gain": lambda scheme, p: blp_pair_gain(KET0, KET1, scheme, p),
+    "blp": blp_measure,
+    "rhp": rhp_measure,
+    "lfs": lfs_measure,
+}
+
+
+class TestReports:
+    @pytest.mark.parametrize("p", [0.0, 0.45, 0.8, 1.0])
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_increments_are_maximal_runs(self, name, p):
+        report = BUILDERS[name](BLOCK_SWAP, p)
+        report_is_consistent(report)
+        ts = report.grid.times()
+        spans = [span for span, _ in report.increments]
+        assert all(a < b and a in ts and b in ts for a, b in spans)
+        # each run ends before the next one starts: adjacent runs would have merged
+        assert all(b0 < a1 for (_, b0), (a1, _) in zip(spans, spans[1:]))
+        assert all(gain > 0.0 for _, gain in report.increments)
+
+    def test_runs_split_at_every_zero_step(self, rng):
+        gains = np.array([0.0, 1e-3, 2e-3, 0.0, 0.0, 5e-4, 0.0, 1e-3])
+        report = nonmarkov._report(BLOCK_SWAP, 0.5, TimeGrid(0.0, 8.0, 9), gains, tag=1)
+        assert report.increments == [((1.0, 3.0), 3e-3), ((5.0, 6.0), 5e-4), ((7.0, 8.0), 1e-3)]
+        assert report.value == gains.sum() and report.diagnostics == {"tag": 1}
+        report_is_consistent(report)
+        for _ in range(20):
+            grid = TimeGrid(0.0, 1.0, 41)
+            gains = rng.uniform(size=40) * (rng.uniform(size=40) < 0.6)
+            report = nonmarkov._report(BLOCK_SWAP, 0.5, grid, gains)
+            assert report.increments == merged_runs(grid.times().tolist(), gains.tolist())
+
+    def test_rhp_merges_its_steps(self):
+        # the rate is positive from its onset to the end: one run instead of one per step
+        report = rhp_measure(BLOCK_SWAP, 0.8)
+        assert len(report.increments) == 1
+        (_, t_end), gain = report.increments[0]
+        assert t_end == 1.0 and gain == pytest.approx(report.value, abs=1e-15)
+
+
 class TestBlpPairGain:
     def test_z_pair_perfect_resource(self):
         # the p=1 block dynamics still dip: distinguishability is partially
@@ -266,7 +322,14 @@ class TestRhp:
                             lambda *args: np.asarray(maps, dtype=float))
         monkeypatch.setattr(nonmarkov, "system_map_derivative_stack",
                             lambda *args: np.asarray(derivatives, dtype=float))
-        return _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(maps)))
+        g, singular = _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(maps)))
+        return g, int(singular.sum())
+
+    @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC], ids=["swap", "bbc"])
+    def test_gates_scheme_is_refused(self, scheme):
+        # singular maps inside the domain: the rate next to them is not integrable
+        with pytest.raises(ValueError, match=r"\d+ of \d+ samples are singular"):
+            rhp_measure(scheme, 0.6)
 
     def test_singular_base_contributes_zero(self, monkeypatch):
         # the p=0 map is exactly singular at t=1 (full depolarization); such

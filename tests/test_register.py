@@ -6,6 +6,7 @@ from nmlab.qmath import (
     HADAMARD,
     PAULI_X,
     PAULIS,
+    FractionalUnitary,
     choi_state,
     kron,
     partial_trace,
@@ -155,6 +156,19 @@ class TestPropagator:
     def test_start_is_identity(self):
         for scheme in (BLOCK_SWAP, GATES_SWAP, GATES_BBC):
             assert np.allclose(propagator_stack(scheme, [0.0])[0], np.eye(8), atol=1e-14)
+
+    def test_block_is_one_segment(self):
+        # the whole circuit over one time unit: exactly I at t = 0, U^t after
+        ts = np.linspace(0.0, 1.0, 21)
+        stack = propagator_stack(BLOCK_SWAP, ts)
+        assert np.array_equal(stack[0], np.eye(8))
+        want = FractionalUnitary(circuit_unitary()).at_many(ts[1:])
+        assert np.max(np.abs(stack[1:] - want)) <= 1e-15
+
+    @pytest.mark.parametrize("scheme, end", [(BLOCK_SWAP, 1.0), (GATES_SWAP, 8.0),
+                                             (GATES_BBC, 6.0)], ids=["block", "swap", "bbc"])
+    def test_time_domain_counts_the_segments(self, scheme, end):
+        assert scheme.time_domain == (0.0, end)
 
     def test_block_endpoint(self):
         u = propagator_stack(BLOCK_SWAP, [1.0])[0]

@@ -6,26 +6,26 @@ import numpy as np
 
 import nmlab
 from nmlab import sweep
-from nmlab.sweep import THETA_MAX, two_stage_maximize
+from nmlab.sweep import THETA_MAX, two_stage_maximize, unit_vectors
 
 
 def bump(theta0, phi0):
-    """Smooth objective peaked at (theta0, phi0), off every grid point."""
-    return lambda th, ph: np.cos(th - theta0) + 0.5 * np.cos(ph - phi0)
+    """Smooth objective of unit vectors peaked at the direction (theta0, phi0)."""
+    return lambda n: n @ unit_vectors(theta0, phi0)
 
 
 class TestStackedSearch:
     def test_tie_resolves_to_earliest_point(self, monkeypatch):
-        # row 0 is flat; row 1 ties at phi = pi/2 and phi = pi for every theta
-        def f(th, ph):
-            v = np.zeros(th.shape)
-            v[1] = np.isclose(ph[1], np.pi / 2) | np.isclose(ph[1], np.pi)
+        # row 0 is flat; row 1 ties on the equator at phi = pi/2 (n = y) and phi = pi (n = -x)
+        def f(n):
+            v = np.zeros(n.shape[:-1])
+            v[1] = np.isclose(n[1, :, 1], 1.0) | np.isclose(n[1, :, 0], -1.0)
             return v
 
         monkeypatch.setattr(sweep, "COARSE_THETA", 5)
         monkeypatch.setattr(sweep, "COARSE_PHI", 4)
         res = two_stage_maximize(f, rows=2)
-        assert np.array_equal(res.theta, [0.0, 0.0])
+        assert np.array_equal(res.theta, [0.0, THETA_MAX])
         assert np.array_equal(res.phi, [0.0, np.pi / 2])
         assert np.array_equal(res.value, [0.0, 1.0])
 
@@ -33,12 +33,11 @@ class TestStackedSearch:
         peaks = [(0.3, 1.0), (1.2, 4.0), (THETA_MAX, 5.9)]
         objectives = [bump(*pk) for pk in peaks]
 
-        def stacked(th, ph):
-            return np.stack([g(t, p) for g, t, p in zip(objectives, th, ph)])
+        def stacked(n):
+            return np.stack([g(row) for g, row in zip(objectives, n)])
 
         res = two_stage_maximize(stacked, rows=3)
-        alone = [two_stage_maximize(lambda th, ph, g=g: g(th[0], ph[0])[None])
-                 for g in objectives]
+        alone = [two_stage_maximize(lambda n, g=g: g(n[0])[None]) for g in objectives]
         for field in ("value", "theta", "phi", "coarse_value"):
             assert np.array_equal(getattr(res, field),
                                   np.concatenate([getattr(a, field) for a in alone]))
