@@ -6,7 +6,7 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along both interpolations of the dynamics.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .qmath import (
     choi_state,

@@ -5,7 +5,7 @@ Subcommands:
 * ``nmlab figure <fig-id>``  compute one figure's CSV data
 * ``nmlab verify``           run the acceptance checks, JSON report + summary
 * ``nmlab measure <name>``   one non-Markovianity measure at a given p
-* ``nmlab plot <csv>``       minimal SVG rendering of a figure CSV
+* ``nmlab plot <csv>``       minimal SVG rendering of a figure CSV, kind read from its header
 
 A JSON config file (see RunConfig) supplies sweep settings; command-line
 flags override it. NMLAB_WORKERS sets the default worker count. Invalid
@@ -87,7 +87,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    for path in emit_plot(args.csv, args.kind):
+    for path in emit_plot(args.csv):
         print(path)
     return 0
 
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     plo = sub.add_parser("plot", help="render a figure CSV as minimal SVG")
     plo.add_argument("csv")
-    plo.add_argument("--kind", choices=("line", "heatmap"), required=True)
     plo.set_defaults(func=_cmd_plot)
     return parser
 

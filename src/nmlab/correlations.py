@@ -8,16 +8,16 @@ grid search covers; the grid value is a lower bound. Discord is total minus
 classical correlations, hence an upper bound under the projective
 restriction.
 
-Along the gate-by-gate dynamics a trajectory computes the measures only
-where they can change. A gate that acts only on E1/E2 moves the state by a
-unitary local to the kept side: negativity and mutual information are
-invariant, and after any measurement of S the conditional states of the kept
-side differ only by that unitary, so every candidate basis of the search
-extracts the same information and the grid-search value is unchanged too.
-Such a segment is evaluated at its first sample and its values are carried
-across the rest. A gate touching S (H_S) leaves the true classical
-correlations invariant but rotates the measured bases against the fixed
-angle grid, so its segment is computed in full.
+A trajectory computes the measures only where they can change; `register`
+decides which samples repeat a segment that leaves S alone. Such a segment
+moves the state by a unitary local to the kept side: negativity and mutual
+information are invariant, and after any measurement of S the conditional
+states of the kept side differ only by that unitary, so every candidate basis
+of the search extracts the same information and the grid-search value is
+unchanged too. The segment is evaluated at its first sample and its values
+are copied across the rest. A segment acting on S is computed in full: even
+H_S, which leaves the true classical correlations invariant, rotates the
+measured bases against the fixed angle grid.
 
 Certificate: the grid value lies in [0, J] and 0 <= J <= I, the mutual
 information. So where I <= MUTUAL_FLOOR = 1e-12 a trajectory skips the search
@@ -71,7 +71,7 @@ from .qmath import (
     trace_norm,
     vn_entropy,
 )
-from .register import DynamicsScheme, Interpolation, active_gate, gate_sequence, joint_states
+from .register import DynamicsScheme, joint_states, repeats_s_idle_segment
 from .sweep import TimeGrid, two_stage_maximize
 
 # Outcomes rarer than this contribute nothing to the conditional entropy.
@@ -208,23 +208,6 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 
 
-def _carried(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
-    """True where a sample may copy the measures of the sample before it.
-
-    That holds when both samples lie in one gate-by-gate segment whose gate
-    leaves S alone.
-    """
-    carry = np.zeros(len(ts), dtype=bool)
-    if scheme.interpolation is not Interpolation.GATE_BY_GATE:
-        return carry
-    gates = gate_sequence(scheme.variant)
-    seg = active_gate(ts, len(gates))
-    for i, gate in enumerate(gates, start=1):
-        if "S" not in gate.wires:
-            carry[1:] |= (seg[1:] == i) & (seg[:-1] == i)
-    return carry
-
-
 def correlation_trajectory(
     scheme: DynamicsScheme,
     psi: np.ndarray,
@@ -238,12 +221,12 @@ def correlation_trajectory(
     evaluated (discord as mutual - classical, so the identity holds exactly
     in every sample).
 
-    Under gate-by-gate dynamics, a segment whose gate acts only on E1/E2 is
-    evaluated at its first sample only; the later samples of that segment
-    copy its values with their own ``t`` and are never evolved. The copy is
-    exact, grid search included: the gate is a unitary local to the kept
-    side, which leaves every measure and every candidate basis's extracted
-    information unchanged. Segments whose gate touches S are computed in full.
+    A segment that leaves S alone is evaluated at its first sample only; the
+    later samples that `register.repeats_s_idle_segment` marks copy its values
+    with their own ``t`` and are never evolved. The copy is exact, grid search
+    included: the segment is a unitary local to the kept side, which leaves
+    every measure and every candidate basis's extracted information unchanged.
+    Segments acting on S are computed in full.
 
     The basis search runs, as one stack, where the mutual information exceeds
     MUTUAL_FLOOR; elsewhere classical is exactly 0 and discord equals mutual,
@@ -252,7 +235,7 @@ def correlation_trajectory(
     """
     psi = np.asarray(psi, dtype=complex)
     ts = grid.times()
-    fresh = ~_carried(scheme, ts)
+    fresh = ~repeats_s_idle_segment(scheme, ts)
     states = joint_states(scheme, p, ts[fresh], np.outer(psi, psi.conj()))
     neg = log_negativity(states)
     mutual = mutual_information(states)

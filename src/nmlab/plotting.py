@@ -1,10 +1,10 @@
 """Minimal static SVG rendering of the figure CSVs.
 
 The CSV files remain the authoritative artifact; these plots exist for a
-quick visual check. Two kinds are supported against the known schemas:
+quick visual check. The header picks the kind of plot:
 
-* ``line``:    (t, D), (p, t, D) grouped by p, or (p, <series...>)
-* ``heatmap``: (t, p, <value columns...>), one SVG per value column
+* line:    (t, D), (p, t, D) grouped by p, or (p, <series...>) without t
+* heatmap: (t, p, <value columns...>), one SVG per value column
 
 Everything is written by hand with fixed coordinate formatting, so plot
 output is as deterministic as the CSV it came from.
@@ -132,35 +132,27 @@ def _heatmap_svg(path: Path, ts, ps, vals, column: str, title: str) -> Path:
     return path
 
 
-def emit_plot(csv_path: str | Path, kind: str) -> list[Path]:
-    """Render a known-schema CSV as SVG; returns the written paths."""
+def emit_plot(csv_path: str | Path) -> list[Path]:
+    """Render a known-schema CSV as SVG, the kind read off its header; returns the written paths."""
     csv_path = Path(csv_path)
     header, data = read_csv(csv_path)
     stem = csv_path.with_suffix("")
-    if kind == "line":
-        if header == ["t", "D"]:
-            series = [("D", data[:, 0], data[:, 1])]
-            return [_line_svg(stem.with_suffix(".svg"), series, "t", "D", csv_path.stem)]
-        if header == ["p", "t", "D"]:
-            series = [
-                (f"p={format(p, 'g')}", data[data[:, 0] == p][:, 1], data[data[:, 0] == p][:, 2])
-                for p in np.unique(data[:, 0])
-            ]
-            return [_line_svg(stem.with_suffix(".svg"), series, "t", "D", csv_path.stem)]
-        if header[0] == "p" and len(header) >= 2 and "t" not in header:
-            series = [(name, data[:, 0], data[:, k + 1]) for k, name in enumerate(header[1:])]
-            return [_line_svg(stem.with_suffix(".svg"), series, "p", "value", csv_path.stem)]
-        raise ValueError(f"no line schema matches columns {header}")
-    if kind == "heatmap":
-        if header[:2] != ["t", "p"] or len(header) < 3:
-            raise ValueError(f"heatmap needs columns (t, p, values...), got {header}")
-        out = []
-        for k, col in enumerate(header[2:]):
-            out.append(
-                _heatmap_svg(
-                    Path(f"{stem}_{col}.svg"), data[:, 0], data[:, 1], data[:, k + 2],
-                    col, f"{csv_path.stem}: {col}",
-                )
-            )
-        return out
-    raise ValueError(f"unknown plot kind {kind!r}; expected 'line' or 'heatmap'")
+    if header == ["t", "D"]:
+        series = [("D", data[:, 0], data[:, 1])]
+        return [_line_svg(stem.with_suffix(".svg"), series, "t", "D", csv_path.stem)]
+    if header == ["p", "t", "D"]:
+        series = [
+            (f"p={format(p, 'g')}", data[data[:, 0] == p][:, 1], data[data[:, 0] == p][:, 2])
+            for p in np.unique(data[:, 0])
+        ]
+        return [_line_svg(stem.with_suffix(".svg"), series, "t", "D", csv_path.stem)]
+    if header[0] == "p" and len(header) >= 2 and "t" not in header:
+        series = [(name, data[:, 0], data[:, k + 1]) for k, name in enumerate(header[1:])]
+        return [_line_svg(stem.with_suffix(".svg"), series, "p", "value", csv_path.stem)]
+    if header[:2] == ["t", "p"] and len(header) >= 3:
+        return [
+            _heatmap_svg(Path(f"{stem}_{col}.svg"), data[:, 0], data[:, 1], data[:, k + 2],
+                         col, f"{csv_path.stem}: {col}")
+            for k, col in enumerate(header[2:])
+        ]
+    raise ValueError(f"no plot schema matches columns {header}")

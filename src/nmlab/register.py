@@ -171,32 +171,46 @@ def bell_basis() -> list[np.ndarray]:
     ]
 
 
-def active_gate(ts, n_gates: int) -> np.ndarray:
-    """Index in 1..n_gates of the gate running at each time; 0 before the first.
+def _active_segment(ts, n_segments: int) -> np.ndarray:
+    """Index in 1..n_segments of the segment running at each time; 0 before the first.
 
-    Gate i runs over i-1 < t <= i, so a boundary time belongs to the gate that
-    just finished; the 1e-12 slack absorbs float dust above integer times.
+    Segment i runs over i-1 < t <= i, so a boundary time belongs to the segment
+    that just finished; the 1e-12 slack absorbs float dust above integer times.
     """
     ts = np.asarray(ts, dtype=float)
-    return np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), n_gates), 0)
+    return np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), n_segments), 0)
 
 
 @lru_cache(maxsize=None)
 def _segments(scheme: DynamicsScheme):
-    """Fractional segment unitaries and the products of the segments before each of them.
+    """Fractional segment unitaries, the products of the segments before each, and their wires.
 
     Segment i runs over i-1 < t <= i. The block scheme is one segment, the whole
-    circuit; gate by gate, each gate is a segment. This is the one place the
-    dynamics depends on the interpolation.
+    circuit on every wire; gate by gate, each gate is a segment on its own
+    wires. This is the one place the dynamics depends on the interpolation.
     """
     if scheme.interpolation is Interpolation.BLOCK_LOG:
-        units = (circuit_unitary(scheme.variant),)
+        units, wires = (circuit_unitary(scheme.variant),), (WIRES,)
     else:
         units = _gate_unitaries(scheme.variant)
+        wires = tuple(g.wires for g in gate_sequence(scheme.variant))
     prefixes = [np.eye(DIM, dtype=complex)]
     for u in units:
         prefixes.append(u @ prefixes[-1])
-    return [FractionalUnitary(u) for u in units], prefixes
+    return [FractionalUnitary(u) for u in units], prefixes, wires
+
+
+def repeats_s_idle_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
+    """True where a time lies in the segment of the time before it and that segment leaves S alone.
+
+    The block scheme's one segment acts on S, so no time of it qualifies.
+    """
+    wires = _segments(scheme)[2]
+    seg = _active_segment(ts, len(wires))
+    s_idle = np.array([False] + ["S" not in w for w in wires])
+    repeats = np.zeros(len(seg), dtype=bool)
+    repeats[1:] = (seg[1:] == seg[:-1]) & s_idle[seg[1:]]
+    return repeats
 
 
 def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
@@ -209,9 +223,9 @@ def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
     outside = ts[~((ts >= lo - 1e-9) & (ts <= hi + 1e-9))]
     if outside.size:
         raise ValueError(f"time {outside[0]} outside scheme domain [{lo}, {hi}]")
-    fractional, prefixes = _segments(scheme)
+    fractional, prefixes, _ = _segments(scheme)
     out = np.empty((len(ts), DIM, DIM), dtype=complex)
-    seg = active_gate(ts, len(fractional))
+    seg = _active_segment(ts, len(fractional))
     out[seg == 0] = np.eye(DIM, dtype=complex)
     for i in range(1, len(fractional) + 1):
         mask = seg == i
@@ -278,8 +292,8 @@ def _derivative_endpoints(scheme: DynamicsScheme, ts: tuple[float, ...]):
 
     With dU/dt = i H U, each evolved operator rho moves as i[H, rho], and so
     does its partial trace onto S. H generates the running segment: the next
-    one at a segment boundary (the right derivative), the last one at the
-    domain end.
+    one at a segment boundary (the right derivative, although U(t) there
+    belongs to the segment that just finished), the last one at the domain end.
     """
     times = np.array(ts)
     gens = np.stack([f.generator for f in _segments(scheme)[0]])

@@ -34,6 +34,7 @@ from nmlab.register import (
     KET_PLUS,
     bell_basis,
     joint_states,
+    repeats_s_idle_segment,
     werner,
 )
 from nmlab.sweep import TimeGrid, default_grid, two_stage_maximize, unit_vectors
@@ -232,7 +233,7 @@ def searched_row(fig, p, n):
     scheme, psi = {"fig5": (BLOCK_SWAP, KET0), "fig6": (GATES_SWAP, KET0),
                    "fig7": (GATES_SWAP, KET_PLUS)}[fig]
     ts = default_grid(scheme, 100).times()
-    ts = ts[~correlations._carried(scheme, ts)]
+    ts = ts[~repeats_s_idle_segment(scheme, ts)]
     states = joint_states(scheme, p, ts, np.outer(psi, psi.conj()))
     states = states[mutual_information(states) > MUTUAL_FLOOR]
     return states[np.linspace(0, len(states) - 1, n).astype(int)]
@@ -496,6 +497,6 @@ class TestSegmentCarry:
 
         monkeypatch.setattr(correlations, "joint_states", counted)
         correlation_trajectory(scheme, KET_PLUS, 0.6, grid)
-        fresh = ~correlations._carried(scheme, grid.times())
+        fresh = ~repeats_s_idle_segment(scheme, grid.times())
         assert len(evolved) == fresh.sum()
         assert np.array_equal(evolved, grid.times()[fresh])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nmlab import cli
-from nmlab.figures import RunConfig, p_grid, run_figure, write_csv
+from nmlab.figures import FIG_IDS, RunConfig, p_grid, run_figure, write_csv
 from nmlab.plotting import emit_plot, read_csv
 from nmlab.register import BLOCK_SWAP, GATES_SWAP
 from nmlab.sweep import default_grid
@@ -216,33 +216,37 @@ class TestFigures:
 class TestPlotting:
     def test_line_from_fig3(self, tmp_path):
         (csv_path,) = run_figure("fig3", fast_config(tmp_path))
-        (svg,) = emit_plot(csv_path, "line")
+        (svg,) = emit_plot(csv_path)
         text = svg.read_text()
         assert svg.suffix == ".svg"
         assert "<polyline" in text and "</svg>" in text
 
     def test_grouped_lines_from_fig4(self, tmp_path):
         (csv_path,) = run_figure("fig4", fast_config(tmp_path))
-        (svg,) = emit_plot(csv_path, "line")
+        (svg,) = emit_plot(csv_path)
         assert svg.read_text().count("<polyline") == 2
 
     def test_heatmaps_from_fig5(self, tmp_path):
         (csv_path,) = run_figure("fig5", fast_config(tmp_path))
-        svgs = emit_plot(csv_path, "heatmap")
+        svgs = emit_plot(csv_path)
         assert [s.name for s in svgs] == [
             "fig5_neg.svg", "fig5_discord.svg", "fig5_classical.svg"
         ]
         assert all("<rect" in s.read_text() for s in svgs)
 
-    def test_schema_mismatch_rejected(self, tmp_path):
-        (csv_path,) = run_figure("fig3", fast_config(tmp_path))
-        with pytest.raises(ValueError):
-            emit_plot(csv_path, "heatmap")
+    def test_every_figure_plots_from_its_header(self, tmp_path):
+        cfg = fast_config(tmp_path, p_step=1.0, heatmap_p_step=1.0, steps_per_unit=4,
+                          heatmap_steps_per_unit=2)
+        written = [svg.name for fig in FIG_IDS for csv_path in run_figure(fig, cfg)
+                   for svg in emit_plot(csv_path)]
+        heatmaps = [f"{fig}_{col}.svg" for fig in ("fig5", "fig6", "fig7")
+                    for col in ("neg", "discord", "classical")]
+        assert written == ["fig2.svg", "fig2_inset.svg", "fig3.svg", "fig4.svg"] + heatmaps
 
     def test_deterministic_svg(self, tmp_path):
         (csv_path,) = run_figure("fig3", fast_config(tmp_path))
-        a = emit_plot(csv_path, "line")[0].read_bytes()
-        b = emit_plot(csv_path, "line")[0].read_bytes()
+        a = emit_plot(csv_path)[0].read_bytes()
+        b = emit_plot(csv_path)[0].read_bytes()
         assert a == b
 
 
@@ -290,7 +294,8 @@ class TestCli:
     def test_plot_command_schema_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
-        assert cli.main(["plot", str(bad), "--kind", "heatmap"]) == 2
+        code = cli.main(["plot", str(bad)])
+        self._assert_one_error_line(code, capsys, "no plot schema matches columns")
 
     def _assert_one_error_line(self, code, capsys, fragment):
         err = capsys.readouterr().err
@@ -321,7 +326,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["figure", "fig3", "--config"], ["verify", "--config"],
         ["measure", "lfs", "--p", "0.5", "--scheme", "block", "--config"],
-        ["plot", "--kind", "line"],
+        ["plot"],
     ], ids=["figure", "verify", "measure", "plot"])
     def test_directory_path_is_one_error_line(self, tmp_path, capsys, argv):
         code = cli.main(argv + [str(tmp_path)])

@@ -56,3 +56,11 @@ def test_every_top_level_definition_has_a_caller():
     names = defined_names()
     assert {"_segments", "_report", "unit_vectors"} <= set(names)  # the parse found the helpers
     assert unused(names, caller_lines(with_init=True)) == []
+
+
+def test_only_register_branches_on_the_interpolation():
+    # the CLI builds a scheme from its flags and `__init__` re-exports the enum;
+    # every other module asks `register` about segments
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if re.search(r"\bInterpolation\b", path.read_text()))
+    assert users == ["__init__.py", "cli.py", "register.py"]

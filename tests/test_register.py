@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from nmlab.register import (
     KET1,
     CircuitVariant,
     GateSpec,
+    Interpolation,
     alpha_ket,
     bell_basis,
     circuit_unitary,
@@ -28,6 +31,7 @@ from nmlab.register import (
     joint_states,
     propagator_stack,
     reduced_evolution,
+    repeats_s_idle_segment,
     system_map_derivative_stack,
     system_map_stack,
     werner,
@@ -216,6 +220,37 @@ class TestJointState:
         psi = random_ket(rng)
         st = joint_states(BLOCK_SWAP, 0.0, [1.0], projector(psi))[0]
         assert trace_distance(partial_trace(st, (2, 4), 0), np.eye(2) / 2) < 1e-12
+
+
+def s_idle_repeat_oracle(scheme, ts):
+    """Samples repeating the segment before them when that segment's wires exclude S.
+
+    Gate by gate, segment i is gate i over i-1 < t <= i; the block scheme's one
+    segment is the whole circuit, on the wires of all its gates.
+    """
+    gates = gate_sequence(scheme.variant)
+    if scheme.interpolation is Interpolation.BLOCK_LOG:
+        idle = ["S" not in {w for g in gates for w in g.wires}]
+    else:
+        idle = ["S" not in g.wires for g in gates]
+    seg = [min(math.ceil(t - 1e-12), len(idle)) if t > 0 else 0 for t in ts]
+    return [k > 0 and seg[k] == seg[k - 1] > 0 and idle[seg[k] - 1] for k in range(len(ts))]
+
+
+class TestSegmentRepeats:
+    @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC, BLOCK_SWAP],
+                             ids=["swap", "bbc", "block"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 101, 1601])
+    def test_mask_matches_the_gate_wires(self, scheme, n, rng):
+        end = scheme.time_domain[1]
+        integers = np.arange(0.0, end + 1.0)
+        uniform = np.linspace(0.0, end, n)
+        near = np.sort(np.concatenate([uniform, integers - 5e-13, integers + 5e-13]))
+        for ts in (uniform, near, np.sort(rng.uniform(0.0, end, n))):
+            want = s_idle_repeat_oracle(scheme, ts)
+            assert repeats_s_idle_segment(scheme, ts).tolist() == want
+        if scheme is BLOCK_SWAP:
+            assert not repeats_s_idle_segment(scheme, near).any()
 
 
 class TestOnePath:
