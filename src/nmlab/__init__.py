@@ -3,10 +3,10 @@
 The package simulates the three-qubit circuit as a one-qubit dynamical
 map, derives its effective depolarizing channel, quantifies information
 back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
-system-environment correlations along both interpolations of the dynamics.
+system-environment correlations along any grouping of the gates in time.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .qmath import (
     choi_state,
@@ -25,7 +25,6 @@ from .register import (
     CircuitVariant,
     DynamicsScheme,
     GateSpec,
-    Interpolation,
     alpha_ket,
     bell_basis,
     circuit_unitary,

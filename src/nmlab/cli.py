@@ -23,7 +23,7 @@ from pathlib import Path
 from .figures import FIG_IDS, RunConfig, run_figure
 from .nonmarkov import blp_measure, lfs_measure, rhp_measure
 from .plotting import emit_plot
-from .register import CircuitVariant, DynamicsScheme, Interpolation
+from .register import CircuitVariant, DynamicsScheme
 from .sweep import default_grid
 from .verify import run_all
 
@@ -71,7 +71,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_measure(args) -> int:
     cfg = _load_config(args.config)
-    scheme = DynamicsScheme(Interpolation(args.scheme), CircuitVariant(args.variant))
+    scheme = DynamicsScheme.named(args.scheme, CircuitVariant(args.variant))
     grid = default_grid(scheme, cfg.steps_per_unit)
     if args.name == "blp":
         report = blp_measure(scheme, args.p, grid, observe=args.observe.upper())

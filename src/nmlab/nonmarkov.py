@@ -61,7 +61,7 @@ class MeasureReport:
             "value": self.value,
             "p": self.p,
             "scheme": {
-                "interpolation": self.scheme.interpolation.value,
+                "interpolation": self.scheme.name,
                 "variant": self.scheme.variant.value,
             },
             "grid": {"t0": self.grid.t0, "t1": self.grid.t1, "n": self.grid.n},

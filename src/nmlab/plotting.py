@@ -139,16 +139,16 @@ def emit_plot(csv_path: str | Path) -> list[Path]:
     stem = csv_path.with_suffix("")
     if header == ["t", "D"]:
         series = [("D", data[:, 0], data[:, 1])]
-        return [_line_svg(stem.with_suffix(".svg"), series, "t", "D", csv_path.stem)]
+        return [_line_svg(csv_path.with_suffix(".svg"), series, "t", "D", csv_path.stem)]
     if header == ["p", "t", "D"]:
         series = [
             (f"p={format(p, 'g')}", data[data[:, 0] == p][:, 1], data[data[:, 0] == p][:, 2])
             for p in np.unique(data[:, 0])
         ]
-        return [_line_svg(stem.with_suffix(".svg"), series, "t", "D", csv_path.stem)]
+        return [_line_svg(csv_path.with_suffix(".svg"), series, "t", "D", csv_path.stem)]
     if header[0] == "p" and len(header) >= 2 and "t" not in header:
         series = [(name, data[:, 0], data[:, k + 1]) for k, name in enumerate(header[1:])]
-        return [_line_svg(stem.with_suffix(".svg"), series, "p", "value", csv_path.stem)]
+        return [_line_svg(csv_path.with_suffix(".svg"), series, "p", "value", csv_path.stem)]
     if header[:2] == ["t", "p"] and len(header) >= 3:
         return [
             _heatmap_svg(Path(f"{stem}_{col}.svg"), data[:, 0], data[:, 1], data[:, k + 2],

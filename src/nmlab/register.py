@@ -3,16 +3,16 @@
 The register holds the system qubit S and two environment qubits E1, E2
 (S is the most significant tensor factor). Two circuit variants are
 supported: the swap-terminated circuit that returns the teleported state
-on S, and the original BBC circuit that deposits it on E2. Each variant
-can be driven either as a single interpolated block unitary or gate by
-gate, with every gate stretched over one unit of dimensionless time.
+on S, and the original BBC circuit that deposits it on E2. A dynamics
+scheme groups a variant's gates into segments, each interpolated over one
+unit of dimensionless time: from one block to one gate per segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -45,27 +45,37 @@ class CircuitVariant(str, Enum):
     ORIGINAL_BBC = "bbc"
 
 
-class Interpolation(str, Enum):
-    BLOCK_LOG = "block"
-    GATE_BY_GATE = "gates"
-
-
 @dataclass(frozen=True)
 class DynamicsScheme:
-    """Which interpolation drives the dynamics, on which circuit variant."""
+    """A circuit variant with its n gates grouped into unit-time segments, split after
+    each gate count in `cuts` (strictly increasing within 1..n-1)."""
 
-    interpolation: Interpolation = Interpolation.BLOCK_LOG
     variant: CircuitVariant = CircuitVariant.SWAP_TERMINATED
+    cuts: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "variant", CircuitVariant(self.variant))
+        n, cuts = len(gate_sequence(self.variant)), tuple(self.cuts)
+        if list(cuts) != sorted(set(cuts) & set(range(1, n))):
+            raise ValueError(f"cuts must increase strictly within 1..{n - 1}, got {cuts}")
+        object.__setattr__(self, "cuts", tuple(map(int, cuts)))
+
+    @classmethod
+    def named(cls, name: str, variant: CircuitVariant) -> DynamicsScheme:
+        """The grouping called "block" (no cuts) or "gates" (every cut) on `variant`."""
+        n = len(gate_sequence(variant))
+        return cls(variant, {"block": (), "gates": tuple(range(1, n))}[name])
+
+    @property
+    def name(self) -> str:
+        """The name `named` gives this grouping, else "cuts " and its cuts."""
+        return next((k for k in ("block", "gates") if self.named(k, self.variant) == self),
+                    "cuts " + ",".join(map(str, self.cuts)))
 
     @property
     def time_domain(self) -> tuple[float, float]:
-        """(0, number of unit-time segments): 1 for the block scheme, the gate count otherwise."""
-        return (0.0, float(len(_segments(self)[0])))
-
-
-BLOCK_SWAP = DynamicsScheme(Interpolation.BLOCK_LOG, CircuitVariant.SWAP_TERMINATED)
-GATES_SWAP = DynamicsScheme(Interpolation.GATE_BY_GATE, CircuitVariant.SWAP_TERMINATED)
-GATES_BBC = DynamicsScheme(Interpolation.GATE_BY_GATE, CircuitVariant.ORIGINAL_BBC)
+        """(0, number of unit-time segments)."""
+        return (0.0, float(len(self.cuts) + 1))
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,7 @@ def gate_sequence(variant: CircuitVariant) -> list[GateSpec]:
         GateSpec("cnot", ("E1", "E2")),
         GateSpec("h", ("E2",)),
     ]
-    if variant is CircuitVariant.SWAP_TERMINATED:
+    if CircuitVariant(variant) is CircuitVariant.SWAP_TERMINATED:
         return common + [
             GateSpec("swap", ("E1", "E2")),
             GateSpec("cnot", ("S", "E1")),
@@ -138,17 +148,19 @@ def gate_sequence(variant: CircuitVariant) -> list[GateSpec]:
     ]
 
 
+BLOCK_SWAP = DynamicsScheme.named("block", CircuitVariant.SWAP_TERMINATED)
+GATES_SWAP = DynamicsScheme.named("gates", CircuitVariant.SWAP_TERMINATED)
+GATES_BBC = DynamicsScheme.named("gates", CircuitVariant.ORIGINAL_BBC)
+
+
 @lru_cache(maxsize=None)
 def _gate_unitaries(variant: CircuitVariant) -> tuple[np.ndarray, ...]:
     return tuple(gate_unitary(g) for g in gate_sequence(variant))
 
 
 def circuit_unitary(variant: CircuitVariant = CircuitVariant.SWAP_TERMINATED) -> np.ndarray:
-    """Full 8x8 product of the circuit's gates in order."""
-    out = np.eye(DIM, dtype=complex)
-    for g in _gate_unitaries(variant):
-        out = g @ out
-    return out
+    """Full 8x8 product of the circuit's gates in order, the block scheme's one segment."""
+    return _segments(DynamicsScheme(variant))[1][-1].copy()
 
 
 def werner(p: float) -> np.ndarray:
@@ -185,26 +197,22 @@ def _active_segment(ts, n_segments: int) -> np.ndarray:
 def _segments(scheme: DynamicsScheme):
     """Fractional segment unitaries, the products of the segments before each, and their wires.
 
-    Segment i runs over i-1 < t <= i. The block scheme is one segment, the whole
-    circuit on every wire; gate by gate, each gate is a segment on its own
-    wires. This is the one place the dynamics depends on the interpolation.
+    Segment i runs over i-1 < t <= i: the product of its group of gates, on the
+    wires they touch. This is the one place the dynamics depends on the grouping.
     """
-    if scheme.interpolation is Interpolation.BLOCK_LOG:
-        units, wires = (circuit_unitary(scheme.variant),), (WIRES,)
-    else:
-        units = _gate_unitaries(scheme.variant)
-        wires = tuple(g.wires for g in gate_sequence(scheme.variant))
-    prefixes = [np.eye(DIM, dtype=complex)]
-    for u in units:
+    gates, units = gate_sequence(scheme.variant), _gate_unitaries(scheme.variant)
+    bounds = (0,) + scheme.cuts + (len(gates),)
+    fractional, prefixes, wires = [], [np.eye(DIM, dtype=complex)], []
+    for a, b in zip(bounds, bounds[1:]):
+        u = reduce(lambda acc, g: g @ acc, units[a:b], np.eye(DIM, dtype=complex))
+        fractional.append(FractionalUnitary(u))
         prefixes.append(u @ prefixes[-1])
-    return [FractionalUnitary(u) for u in units], prefixes, wires
+        wires.append(tuple(w for w in WIRES if any(w in g.wires for g in gates[a:b])))
+    return fractional, prefixes, tuple(wires)
 
 
 def repeats_s_idle_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
-    """True where a time lies in the segment of the time before it and that segment leaves S alone.
-
-    The block scheme's one segment acts on S, so no time of it qualifies.
-    """
+    """True where a time repeats the previous time's segment and that segment leaves S alone."""
     wires = _segments(scheme)[2]
     seg = _active_segment(ts, len(wires))
     s_idle = np.array([False] + ["S" not in w for w in wires])
@@ -214,7 +222,7 @@ def repeats_s_idle_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
 
 
 def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
-    """Register unitaries U(t) under the scheme's interpolation, shape (len(ts), 8, 8).
+    """Register unitaries U(t) under the scheme's grouping, shape (len(ts), 8, 8).
 
     Segment i runs over i-1 < t <= i while the others idle; U(0) is the identity.
     """

@@ -243,6 +243,16 @@ class TestPlotting:
                     for col in ("neg", "discord", "classical")]
         assert written == ["fig2.svg", "fig2_inset.svg", "fig3.svg", "fig4.svg"] + heatmaps
 
+    def test_line_plots_keep_the_full_stem(self, tmp_path):
+        # an inner dot is part of the name: two versions of one CSV give two SVGs
+        (csv_path,) = run_figure("fig3", fast_config(tmp_path))
+        versions = [csv_path.with_name(f"run.v{k}.csv") for k in (1, 2)]
+        for path in versions:
+            path.write_bytes(csv_path.read_bytes())
+        written = [svg for path in versions for svg in emit_plot(path)]
+        assert [svg.name for svg in written] == ["run.v1.svg", "run.v2.svg"]
+        assert all(svg.exists() for svg in written)
+
     def test_deterministic_svg(self, tmp_path):
         (csv_path,) = run_figure("fig3", fast_config(tmp_path))
         a = emit_plot(csv_path)[0].read_bytes()
@@ -275,6 +285,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(0.5, abs=1e-3)
+        assert payload["scheme"] == {"interpolation": "gates", "variant": "bbc"}
 
     def test_observe_restricted_to_blp(self, capsys):
         code = cli.main([

@@ -58,9 +58,9 @@ def test_every_top_level_definition_has_a_caller():
     assert unused(names, caller_lines(with_init=True)) == []
 
 
-def test_only_register_branches_on_the_interpolation():
-    # the CLI builds a scheme from its flags and `__init__` re-exports the enum;
-    # every other module asks `register` about segments
-    users = sorted(path.name for path in PACKAGE.glob("*.py")
-                   if re.search(r"\bInterpolation\b", path.read_text()))
-    assert users == ["__init__.py", "cli.py", "register.py"]
+def test_only_register_builds_segment_products():
+    # a scheme's segments are products of its gate groups, built in one place;
+    # every other module asks `register` for the dynamics
+    builders = sorted(path.name for path in PACKAGE.glob("*.py")
+                      if re.search(r"\b(FractionalUnitary|_gate_unitaries)\(", path.read_text()))
+    assert builders == ["register.py"]

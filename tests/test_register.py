@@ -21,8 +21,8 @@ from nmlab.register import (
     KET0,
     KET1,
     CircuitVariant,
+    DynamicsScheme,
     GateSpec,
-    Interpolation,
     alpha_ket,
     bell_basis,
     circuit_unitary,
@@ -225,21 +225,66 @@ class TestJointState:
 def s_idle_repeat_oracle(scheme, ts):
     """Samples repeating the segment before them when that segment's wires exclude S.
 
-    Gate by gate, segment i is gate i over i-1 < t <= i; the block scheme's one
-    segment is the whole circuit, on the wires of all its gates.
+    Segment i runs over i-1 < t <= i and holds the gates between the cuts around
+    it; its wires are the union of those gates' wires.
     """
     gates = gate_sequence(scheme.variant)
-    if scheme.interpolation is Interpolation.BLOCK_LOG:
-        idle = ["S" not in {w for g in gates for w in g.wires}]
-    else:
-        idle = ["S" not in g.wires for g in gates]
+    bounds = [0, *scheme.cuts, len(gates)]
+    idle = ["S" not in {w for g in gates[a:b] for w in g.wires} for a, b in zip(bounds, bounds[1:])]
     seg = [min(math.ceil(t - 1e-12), len(idle)) if t > 0 else 0 for t in ts]
     return [k > 0 and seg[k] == seg[k - 1] > 0 and idle[seg[k] - 1] for k in range(len(ts))]
 
 
+SWAP, BBC = CircuitVariant.SWAP_TERMINATED, CircuitVariant.ORIGINAL_BBC
+
+
+class TestGroupings:
+    @pytest.mark.parametrize("variant, cuts", [
+        (SWAP, (0,)), (SWAP, (8,)), (SWAP, (1, 1)), (SWAP, (3, 2)), (BBC, (6,)), (BBC, (-1, 2)),
+        (SWAP, (1.5,)), (SWAP, ("1",)),
+    ])
+    def test_malformed_cuts_rejected(self, variant, cuts):
+        with pytest.raises(ValueError, match="cuts must increase strictly"):
+            DynamicsScheme(variant, cuts)
+
+    def test_variant_given_by_value(self):
+        # "swap" equals the enum member, so a scheme built from it shares its caches
+        assert len(gate_sequence("swap")) == 8 and len(gate_sequence("bbc")) == 6
+        scheme = DynamicsScheme("swap")
+        assert scheme == BLOCK_SWAP and scheme.variant is SWAP
+        assert np.allclose(propagator_stack(scheme, [1.0])[0], circuit_unitary(), atol=1e-12)
+        with pytest.raises(ValueError):
+            DynamicsScheme("teleport")
+
+    def test_named_groupings(self):
+        assert BLOCK_SWAP == DynamicsScheme(SWAP) and GATES_BBC == DynamicsScheme(BBC, range(1, 6))
+        assert GATES_SWAP.cuts == (1, 2, 3, 4, 5, 6, 7)
+        schemes = (BLOCK_SWAP, GATES_SWAP, GATES_BBC, DynamicsScheme(SWAP, [1, 2, 5]))
+        assert [s.name for s in schemes] == ["block", "gates", "gates", "cuts 1,2,5"]
+
+    @pytest.mark.parametrize("variant, cuts, wires", [
+        (SWAP, (), [("S", "E1", "E2")]),
+        (SWAP, (1, 2, 5), [("S", "E1"), ("S",), ("E1", "E2"), ("S", "E1")]),
+        (BBC, (2, 4), [("S", "E1"), ("E1", "E2"), ("S", "E2")]),
+    ])
+    def test_segments_multiply_their_gates_on_the_wires_they_touch(self, variant, cuts, wires):
+        scheme = DynamicsScheme(variant, cuts)
+        assert scheme.time_domain == (0.0, float(len(wires)))
+        assert register._segments(scheme)[2] == tuple(wires)
+        prefixes = [np.eye(8, dtype=complex)]
+        for g in gate_sequence(variant):
+            prefixes.append(gate_unitary(g) @ prefixes[-1])
+        # the end of each segment is the product of every gate up to its cut
+        ends = propagator_stack(scheme, np.arange(1.0, len(wires) + 1))
+        for b, u in zip([*cuts, len(prefixes) - 1], ends):
+            assert np.allclose(u, prefixes[b], atol=1e-12)
+
+
 class TestSegmentRepeats:
-    @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC, BLOCK_SWAP],
-                             ids=["swap", "bbc", "block"])
+    @pytest.mark.parametrize("scheme", [
+        GATES_SWAP, GATES_BBC, BLOCK_SWAP, DynamicsScheme(SWAP, (1, 2, 5)),
+        DynamicsScheme(SWAP, (3,)), DynamicsScheme(BBC, (2, 4)),
+    ], ids=["swap", "bbc", "block", "swap-1,2,5", "swap-3", "bbc-2,4"])
     @pytest.mark.parametrize("n", [2, 3, 17, 101, 1601])
     def test_mask_matches_the_gate_wires(self, scheme, n, rng):
         end = scheme.time_domain[1]
