@@ -27,7 +27,7 @@ Nor does a pure state: measuring S leaves pure conditional states, so
 J = S(rho_S) = I/2 in every basis. At p = 1 the register state
 |psi><psi| (x) |phi+><phi+| stays pure, so a trajectory reports I/2.
 
-Pruning certificate of the coarse grid. Measuring S along n leaves
+Pruning certificate, in every round of the search. Measuring S along n leaves
 sigma+-(n) = (rho_K +- n.T) / 2 with p+- = tr sigma+-, and
 J(n) = S(rho_K) - sum_{p+- > PROB_FLOOR} p+- S(sigma+- / p+-). The von Neumann
 entropy is at least the Renyi-2 entropy S_2 = -log2(tr sigma^2 / p^2), and
@@ -35,11 +35,12 @@ S_2 <= S <= log2 d, so J(n) <= B(n) = S(rho_K) - sum p+- clip(S_2, 0, log2 d).
 B needs tr sigma^2, the squared Frobenius norm of the conditional state, and no
 eigensolve. (The expansion (tr rho_K^2 +- 2 n.a + n.G.n) / 4 is exact too, but
 its O(1) terms cancel to ~1e-16, which swamps tr sigma^2 ~ p^2 below p ~ 1e-7.)
-Per row, the SEEDS = 8 candidates of largest B are eigensolved and their best
-J is L; then every candidate with B >= L - BOUND_MARGIN is eigensolved and the
-rest score -inf. A pruned candidate has J <= B + BOUND_MARGIN < L, below the
-row maximum, so it is never the winner nor tied with it, and the coarse
-winner, its value and the refinement are those of the full grid bit for bit.
+In each row of a round's batch (the coarse grid or a refinement stencil), the
+SEEDS = 8 candidates of largest B are eigensolved and their best J is L; then
+every candidate with B >= L - BOUND_MARGIN is eigensolved and the rest score
+-inf. A pruned candidate has J <= B + BOUND_MARGIN < L <= the batch's row
+maximum, so it is never the round's winner nor tied with it: every round's
+winner and value, hence the search, are those of the full J bit for bit.
 
 BOUND_MARGIN = 1e-9 covers how the computed J may exceed B. J and B read the
 same computed sigma and p, so the Renyi inequality holds for them up to
@@ -80,7 +81,7 @@ PROB_FLOOR = 1e-12
 MUTUAL_FLOOR = 1e-12
 # States per stacked basis search; bounds the candidate arrays, not the values.
 SEARCH_CHUNK = 16
-# Coarse candidates per state eigensolved first, by largest entropy bound.
+# Candidates per state and round eigensolved first, by largest entropy bound.
 SEEDS = 8
 # Slack of the entropy bound against the computed J (derived in the module docstring).
 BOUND_MARGIN = 1e-9
@@ -144,15 +145,6 @@ def _conditional_entropy(cond: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return branch.sum(axis=-1)
 
 
-def _j_values(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Extracted information of state i along the unit vectors n[i] (m, k, 3).
-
-    `blocks` stacks `_bloch_blocks` of m states, `s_a` the entropies of their
-    rho_K.
-    """
-    return s_a[:, None] - _conditional_entropy(*_conditionals(blocks, n))
-
-
 def _entropy_bound(s_a: np.ndarray, cond: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """The Renyi-2 bound B >= J - BOUND_MARGIN of the module docstring, without an eigensolve.
 
@@ -166,10 +158,12 @@ def _entropy_bound(s_a: np.ndarray, cond: np.ndarray, probs: np.ndarray) -> np.n
 
 
 def _pruned_j_values(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """`_j_values` where a candidate can reach its row's maximum, -inf elsewhere.
+    """Extracted information J of state i along the unit vectors n[i] (m, k, 3), or -inf
+    where the entropy bound proves it below the row's maximum.
 
-    The SEEDS candidates of largest bound (earliest first among equals) are
-    eigensolved first; their best value L rules out every candidate whose
+    `blocks` stacks `_bloch_blocks` of m states, `s_a` the entropies of their
+    rho_K. The SEEDS candidates of largest bound (earliest first among equals)
+    are eigensolved first; their best value L rules out every candidate whose
     bound lies below L - BOUND_MARGIN, and the rest are eigensolved.
     """
     cond, probs = _conditionals(blocks, n)
@@ -192,8 +186,8 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
 
     The deterministic two-stage angle grid searches the measurement bases
     (basis pairs are unordered, so theta in [0, pi/2] suffices), so the
-    result is a lower bound by construction. Coarse candidates that the
-    entropy bound proves below the maximum are never eigensolved. `rho` may
+    result is a lower bound by construction. Candidates that the entropy
+    bound proves below their round's maximum are never eigensolved. `rho` may
     be a stack of states of dimension 2d, d >= 2.
     """
     blocks = _bloch_blocks(rho)
@@ -202,9 +196,8 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     value = np.empty(len(flat))
     for lo in range(0, len(flat), SEARCH_CHUNK):
         b, s = flat[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK]
-        value[lo:lo + len(b)] = two_stage_maximize(
-            lambda n: _j_values(b, s, n), len(b),
-            coarse_batch=lambda n: _pruned_j_values(b, s, n)).value
+        value[lo:lo + len(b)] = two_stage_maximize(lambda n: _pruned_j_values(b, s, n),
+                                                   len(b)).value
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .correlations import correlation_trajectory
 from .nonmarkov import blp_measure, lfs_measure, pair_distance_curve, rhp_measure
-from .register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, KET_PLUS
-from .sweep import default_grid, is_count
+from .register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, KET_PLUS, is_count
+from .sweep import default_grid
 
 FIG_IDS = ("fig2", "fig2_inset", "fig3", "fig4", "fig5", "fig6", "fig7")
 

@@ -38,11 +38,11 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_unitary(a: np.ndarray, tol: float = STRUCTURE_TOL) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
+    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= STRUCTURE_TOL)
 
 
 def cut_view(rho: np.ndarray) -> np.ndarray:

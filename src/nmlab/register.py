@@ -10,6 +10,7 @@ unit of dimensionless time: from one block to one gate per segment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -40,6 +41,12 @@ WIRES = ("S", "E1", "E2")
 DIM = 8
 
 
+def is_count(value, minimum: int) -> bool:
+    """True for an integer (not a bool) of at least `minimum`."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 class CircuitVariant(str, Enum):
     SWAP_TERMINATED = "swap"
     ORIGINAL_BBC = "bbc"
@@ -56,15 +63,17 @@ class DynamicsScheme:
     def __post_init__(self):
         object.__setattr__(self, "variant", CircuitVariant(self.variant))
         n, cuts = len(gate_sequence(self.variant)), tuple(self.cuts)
-        if list(cuts) != sorted(set(cuts) & set(range(1, n))):
+        if not all(is_count(c, 1) and c < n for c in cuts) or list(cuts) != sorted(set(cuts)):
             raise ValueError(f"cuts must increase strictly within 1..{n - 1}, got {cuts}")
         object.__setattr__(self, "cuts", tuple(map(int, cuts)))
 
     @classmethod
     def named(cls, name: str, variant: CircuitVariant) -> DynamicsScheme:
         """The grouping called "block" (no cuts) or "gates" (every cut) on `variant`."""
-        n = len(gate_sequence(variant))
-        return cls(variant, {"block": (), "gates": tuple(range(1, n))}[name])
+        groupings = {"block": (), "gates": tuple(range(1, len(gate_sequence(variant))))}
+        if name not in groupings:
+            raise ValueError(f"scheme name must be 'block' or 'gates', got {name!r}")
+        return cls(variant, groupings[name])
 
     @property
     def name(self) -> str:

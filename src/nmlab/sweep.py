@@ -9,13 +9,12 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .register import DynamicsScheme
+from .register import DynamicsScheme, is_count
 
 
 @dataclass(frozen=True)
@@ -37,12 +36,6 @@ class TimeGrid:
 
     def doubled(self) -> "TimeGrid":
         return TimeGrid(self.t0, self.t1, 2 * self.n - 1)
-
-
-def is_count(value, minimum: int) -> bool:
-    """True for an integer (not a bool) of at least `minimum`."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= minimum)
 
 
 def default_grid(scheme: DynamicsScheme, steps_per_unit: int = 200) -> TimeGrid:
@@ -76,44 +69,40 @@ class SearchResult:
     evaluations: int
 
 
-def two_stage_maximize(
-    f_batch: Callable[[np.ndarray], np.ndarray],
-    rows: int = 1,
-    coarse_batch: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> SearchResult:
+def two_stage_maximize(f_batch: Callable[[np.ndarray], np.ndarray], rows: int = 1) -> SearchResult:
     """Maximize ``rows`` independent objectives over [0, THETA_MAX] x [0, 2 pi).
 
-    ``f_batch(n)`` scores (rows, k, 3) unit vectors, row i for objective i.
-    ``coarse_batch``, if given, scores the coarse grid instead; it may leave at
-    -inf a candidate it proves to lie below its row's maximum. Each
-    refinement round halves the steps around each row's incumbent, and ties
-    resolve to the earliest grid point of the row, so the search is
-    deterministic. The result has one entry per row; `evaluations` counts the
-    candidates scored, summed over the rows.
+    ``f_batch(n)`` scores (rows, k, 3) unit vectors, row i for objective i; it
+    may leave at -inf a candidate it proves to lie below its row's maximum in
+    that batch. Round 0 scores the coarse grid, and each of the REFINE_ROUNDS
+    rounds after it halves the steps around each row's incumbent. A round's
+    best replaces the incumbent only if strictly larger, and ties within a
+    round resolve to its earliest point, so the search is deterministic. The
+    result has one entry per row; `coarse_value` is the best after round 0 and
+    `evaluations` counts the finite scores, summed over the rounds and rows.
     """
     thetas = np.repeat(np.linspace(0.0, THETA_MAX, COARSE_THETA), COARSE_PHI)
     phis = np.tile(np.linspace(0.0, 2.0 * np.pi, COARSE_PHI, endpoint=False), COARSE_THETA)
-    coarse = np.broadcast_to(unit_vectors(thetas, phis), (rows, thetas.size, 3))
-    values = np.asarray((coarse_batch or f_batch)(coarse), float)
+    grid_t, grid_p = (np.broadcast_to(a, (rows, a.size)) for a in (thetas, phis))
+    n = np.broadcast_to(unit_vectors(thetas, phis), (rows, thetas.size, 3))
     at = np.arange(rows)
-    k = np.argmax(values, axis=1)
-    best, b_theta, b_phi = values.max(axis=1), thetas[k], phis[k]
-    evaluations = int(np.isfinite(values).sum())
-
-    d_theta = THETA_MAX / (COARSE_THETA - 1)
-    d_phi = 2.0 * np.pi / COARSE_PHI
+    best, b_theta, b_phi, evaluations = np.full(rows, -np.inf), np.zeros(rows), np.zeros(rows), 0
+    d_theta, d_phi = THETA_MAX / (COARSE_THETA - 1), 2.0 * np.pi / COARSE_PHI
     span = np.arange(-REFINE_HALFSPAN, REFINE_HALFSPAN + 1)
-    for _ in range(REFINE_ROUNDS):
-        d_theta /= 2.0
-        d_phi /= 2.0
-        tt = np.clip(b_theta[:, None] + d_theta * span, 0.0, THETA_MAX)
-        pp = b_phi[:, None] + d_phi * span
-        grid_t, grid_p = np.repeat(tt, span.size, axis=1), np.tile(pp, span.size)  # ij order
-        vv = np.asarray(f_batch(unit_vectors(grid_t, grid_p)), dtype=float)
-        evaluations += vv.size
-        kk = np.argmax(vv, axis=1)
-        better = vv[at, kk] > best
-        best = np.where(better, vv[at, kk], best)
-        b_theta = np.where(better, grid_t[at, kk], b_theta)
-        b_phi = np.where(better, grid_p[at, kk], b_phi)
-    return SearchResult(best, b_theta, b_phi % (2.0 * np.pi), values.max(axis=1), evaluations)
+    for round_ in range(REFINE_ROUNDS + 1):
+        if round_:
+            d_theta, d_phi = d_theta / 2.0, d_phi / 2.0
+            tt = np.clip(b_theta[:, None] + d_theta * span, 0.0, THETA_MAX)
+            pp = b_phi[:, None] + d_phi * span
+            grid_t, grid_p = np.repeat(tt, span.size, axis=1), np.tile(pp, span.size)  # ij order
+            n = unit_vectors(grid_t, grid_p)
+        values = np.asarray(f_batch(n), dtype=float)
+        evaluations += int(np.isfinite(values).sum())
+        k = np.argmax(values, axis=1)
+        better = values[at, k] > best
+        best = np.where(better, values[at, k], best)
+        b_theta = np.where(better, grid_t[at, k], b_theta)
+        b_phi = np.where(better, grid_p[at, k], b_phi)
+        if not round_:
+            coarse_value = best
+    return SearchResult(best, b_theta, b_phi % (2.0 * np.pi), coarse_value, evaluations)

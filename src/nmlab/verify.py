@@ -77,14 +77,14 @@ class CheckResult:
         }
 
 
-def _random_density(rng: np.random.Generator, d: int = 2) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def _random_density(rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
 
 
-def _random_ket(rng: np.random.Generator, d: int = 2) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+def _random_ket(rng: np.random.Generator) -> np.ndarray:
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return v / np.linalg.norm(v)
 
 

@@ -50,6 +50,11 @@ def joint_state(psi, p, scheme, t):
     return joint_states(scheme, p, [t], np.outer(psi, psi.conj()))[0]
 
 
+def full_j(blocks, s_a, n):
+    """Extracted information of state i along every unit vector n[i]: the unpruned objective."""
+    return s_a[:, None] - correlations._conditional_entropy(*correlations._conditionals(blocks, n))
+
+
 def discord(rho):
     """Mutual information minus classical correlations, as every trajectory sample reports it."""
     return mutual_information(rho) - classical_correlations(rho)
@@ -148,8 +153,7 @@ class TestBlochKernel:
             assert np.allclose(blocks[0], kept, atol=1e-15)
             s_a = float(vn_entropy(kept))
             # the kernel scores a stack of states; this is a stack of one
-            got = correlations._j_values(blocks[None], np.array([s_a]),
-                                         unit_vectors(thetas, phis)[None])[0]
+            got = full_j(blocks[None], np.array([s_a]), unit_vectors(thetas, phis)[None])[0]
             want = [projector_oracle_j(rho, th, ph)
                     for th, ph in zip(thetas, phis)]
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -218,11 +222,11 @@ def bound_test_directions(rng):
 
 
 def unpruned_search(stack):
-    """The search on the full coarse grid, one chunk of SEARCH_CHUNK states at a time."""
+    """The search scoring every candidate, one chunk of SEARCH_CHUNK states at a time."""
     blocks = correlations._bloch_blocks(stack)
     s_a = vn_entropy(blocks[:, 0])
     return np.concatenate([
-        two_stage_maximize(lambda n: correlations._j_values(b, s, n), len(b)).value
+        two_stage_maximize(lambda n: full_j(b, s, n), len(b)).value
         for b, s in ((blocks[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK])
                      for lo in range(0, len(stack), SEARCH_CHUNK))
     ])
@@ -250,7 +254,7 @@ class TestEntropyBound:
         s_a = vn_entropy(blocks[:, 0])
         n = bound_test_directions(rng)
         bound = correlations._entropy_bound(s_a, *correlations._conditionals(blocks, n))
-        j = correlations._j_values(blocks, s_a, n)
+        j = full_j(blocks, s_a, n)
         assert np.all(bound >= j - BOUND_MARGIN), float(np.max(j - bound))
 
     def test_pure_conditionals_make_the_bound_tight(self):
@@ -260,7 +264,7 @@ class TestEntropyBound:
         n = bound_test_directions(np.random.default_rng(1))
         bound = correlations._entropy_bound(s_a, *correlations._conditionals(blocks, n))
         assert np.max(np.abs(bound - 1.0)) <= 1e-12
-        assert np.max(np.abs(bound - correlations._j_values(blocks, s_a, n))) <= 1e-12
+        assert np.max(np.abs(bound - full_j(blocks, s_a, n))) <= 1e-12
 
 
 class TestPrunedSearch:
@@ -280,10 +284,8 @@ class TestPrunedSearch:
         # Bell: every basis extracts 1 bit; classical pair: the 25 pole points tie
         blocks = correlations._bloch_blocks(rho)[None]
         s_a = vn_entropy(blocks[:, 0])
-        full = two_stage_maximize(lambda n: correlations._j_values(blocks, s_a, n))
-        pruned = two_stage_maximize(
-            lambda n: correlations._j_values(blocks, s_a, n),
-            coarse_batch=lambda n: correlations._pruned_j_values(blocks, s_a, n))
+        full = two_stage_maximize(lambda n: full_j(blocks, s_a, n))
+        pruned = two_stage_maximize(lambda n: correlations._pruned_j_values(blocks, s_a, n))
         for field in ("value", "theta", "phi", "coarse_value"):
             assert np.array_equal(getattr(pruned, field), getattr(full, field)), field
         assert classical_correlations(rho) == full.value[0]
@@ -292,19 +294,17 @@ class TestPrunedSearch:
         stack = searched_row("fig6", 0.4, SEARCH_CHUNK)
         blocks = correlations._bloch_blocks(stack)
         s_a = vn_entropy(blocks[:, 0])
-        coarse = []
+        rounds = []
 
         def pruned(n):
-            coarse.append(correlations._pruned_j_values(blocks, s_a, n))
-            return coarse[-1]
+            rounds.append(correlations._pruned_j_values(blocks, s_a, n))
+            return rounds[-1]
 
-        result = two_stage_maximize(
-            lambda n: correlations._j_values(blocks, s_a, n), len(stack),
-            coarse_batch=pruned)
-        refined = len(stack) * sweep.REFINE_ROUNDS * (2 * sweep.REFINE_HALFSPAN + 1) ** 2
-        scored = int(np.isfinite(coarse[0]).sum())
-        assert result.evaluations == scored + refined
-        assert correlations.SEEDS * len(stack) <= scored < coarse[0].size
+        result = two_stage_maximize(pruned, len(stack))
+        scored = [int(np.isfinite(v).sum()) for v in rounds]
+        assert len(rounds) == 1 + sweep.REFINE_ROUNDS
+        assert result.evaluations == sum(scored)
+        assert correlations.SEEDS * len(stack) <= scored[0] < rounds[0].size
 
 
 TINY_FIGURES = {

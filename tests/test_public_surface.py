@@ -1,11 +1,14 @@
 """Every name `nmlab` exports or defines is used somewhere besides its own definition.
 
-An export counts as used when it appears on a line of a package module other
-than `__init__.py` and its own `def`/`class` line, or on any line of the
-benchmark scripts in `perfbench/`. A top-level function or class of any package
-module counts as used when it appears on a line of the package or of
-`perfbench/` other than its own definition. A name that only tests call fails
-this audit.
+Package callers are read from the syntax tree: a name counts as used by a
+package module when that module's code reads it as a name, reaches it as an
+attribute or imports it, so a mention in a docstring or comment does not
+count. The benchmark scripts in `perfbench/` name functions by string, so any
+line there that mentions the name, other than a `def`/`class` line of it,
+counts. An export counts as used by a package module other than `__init__.py`
+or by `perfbench/`; a top-level function or class of any package module counts
+as used by the package, `__init__.py` included, or by `perfbench/`. A name that
+only tests call fails this audit.
 """
 
 import ast
@@ -30,18 +33,28 @@ def defined_names():
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
 
 
-def caller_lines(with_init=False):
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if with_init or p.name != "__init__.py"]
-    paths += sorted((ROOT / "perfbench").glob("*.py"))
-    return [line for path in paths for line in path.read_text().splitlines()]
+def package_uses(with_init=False):
+    """Names the package's code reads, reaches as attributes, or imports."""
+    paths = [p for p in PACKAGE.glob("*.py") if with_init or p.name != "__init__.py"]
+    nodes = [node for path in paths for node in ast.walk(ast.parse(path.read_text()))]
+    return ({node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {node.name for node in nodes if isinstance(node, ast.alias)})
 
 
-def unused(names, lines):
+def perfbench_lines():
+    return [line for path in sorted((ROOT / "perfbench").glob("*.py"))
+            for line in path.read_text().splitlines()]
+
+
+def unused(names, with_init=False):
+    uses, lines = package_uses(with_init), perfbench_lines()
     out = []
     for name in names:
         word = re.compile(rf"\b{re.escape(name)}\b")
         definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-        if not any(word.search(line) and not definition.match(line) for line in lines):
+        if name not in uses and not any(word.search(line) and not definition.match(line)
+                                        for line in lines):
             out.append(name)
     return out
 
@@ -49,13 +62,13 @@ def unused(names, lines):
 def test_every_export_has_a_caller():
     names = exported_names()
     assert "classical_correlations" in names  # the parse found the exports
-    assert unused(names, caller_lines()) == []
+    assert unused(names) == []
 
 
 def test_every_top_level_definition_has_a_caller():
     names = defined_names()
     assert {"_segments", "_report", "unit_vectors"} <= set(names)  # the parse found the helpers
-    assert unused(names, caller_lines(with_init=True)) == []
+    assert unused(names, with_init=True) == []
 
 
 def test_only_register_builds_segment_products():

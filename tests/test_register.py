@@ -241,7 +241,7 @@ SWAP, BBC = CircuitVariant.SWAP_TERMINATED, CircuitVariant.ORIGINAL_BBC
 class TestGroupings:
     @pytest.mark.parametrize("variant, cuts", [
         (SWAP, (0,)), (SWAP, (8,)), (SWAP, (1, 1)), (SWAP, (3, 2)), (BBC, (6,)), (BBC, (-1, 2)),
-        (SWAP, (1.5,)), (SWAP, ("1",)),
+        (SWAP, (1.5,)), (SWAP, ("1",)), (SWAP, (True,)), (SWAP, (1.0, 2.0)),
     ])
     def test_malformed_cuts_rejected(self, variant, cuts):
         with pytest.raises(ValueError, match="cuts must increase strictly"):
@@ -261,6 +261,13 @@ class TestGroupings:
         assert GATES_SWAP.cuts == (1, 2, 3, 4, 5, 6, 7)
         schemes = (BLOCK_SWAP, GATES_SWAP, GATES_BBC, DynamicsScheme(SWAP, [1, 2, 5]))
         assert [s.name for s in schemes] == ["block", "gates", "gates", "cuts 1,2,5"]
+        # numpy integers are integers: they give the same scheme, stored as ints
+        numpy_cuts = DynamicsScheme(SWAP, np.array([1, 2, 5])).cuts
+        assert numpy_cuts == (1, 2, 5) and all(type(c) is int for c in numpy_cuts)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="'block' or 'gates', got 'blocks'"):
+            DynamicsScheme.named("blocks", SWAP)
 
     @pytest.mark.parametrize("variant, cuts, wires", [
         (SWAP, (), [("S", "E1", "E2")]),
