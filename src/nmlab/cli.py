@@ -16,6 +16,7 @@ ends the command with one ``error:`` line on stderr and exit status 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ def _cmd_figure(args) -> int:
     if args.workers is not None:
         overrides["workers"] = args.workers
     if overrides:
-        cfg = cfg.replace(**overrides)
+        cfg = dataclasses.replace(cfg, **overrides)
     for path in run_figure(args.fig_id, cfg):
         print(path)
     return 0
@@ -49,7 +50,7 @@ def _cmd_figure(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     if args.out is not None:
-        cfg = cfg.replace(out_dir=args.out)
+        cfg = dataclasses.replace(cfg, out_dir=args.out)
     results, sweep_s = run_all(cfg)
     for r in results:
         print(r.line())

@@ -1,14 +1,9 @@
 """Figure-data production: parameter sweeps written as deterministic CSV.
 
-Each figure id maps to one CSV with a fixed column schema:
-
-* ``fig2``       p, N_blp, N_rhp, N_lfs   (block dynamics, measure sweep)
-* ``fig2_inset`` p, N_blp                 (gate-by-gate BLP sweep)
-* ``fig3``       t, D                     (gate-by-gate, p=0, inputs |0>,|1>, t >= 5)
-* ``fig4``       p, t, D                  (original circuit, E2 observation)
-* ``fig5``       t, p, neg, discord, classical  (block, input |0>)
-* ``fig6``       t, p, neg, discord, classical  (gate-by-gate, input |0>)
-* ``fig7``       t, p, neg, discord, classical  (gate-by-gate, input |+>)
+``FIGURES`` declares every figure id once: the CSV columns, the resource
+values p of its rows, and the function giving the rows at one p. Every
+figure runs the same way: the rows of each p (in a process pool when more
+than one worker and more than one p), joined in p order, written as one CSV.
 
 Floats are printed with 12 significant digits and rows are emitted in a
 fixed order, so identical configurations produce byte-identical files
@@ -22,7 +17,10 @@ import hashlib
 import json
 import numbers
 import os
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,8 @@ from .nonmarkov import blp_measure, lfs_measure, pair_distance_curve, rhp_measur
 from .register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, KET_PLUS, is_count
 from .sweep import default_grid
 
-FIG_IDS = ("fig2", "fig2_inset", "fig3", "fig4", "fig5", "fig6", "fig7")
+# Resource values of the fig4 curves.
+FIG4_P_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 # Configuration keys that only steer execution and must not influence output
 # bytes (the config hash in the CSV comment ignores them).
@@ -48,7 +47,6 @@ class RunConfig:
     heatmap_steps_per_unit: int = 100  # time resolution of fig5/fig6/fig7
     p_step: float = 0.01               # resource grid for fig2 and inset
     heatmap_p_step: float = 0.05       # resource rows of the heatmap figures
-    fig4_p_values: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     out_dir: str = "."
     workers: int = 0                   # 0 -> NMLAB_WORKERS env var, else 1
 
@@ -60,13 +58,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
         for name in ("p_step", "heatmap_p_step"):
             try:
-                p_grid(getattr(self, name))
+                _intervals(getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
-        if not (isinstance(self.fig4_p_values, tuple) and all(
-                isinstance(p, numbers.Real) and not isinstance(p, bool) and 0 <= p <= 1
-                for p in self.fig4_p_values)):
-            raise ValueError(f"fig4_p_values must be a list of numbers in [0, 1], got {self.fig4_p_values!r}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
 
@@ -83,17 +77,10 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(data.get("fig4_p_values"), list):
-            data = dict(data, fig4_p_values=tuple(data["fig4_p_values"]))
         return cls(**data)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["fig4_p_values"] = list(self.fig4_p_values)
-        return d
-
-    def replace(self, **kwargs) -> "RunConfig":
-        return dataclasses.replace(self, **kwargs)
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         d = {k: v for k, v in self.to_dict().items() if k not in _EXECUTION_KEYS}
@@ -111,14 +98,20 @@ class RunConfig:
         return int(env)
 
 
-def p_grid(step: float) -> np.ndarray:
-    """Resource values 0, step, ..., 1; the step must be 1/n for an integer n."""
+def _intervals(step: float) -> int:
+    """The n of a resource step 1/n, checked without building the grid."""
     if isinstance(step, bool) or not (isinstance(step, numbers.Real) and step > 0):
         raise ValueError(f"p step must be a positive number, got {step}")
-    n = round(1.0 / step)
-    if n < 1 or abs(1.0 / step - n) > 1e-9:
+    inverse = 1.0 / step
+    n = round(inverse) if np.isfinite(inverse) else 0
+    if n < 1 or abs(inverse - n) > 1e-9:
         raise ValueError(f"p step must be 1/n for an integer n, got {step}")
-    return np.linspace(0.0, 1.0, n + 1)
+    return n
+
+
+def p_grid(step: float) -> np.ndarray:
+    """Resource values 0, step, ..., 1; the step must be 1/n for an integer n."""
+    return np.linspace(0.0, 1.0, _intervals(step) + 1)
 
 
 def _fmt(x) -> str:
@@ -145,72 +138,78 @@ def _pmap(fn, items, workers: int):
         return list(ex.map(fn, items))
 
 
-def _fig2_cell(args):
-    p, cfg = args
+def _fig2_rows(p, cfg):
     grid = default_grid(BLOCK_SWAP, cfg.steps_per_unit)
-    return (
-        p,
-        blp_measure(BLOCK_SWAP, p, grid).value,
-        rhp_measure(BLOCK_SWAP, p, grid).value,
-        lfs_measure(BLOCK_SWAP, p, grid).value,
-    )
+    return [(p, blp_measure(BLOCK_SWAP, p, grid).value,
+             rhp_measure(BLOCK_SWAP, p, grid).value,
+             lfs_measure(BLOCK_SWAP, p, grid).value)]
 
 
-def _fig2_inset_cell(args):
-    p, cfg = args
+def _fig2_inset_rows(p, cfg):
     grid = default_grid(GATES_SWAP, cfg.steps_per_unit)
-    return (p, blp_measure(GATES_SWAP, p, grid).value)
+    return [(p, blp_measure(GATES_SWAP, p, grid).value)]
 
 
-def _corr_rows(args):
-    fig_id, p, cfg = args
-    scheme = BLOCK_SWAP if fig_id == "fig5" else GATES_SWAP
-    psi = KET_PLUS if fig_id == "fig7" else KET0
+def _distance_curve(scheme, p, cfg, observe):
+    ts = default_grid(scheme, cfg.steps_per_unit).times()
+    return zip(ts, pair_distance_curve(KET0, KET1, scheme, p, ts, observe))
+
+
+def _fig3_rows(p, cfg):
+    # inputs |0>, |1> through the gates, from t = 5 on
+    return [(t, d) for t, d in _distance_curve(GATES_SWAP, p, cfg, "S") if t >= 5.0 - 1e-12]
+
+
+def _fig4_rows(p, cfg):
+    # original circuit, E2 observed
+    return [(p, t, d) for t, d in _distance_curve(GATES_BBC, p, cfg, "E2")]
+
+
+def _corr_rows(scheme, psi, p, cfg):
     grid = default_grid(scheme, cfg.heatmap_steps_per_unit)
-    samples = correlation_trajectory(scheme, psi, p, grid)
-    return [(s.t, s.p, s.neg, s.discord, s.classical) for s in samples]
+    return [(s.t, s.p, s.neg, s.discord, s.classical)
+            for s in correlation_trajectory(scheme, psi, p, grid)]
 
 
-def _distance_curve(scheme, p, steps, observe):
-    grid = default_grid(scheme, steps)
-    ts = grid.times()
-    return ts, pair_distance_curve(KET0, KET1, scheme, p, ts, observe)
+# A figure: its CSV columns, the resource values p of its rows as a function
+# of the config, and the function giving its rows at one p.
+Figure = namedtuple("Figure", "columns p_values rows")
+_CORR_COLUMNS = ("t", "p", "neg", "discord", "classical")
+FIGURES = {
+    "fig2": Figure(("p", "N_blp", "N_rhp", "N_lfs"), lambda cfg: p_grid(cfg.p_step), _fig2_rows),
+    "fig2_inset": Figure(("p", "N_blp"), lambda cfg: p_grid(cfg.p_step), _fig2_inset_rows),
+    "fig3": Figure(("t", "D"), lambda cfg: (0.0,), _fig3_rows),
+    "fig4": Figure(("p", "t", "D"), lambda cfg: FIG4_P_VALUES, _fig4_rows),
+    "fig5": Figure(_CORR_COLUMNS, lambda cfg: p_grid(cfg.heatmap_p_step),
+                   partial(_corr_rows, BLOCK_SWAP, KET0)),
+    "fig6": Figure(_CORR_COLUMNS, lambda cfg: p_grid(cfg.heatmap_p_step),
+                   partial(_corr_rows, GATES_SWAP, KET0)),
+    "fig7": Figure(_CORR_COLUMNS, lambda cfg: p_grid(cfg.heatmap_p_step),
+                   partial(_corr_rows, GATES_SWAP, KET_PLUS)),
+}
+FIG_IDS = tuple(FIGURES)
+
+
+def _figure_task(args):
+    # the pool payload names the figure; the worker looks its rows up
+    fig_id, p, cfg = args
+    return FIGURES[fig_id].rows(p, cfg)
+
+
+def figure_rows(fig_id: str, cfg: RunConfig) -> list[tuple]:
+    """One figure's rows: those of each of its p values, joined in p order."""
+    if fig_id not in FIGURES:
+        raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIG_IDS}")
+    tasks = [(fig_id, p, cfg) for p in FIGURES[fig_id].p_values(cfg)]
+    return list(chain.from_iterable(_pmap(_figure_task, tasks, cfg.resolve_workers())))
 
 
 def run_figure(fig_id: str, cfg: RunConfig | None = None) -> list[Path]:
     """Compute one figure's data and write its CSV file(s)."""
     if cfg is None:
         cfg = RunConfig()
-    if fig_id not in FIG_IDS:
-        raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIG_IDS}")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = cfg.resolve_workers()
+    rows = figure_rows(fig_id, cfg)
     comment = f"nmlab v{__version__} figure={fig_id} config={cfg.config_hash()}"
-    path = out_dir / f"{fig_id}.csv"
-
-    if fig_id == "fig2":
-        cells = _pmap(_fig2_cell, [(p, cfg) for p in p_grid(cfg.p_step)], workers)
-        return [write_csv(path, ["p", "N_blp", "N_rhp", "N_lfs"], cells, comment)]
-
-    if fig_id == "fig2_inset":
-        cells = _pmap(_fig2_inset_cell, [(p, cfg) for p in p_grid(cfg.p_step)], workers)
-        return [write_csv(path, ["p", "N_blp"], cells, comment)]
-
-    if fig_id == "fig3":
-        ts, d = _distance_curve(GATES_SWAP, 0.0, cfg.steps_per_unit, "S")
-        rows = [(t, v) for t, v in zip(ts, d) if t >= 5.0 - 1e-12]
-        return [write_csv(path, ["t", "D"], rows, comment)]
-
-    if fig_id == "fig4":
-        rows = []
-        for p in cfg.fig4_p_values:
-            ts, d = _distance_curve(GATES_BBC, p, cfg.steps_per_unit, "E2")
-            rows.extend((p, t, v) for t, v in zip(ts, d))
-        return [write_csv(path, ["p", "t", "D"], rows, comment)]
-
-    # correlation heatmaps
-    tasks = [(fig_id, p, cfg) for p in p_grid(cfg.heatmap_p_step)]
-    blocks = _pmap(_corr_rows, tasks, workers)
-    rows = [row for block in blocks for row in block]
-    return [write_csv(path, ["t", "p", "neg", "discord", "classical"], rows, comment)]
+    return [write_csv(out_dir / f"{fig_id}.csv", list(FIGURES[fig_id].columns), rows, comment)]

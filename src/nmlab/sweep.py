@@ -26,10 +26,10 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("time grid needs at least 2 samples")
-        if not self.t1 > self.t0:
-            raise ValueError("time grid needs t1 > t0")
+        if not is_count(self.n, 2):
+            raise ValueError(f"time grid needs an integer n >= 2 samples, got {self.n!r}")
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t1 > self.t0):
+            raise ValueError(f"time grid needs finite t0 < t1, got {self.t0!r}, {self.t1!r}")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n)

@@ -7,6 +7,7 @@ their tolerances explicitly so a regression is visible as a hard failure.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from .channel import bell_sandwich_table, distance_after_block1, final_distance, kraus_set
 from .correlations import classical_correlations, log_negativity
-from .figures import RunConfig, _fig2_cell, _pmap, p_grid, run_figure
+from .figures import RunConfig, figure_rows, run_figure
 from .nonmarkov import (
     THRESHOLD_CUTOFF,
     MeasureReport,
@@ -180,9 +181,7 @@ def check_closed_form_distances() -> CheckResult:
 
 def block_measure_sweep(cfg: RunConfig) -> dict[str, np.ndarray]:
     """The (p, BLP, RHP, LFS) sweep of the block dynamics, reused by checks."""
-    cells = _pmap(_fig2_cell, [(p, cfg) for p in p_grid(cfg.p_step)],
-                  cfg.resolve_workers())
-    arr = np.array(cells)
+    arr = np.array(figure_rows("fig2", cfg))
     return {"p": arr[:, 0], "blp": arr[:, 1], "rhp": arr[:, 2], "lfs": arr[:, 3]}
 
 
@@ -380,12 +379,12 @@ def check_grid_doubling(cfg: RunConfig) -> CheckResult:
 
 
 def check_determinism(cfg: RunConfig) -> CheckResult:
-    small = cfg.replace(p_step=0.25)
+    small = dataclasses.replace(cfg, p_step=0.25)
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for run, workers in enumerate((1, 1, 2)):
             out = Path(tmp) / f"run{run}"
-            run_figure("fig2", small.replace(out_dir=str(out), workers=workers))
+            run_figure("fig2", dataclasses.replace(small, out_dir=str(out), workers=workers))
             paths.append((out / "fig2.csv").read_bytes())
         identical = paths[0] == paths[1] == paths[2]
     return CheckResult("12 deterministic output", "byte-identical CSV across runs/workers",

@@ -1,36 +1,37 @@
+import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nmlab import cli
-from nmlab.figures import FIG_IDS, RunConfig, p_grid, run_figure, write_csv
+from nmlab.figures import FIG4_P_VALUES, FIG_IDS, FIGURES, RunConfig, p_grid, run_figure, write_csv
 from nmlab.plotting import emit_plot, read_csv
 from nmlab.register import BLOCK_SWAP, GATES_SWAP
 from nmlab.sweep import default_grid
 
-FAST = dict(p_step=0.5, heatmap_p_step=0.5, heatmap_steps_per_unit=10,
-            fig4_p_values=(0.0, 0.5))
+FAST = dict(p_step=0.5, heatmap_p_step=0.5, heatmap_steps_per_unit=10)
 
 
 # (field, value) pairs that RunConfig must refuse at construction
 BAD_FIELDS = [
     ("steps_per_unit", 2.5), ("steps_per_unit", 0), ("heatmap_steps_per_unit", 2.5),
     ("heatmap_steps_per_unit", -1), ("p_step", 0.03), ("heatmap_p_step", 0),
-    ("fig4_p_values", [0.0, 1.2]), ("fig4_p_values", [-0.1]), ("fig4_p_values", 0.5),
-    ("fig4_p_values", [True]), ("p_step", True), ("workers", -3), ("workers", 1.5),
+    ("p_step", True), ("workers", -3), ("workers", 1.5),
     ("out_dir", 5), ("out_dir", None),
 ]
-# Keys of earlier versions, now fixed constants in `sweep` and `nonmarkov`: a
-# config naming one is refused as an unknown key, whatever the value.
+# Keys of earlier versions, now fixed constants in `sweep`, `nonmarkov` and
+# `figures`: a config naming one is refused as an unknown key, whatever the value.
 DROPPED_FIELDS = [
     ("coarse_theta", 0), ("coarse_phi", 12.5), ("refine_rounds", -1),
-    ("rhp_eps", 0), ("svd_tol", -1e-10), ("threshold_cutoff", "x"),
+    ("rhp_eps", 0), ("svd_tol", -1e-10), ("threshold_cutoff", "x"), ("fig4_p_values", 0.5),
 ]
 OLD_DEFAULTS = {"coarse_theta": 13, "coarse_phi": 25, "refine_rounds": 3,
-                "rhp_eps": 1e-3, "svd_tol": 1e-10, "threshold_cutoff": 1e-7}
+                "rhp_eps": 1e-3, "svd_tol": 1e-10, "threshold_cutoff": 1e-7,
+                "fig4_p_values": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]}
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -51,8 +52,8 @@ class TestConfig:
 
     def test_hash_ignores_execution_fields(self):
         base = RunConfig()
-        assert base.config_hash() == base.replace(workers=4, out_dir="/x").config_hash()
-        assert base.config_hash() != base.replace(p_step=0.5).config_hash()
+        assert base.config_hash() == dataclasses.replace(base, workers=4, out_dir="/x").config_hash()
+        assert base.config_hash() != dataclasses.replace(base, p_step=0.5).config_hash()
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("NMLAB_WORKERS", "3")
@@ -76,6 +77,21 @@ class TestConfig:
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
         assert json.loads(block) == RunConfig().to_dict()
 
+    def test_readme_lists_the_figures(self):
+        section = README.read_text().split("* `figure` writes", 1)[1].split("* `verify`", 1)[0]
+        rows = re.findall(r"^ *\| `(\w+)` *\| `([\w,]+)`", section, re.M)
+        assert rows == [(fig_id, ",".join(fig.columns)) for fig_id, fig in FIGURES.items()]
+
+    def test_config_check_builds_no_grid(self):
+        # the grid of a step of 1e-6 takes 8 MB; checking the step must not build it
+        tracemalloc.start()
+        try:
+            RunConfig(p_step=1e-6, heatmap_p_step=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("steps", [2.5, 0, -4, True])
     def test_default_grid_rejects_bad_steps(self, steps):
         for scheme in (BLOCK_SWAP, GATES_SWAP):
@@ -98,7 +114,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive"):
             p_grid(step)
 
-    @pytest.mark.parametrize("step", [0.03, 0.3, 2.0, float("inf")])
+    @pytest.mark.parametrize("step", [0.03, 0.3, 2.0, float("inf"), 5e-324])
     def test_p_grid_rejects_step_not_dividing_one(self, step):
         with pytest.raises(ValueError, match="1/n"):
             p_grid(step)
@@ -136,24 +152,31 @@ class TestFigures:
         assert cfg.config_hash() in comment
         assert "fig2" in comment
 
+    @staticmethod
+    def csv_bytes(tmp_path, fig_id, workers):
+        return [run_figure(fig_id, fast_config(tmp_path / str(k), workers=w))[0].read_bytes()
+                for k, w in enumerate(workers)]
+
     def test_fig2_deterministic_across_workers(self, tmp_path):
-        blobs = []
-        for sub, workers in (("a", 1), ("b", 1), ("c", 2)):
-            cfg = fast_config(tmp_path / sub, workers=workers)
-            (path,) = run_figure("fig2", cfg)
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        a, b, c = self.csv_bytes(tmp_path, "fig2", (1, 1, 2))
+        assert a == b == c
+
+    @pytest.mark.parametrize("fig_id", ["fig3", "fig4"])
+    def test_distance_figure_deterministic_across_workers(self, tmp_path, fig_id):
+        # fig3 is one task and runs inline; fig4's six go to the pool
+        a, b, c = self.csv_bytes(tmp_path, fig_id, (1, 1, 2))
+        assert a == b == c
 
     def test_fig6_deterministic_across_workers(self, tmp_path):
-        blobs = []
-        for sub, workers in (("a", 1), ("b", 2)):
-            (path,) = run_figure("fig6", fast_config(tmp_path / sub, workers=workers))
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
+        a, b = self.csv_bytes(tmp_path, "fig6", (1, 2))
+        assert a == b
 
-    @pytest.mark.parametrize("workers, started", [(64, 3), (2, 2)])
-    def test_pool_never_exceeds_the_tasks(self, tmp_path, monkeypatch, workers, started):
-        # fig2 at p_step 0.5 has three cells; the fake pool maps in-process
+    @pytest.mark.parametrize("fig_id, workers, started", [
+        pytest.param("fig2", 64, 3, id="64-3"), pytest.param("fig2", 2, 2, id="2-2"),
+        pytest.param("fig4", 64, 6, id="fig4-64-6"),
+    ])
+    def test_pool_never_exceeds_the_tasks(self, tmp_path, monkeypatch, fig_id, workers, started):
+        # fig2 at p_step 0.5 has three tasks, fig4 six; the fake pool maps in-process
         pools = []
 
         class FakePool:
@@ -170,7 +193,7 @@ class TestFigures:
                 return map(fn, items)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        run_figure("fig2", fast_config(tmp_path, workers=workers))
+        run_figure(fig_id, fast_config(tmp_path, workers=workers))
         assert pools == [started]
 
     def test_fig2_inset_schema(self, tmp_path):
@@ -194,10 +217,11 @@ class TestFigures:
         (path,) = run_figure("fig4", fast_config(tmp_path))
         header, data = read_csv(path)
         assert header == ["p", "t", "D"]
+        assert tuple(np.unique(data[:, 0])) == FIG4_P_VALUES
         at_zero = data[data[:, 0] == 0.0]
         assert np.all(at_zero[:, 2] <= 1e-9)
-        at_half = data[data[:, 0] == 0.5]
-        assert at_half[-1, 2] == pytest.approx(0.5, abs=1e-9)
+        at_six = data[data[:, 0] == 0.6]
+        assert at_six[-1, 2] == pytest.approx(0.6, abs=1e-9)
 
     def test_fig5_initially_uncorrelated(self, tmp_path):
         (path,) = run_figure("fig5", fast_config(tmp_path))
@@ -224,7 +248,7 @@ class TestPlotting:
     def test_grouped_lines_from_fig4(self, tmp_path):
         (csv_path,) = run_figure("fig4", fast_config(tmp_path))
         (svg,) = emit_plot(csv_path)
-        assert svg.read_text().count("<polyline") == 2
+        assert svg.read_text().count("<polyline") == len(FIG4_P_VALUES)
 
     def test_heatmaps_from_fig5(self, tmp_path):
         (csv_path,) = run_figure("fig5", fast_config(tmp_path))
