@@ -6,7 +6,7 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along any grouping of the gates in time.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .qmath import (
     choi_state,
@@ -40,7 +40,6 @@ from .channel import (
     final_distance,
     kraus_set,
 )
-from .sweep import TimeGrid, default_grid
 from .nonmarkov import (
     MeasureReport,
     blp_measure,

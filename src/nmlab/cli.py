@@ -25,7 +25,6 @@ from .figures import FIG_IDS, RunConfig, run_figure
 from .nonmarkov import blp_measure, lfs_measure, rhp_measure
 from .plotting import emit_plot
 from .register import CircuitVariant, DynamicsScheme
-from .sweep import default_grid
 from .verify import run_all
 
 
@@ -73,16 +72,16 @@ def _cmd_verify(args) -> int:
 def _cmd_measure(args) -> int:
     cfg = _load_config(args.config)
     scheme = DynamicsScheme.named(args.scheme, CircuitVariant(args.variant))
-    grid = default_grid(scheme, cfg.steps_per_unit)
+    steps = cfg.steps_per_unit
     if args.name == "blp":
-        report = blp_measure(scheme, args.p, grid, observe=args.observe.upper())
+        report = blp_measure(scheme, args.p, steps, observe=args.observe.upper())
     else:
         if args.observe != "s":
             raise ValueError("only the BLP measure supports --observe e2")
         if args.name == "rhp":
-            report = rhp_measure(scheme, args.p, grid)
+            report = rhp_measure(scheme, args.p, steps)
         else:
-            report = lfs_measure(scheme, args.p, grid)
+            report = lfs_measure(scheme, args.p, steps)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

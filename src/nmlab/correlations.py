@@ -73,7 +73,7 @@ from .qmath import (
     vn_entropy,
 )
 from .register import DynamicsScheme, joint_states, repeats_s_idle_segment
-from .sweep import TimeGrid, two_stage_maximize
+from .sweep import two_stage_maximize
 
 # Outcomes rarer than this contribute nothing to the conditional entropy.
 PROB_FLOOR = 1e-12
@@ -205,11 +205,11 @@ def correlation_trajectory(
     scheme: DynamicsScheme,
     psi: np.ndarray,
     p: float,
-    grid: TimeGrid,
+    ts: np.ndarray,
 ) -> list[CorrelationSample]:
     """Sample negativity, discord, and classical correlations along a run.
 
-    The register starts in |psi><psi| x W(p); at each grid time the state
+    The register starts in |psi><psi| x W(p); at each time of `ts` the state
     is split S versus (E1, E2) and all three correlation measures are
     evaluated (discord as mutual - classical, so the identity holds exactly
     in every sample).
@@ -227,7 +227,7 @@ def correlation_trajectory(
     At p = 1 the register stays pure and classical = discord = mutual / 2.
     """
     psi = np.asarray(psi, dtype=complex)
-    ts = grid.times()
+    ts = np.asarray(ts, dtype=float)
     fresh = ~repeats_s_idle_segment(scheme, ts)
     states = joint_states(scheme, p, ts[fresh], np.outer(psi, psi.conj()))
     neg = log_negativity(states)

@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .correlations import correlation_trajectory
 from .nonmarkov import blp_measure, lfs_measure, pair_distance_curve, rhp_measure
-from .register import BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, KET_PLUS, is_count
-from .sweep import default_grid
+from .register import (BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, KET_PLUS, STEPS_PER_UNIT,
+                       is_count)
 
 # Resource values of the fig4 curves.
 FIG4_P_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -43,7 +43,7 @@ _EXECUTION_KEYS = ("out_dir", "workers")
 class RunConfig:
     """Sweep settings; defaults reproduce the full figure suite."""
 
-    steps_per_unit: int = 200          # time resolution of fig2/fig3/fig4
+    steps_per_unit: int = STEPS_PER_UNIT  # time resolution of fig2/fig3/fig4
     heatmap_steps_per_unit: int = 100  # time resolution of fig5/fig6/fig7
     p_step: float = 0.01               # resource grid for fig2 and inset
     heatmap_p_step: float = 0.05       # resource rows of the heatmap figures
@@ -139,19 +139,17 @@ def _pmap(fn, items, workers: int):
 
 
 def _fig2_rows(p, cfg):
-    grid = default_grid(BLOCK_SWAP, cfg.steps_per_unit)
-    return [(p, blp_measure(BLOCK_SWAP, p, grid).value,
-             rhp_measure(BLOCK_SWAP, p, grid).value,
-             lfs_measure(BLOCK_SWAP, p, grid).value)]
+    return [(p, blp_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value,
+             rhp_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value,
+             lfs_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value)]
 
 
 def _fig2_inset_rows(p, cfg):
-    grid = default_grid(GATES_SWAP, cfg.steps_per_unit)
-    return [(p, blp_measure(GATES_SWAP, p, grid).value)]
+    return [(p, blp_measure(GATES_SWAP, p, cfg.steps_per_unit).value)]
 
 
 def _distance_curve(scheme, p, cfg, observe):
-    ts = default_grid(scheme, cfg.steps_per_unit).times()
+    ts = scheme.times(cfg.steps_per_unit)
     return zip(ts, pair_distance_curve(KET0, KET1, scheme, p, ts, observe))
 
 
@@ -166,9 +164,9 @@ def _fig4_rows(p, cfg):
 
 
 def _corr_rows(scheme, psi, p, cfg):
-    grid = default_grid(scheme, cfg.heatmap_steps_per_unit)
+    ts = scheme.times(cfg.heatmap_steps_per_unit)
     return [(s.t, s.p, s.neg, s.discord, s.classical)
-            for s in correlation_trajectory(scheme, psi, p, grid)]
+            for s in correlation_trajectory(scheme, psi, p, ts)]
 
 
 # A figure: its CSV columns, the resource values p of its rows as a function

@@ -1,6 +1,6 @@
 """Non-Markovianity measures of the reduced dynamics.
 
-Three witnesses are implemented on a common time grid, and all three read one
+Three witnesses are sampled at the scheme's times, and all three read one
 representation of the reduced map: the real Pauli-transfer matrices
 R_t = [[1, 0], [c_t, M_t]] of ``register.system_map_stack``.
 
@@ -29,9 +29,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .qmath import PAULIS, choi_state, mutual_information
-from .register import DynamicsScheme, system_map_derivative_stack, system_map_stack
-from .sweep import TimeGrid, default_grid, two_stage_maximize, unit_vectors
+from .qmath import bloch_vector, choi_state, mutual_information
+from .register import STEPS_PER_UNIT, DynamicsScheme, system_map_derivative_stack, system_map_stack
+from .sweep import two_stage_maximize, unit_vectors
 
 INCREMENT_FLOOR = 1e-12
 # Relative singular-value floor below which an RHP map counts as singular.
@@ -51,12 +51,13 @@ class MeasureReport:
     value: float
     p: float
     scheme: DynamicsScheme
-    grid: TimeGrid
+    steps_per_unit: int
     optimal_pair: tuple[float, float] | None = None
     increments: list[tuple[tuple[float, float], float]] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        ts = self.scheme.times(self.steps_per_unit)
         return {
             "value": self.value,
             "p": self.p,
@@ -64,7 +65,7 @@ class MeasureReport:
                 "interpolation": self.scheme.name,
                 "variant": self.scheme.variant.value,
             },
-            "grid": {"t0": self.grid.t0, "t1": self.grid.t1, "n": self.grid.n},
+            "grid": {"t0": float(ts[0]), "t1": float(ts[-1]), "n": len(ts)},
             "optimal_pair": self.optimal_pair,
             "increments": [
                 {"t_start": a, "t_end": b, "gain": g} for (a, b), g in self.increments
@@ -79,31 +80,24 @@ def _positive_steps(series: np.ndarray) -> np.ndarray:
     return np.where(diffs > INCREMENT_FLOOR, diffs, 0.0)
 
 
-def _report(scheme, p, grid, gains: np.ndarray, **diagnostics) -> MeasureReport:
-    """Report of the per-step `gains` on `grid`, gains[k] earned over [t_k, t_k+1].
+def _report(scheme, p, steps_per_unit, gains: np.ndarray, **diagnostics) -> MeasureReport:
+    """Report of per-step `gains` on the scheme's times, gains[k] earned over [t_k, t_k+1].
 
     The value is their sum. Consecutive positive gains merge into one interval
     with the accumulated gain, so the value equals the sum over intervals.
     """
-    ts = grid.times()
+    ts = scheme.times(steps_per_unit)
     pos = np.concatenate([[False], gains > 0.0, [False]])
     starts, ends = np.flatnonzero(pos[1:] & ~pos[:-1]), np.flatnonzero(pos[:-1] & ~pos[1:])
     runs = [((float(ts[a]), float(ts[b])), float(np.cumsum(gains[a:b])[-1]))
             for a, b in zip(starts, ends)]
-    return MeasureReport(value=float(gains.sum()), p=p, scheme=scheme, grid=grid,
-                         increments=runs, diagnostics=diagnostics)
+    return MeasureReport(value=float(gains.sum()), p=p, scheme=scheme,
+                         steps_per_unit=steps_per_unit, increments=runs, diagnostics=diagnostics)
 
 
-def _bloch_vector(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
-        raise ValueError("input kets must have unit norm")
-    return np.einsum("a,iab,b->i", psi.conj(), PAULIS[1:], psi).real
-
-
-def _pair_report(scheme, p, grid, observe, d, **diagnostics) -> MeasureReport:
-    """Report of the summed increases of one trace-distance curve `d` on `grid`."""
-    return _report(scheme, p, grid, _positive_steps(d), observe=observe,
+def _pair_report(scheme, p, steps_per_unit, observe, d, **diagnostics) -> MeasureReport:
+    """Report of the summed increases of one trace-distance curve `d` on the scheme's times."""
+    return _report(scheme, p, steps_per_unit, _positive_steps(d), observe=observe,
                    distance_start=float(d[0]), distance_end=float(d[-1]), **diagnostics)
 
 
@@ -112,7 +106,7 @@ def pair_distance_curve(
     ts: np.ndarray, observe: str = "S",
 ) -> np.ndarray:
     """Trace distance |M_t (r1 - r2)| / 2 of two evolved unit kets with Bloch vectors r1, r2."""
-    diff = _bloch_vector(psi1) - _bloch_vector(psi2)
+    diff = bloch_vector(psi1) - bloch_vector(psi2)
     m = system_map_stack(scheme, p, ts, observe)[:, 1:, 1:]
     return 0.5 * np.linalg.norm(m @ diff, axis=-1)
 
@@ -122,28 +116,27 @@ def blp_pair_gain(
     psi2: np.ndarray,
     scheme: DynamicsScheme,
     p: float,
-    grid: TimeGrid | None = None,
+    steps_per_unit: int = STEPS_PER_UNIT,
     observe: str = "S",
 ) -> MeasureReport:
     """Summed trace-distance increases for one fixed pair of unit kets.
 
     Both pure inputs are evolved jointly with the Werner resource; the
     trace distance of the reduced states on `observe` is sampled on the
-    grid and its positive increments accumulated.
+    scheme's times and its positive increments accumulated.
     """
     # kets differing by a global phase are one state
-    if np.allclose(_bloch_vector(psi1), _bloch_vector(psi2), atol=1e-14):
+    if np.allclose(bloch_vector(psi1), bloch_vector(psi2), rtol=0.0, atol=1e-14):
         raise ValueError("input states must differ")
-    if grid is None:
-        grid = default_grid(scheme)
-    return _pair_report(scheme, p, grid, observe,
-                        pair_distance_curve(psi1, psi2, scheme, p, grid.times(), observe))
+    ts = scheme.times(steps_per_unit)
+    return _pair_report(scheme, p, steps_per_unit, observe,
+                        pair_distance_curve(psi1, psi2, scheme, p, ts, observe))
 
 
 def blp_measure(
     scheme: DynamicsScheme,
     p: float,
-    grid: TimeGrid | None = None,
+    steps_per_unit: int = STEPS_PER_UNIT,
     observe: str = "S",
 ) -> MeasureReport:
     """BLP measure: pair gain maximized over antipodal pure input pairs.
@@ -152,16 +145,14 @@ def blp_measure(
     one stack of Bloch blocks M_t scores every candidate of the two-stage grid
     search and gives the reported winner's curve.
     """
-    if grid is None:
-        grid = default_grid(scheme)
-    m = system_map_stack(scheme, p, grid.times(), observe)[:, 1:, 1:]
+    m = system_map_stack(scheme, p, scheme.times(steps_per_unit), observe)[:, 1:, 1:]
 
     def distances(n: np.ndarray) -> np.ndarray:
         # a C-ordered (3, candidate) operand keeps the matmul ~1.4x faster than n.T
         return np.linalg.norm(m @ np.ascontiguousarray(n.T), axis=1).T  # (candidate, time)
 
     result = two_stage_maximize(lambda n: _positive_steps(distances(n[0])).sum(-1)[None])
-    report = _pair_report(scheme, p, grid, observe,
+    report = _pair_report(scheme, p, steps_per_unit, observe,
                           distances(unit_vectors(result.theta, result.phi))[0],
                           coarse_value=float(result.coarse_value[0]),
                           evaluations=result.evaluations)
@@ -191,7 +182,7 @@ def _g_curve(scheme, p, ts):
 def rhp_measure(
     scheme: DynamicsScheme,
     p: float,
-    grid: TimeGrid | None = None,
+    steps_per_unit: int = STEPS_PER_UNIT,
 ) -> MeasureReport:
     """RHP measure: trapezoidal integral of g(t) over the scheme's domain.
 
@@ -204,16 +195,14 @@ def rhp_measure(
     refined, and such dynamics (the gates scheme) raise ``ValueError``. Half
     the value lower bounds the robustness of non-Markovianity.
     """
-    if grid is None:
-        grid = default_grid(scheme)
-    ts = grid.times()
+    ts = scheme.times(steps_per_unit)
     g, singular = _g_curve(scheme, p, ts)
     if singular[:-1].any():
         raise ValueError(f"RHP needs invertible maps before the grid's end, but "
                          f"{int(singular.sum())} of {len(ts)} samples are singular")
     contribs = 0.5 * (g[:-1] + g[1:]) * (ts[1] - ts[0])
     gains = np.where(contribs > INCREMENT_FLOOR, contribs, 0.0)
-    return _report(scheme, p, grid, gains, svd_tol=SVD_TOL,
+    return _report(scheme, p, steps_per_unit, gains, svd_tol=SVD_TOL,
                    singular_samples=int(singular.sum()),
                    robustness_lower_bound=float(gains.sum()) / 2.0)
 
@@ -221,18 +210,16 @@ def rhp_measure(
 def lfs_measure(
     scheme: DynamicsScheme,
     p: float,
-    grid: TimeGrid | None = None,
+    steps_per_unit: int = STEPS_PER_UNIT,
 ) -> MeasureReport:
     """LFS measure: summed increases of system-ancilla mutual information.
 
     The ancilla pair starts maximally entangled; evolving the system side
     of |phi+> under the dynamical map is exactly the map's Choi state, so
-    the mutual-information curve is read off the Choi states on the grid.
+    the mutual-information curve is read off the Choi states at each sample.
     """
-    if grid is None:
-        grid = default_grid(scheme)
-    mi = mutual_information(choi_state(system_map_stack(scheme, p, grid.times())))
-    return _report(scheme, p, grid, _positive_steps(mi), initial_mutual=float(mi[0]),
+    mi = mutual_information(choi_state(system_map_stack(scheme, p, scheme.times(steps_per_unit))))
+    return _report(scheme, p, steps_per_unit, _positive_steps(mi), initial_mutual=float(mi[0]),
                    final_mutual=float(mi[-1]))
 
 

@@ -90,6 +90,14 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     return 0.5 * trace_norm(r1 - r2)
 
 
+def bloch_vector(psi: np.ndarray) -> np.ndarray:
+    """Bloch vector (<X>, <Y>, <Z>) of a unit qubit ket."""
+    psi = np.asarray(psi, dtype=complex)
+    if abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
+        raise ValueError("input kets must have unit norm")
+    return np.einsum("a,iab,b->i", psi.conj(), PAULIS[1:], psi).real
+
+
 def spectrum_entropy(lam: np.ndarray) -> float | np.ndarray:
     """Entropy in bits of the spectra on the last axis of `lam`.
 

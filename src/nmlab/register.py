@@ -5,7 +5,8 @@ The register holds the system qubit S and two environment qubits E1, E2
 supported: the swap-terminated circuit that returns the teleported state
 on S, and the original BBC circuit that deposits it on E2. A dynamics
 scheme groups a variant's gates into segments, each interpolated over one
-unit of dimensionless time: from one block to one gate per segment.
+unit of dimensionless time: from one block to one gate per segment. Its
+`times` sample the whole protocol at a chosen resolution.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 # Register wires, most significant tensor factor first, and the register dimension.
 WIRES = ("S", "E1", "E2")
 DIM = 8
+# Default time resolution: sample intervals per unit of time.
+STEPS_PER_UNIT = 200
 
 
 def is_count(value, minimum: int) -> bool:
@@ -85,6 +88,13 @@ class DynamicsScheme:
     def time_domain(self) -> tuple[float, float]:
         """(0, number of unit-time segments)."""
         return (0.0, float(len(self.cuts) + 1))
+
+    def times(self, steps_per_unit: int = STEPS_PER_UNIT) -> np.ndarray:
+        """Uniform sample times over the whole time domain, `steps_per_unit` intervals per unit."""
+        if not is_count(steps_per_unit, 1):
+            raise ValueError(f"steps_per_unit must be an integer >= 1, got {steps_per_unit!r}")
+        end = len(self.cuts) + 1
+        return np.linspace(0.0, end, end * steps_per_unit + 1)
 
 
 @dataclass(frozen=True)
@@ -192,14 +202,19 @@ def bell_basis() -> list[np.ndarray]:
     ]
 
 
-def _active_segment(ts, n_segments: int) -> np.ndarray:
-    """Index in 1..n_segments of the segment running at each time; 0 before the first.
+def _active_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
+    """Index in 1..n of the segment of `scheme` running at each time; 0 before the first.
 
     Segment i runs over i-1 < t <= i, so a boundary time belongs to the segment
     that just finished; the 1e-12 slack absorbs float dust above integer times.
+    A time outside the scheme's domain, NaN included, raises ValueError.
     """
     ts = np.asarray(ts, dtype=float)
-    return np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), n_segments), 0)
+    lo, hi = scheme.time_domain
+    outside = ts[~((ts >= lo - 1e-9) & (ts <= hi + 1e-9))]
+    if outside.size:
+        raise ValueError(f"time {outside[0]} outside scheme domain [{lo}, {hi}]")
+    return np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), int(hi)), 0)
 
 
 @lru_cache(maxsize=None)
@@ -222,8 +237,8 @@ def _segments(scheme: DynamicsScheme):
 
 def repeats_s_idle_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
     """True where a time repeats the previous time's segment and that segment leaves S alone."""
+    seg = _active_segment(scheme, ts)
     wires = _segments(scheme)[2]
-    seg = _active_segment(ts, len(wires))
     s_idle = np.array([False] + ["S" not in w for w in wires])
     repeats = np.zeros(len(seg), dtype=bool)
     repeats[1:] = (seg[1:] == seg[:-1]) & s_idle[seg[1:]]
@@ -236,13 +251,9 @@ def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
     Segment i runs over i-1 < t <= i while the others idle; U(0) is the identity.
     """
     ts = np.asarray(ts, dtype=float)
-    lo, hi = scheme.time_domain
-    outside = ts[~((ts >= lo - 1e-9) & (ts <= hi + 1e-9))]
-    if outside.size:
-        raise ValueError(f"time {outside[0]} outside scheme domain [{lo}, {hi}]")
+    seg = _active_segment(scheme, ts)
     fractional, prefixes, _ = _segments(scheme)
     out = np.empty((len(ts), DIM, DIM), dtype=complex)
-    seg = _active_segment(ts, len(fractional))
     out[seg == 0] = np.eye(DIM, dtype=complex)
     for i in range(1, len(fractional) + 1):
         mask = seg == i

@@ -1,10 +1,10 @@
-"""Time grids and the deterministic two-stage angle search.
+"""The deterministic two-stage angle search.
 
 Both the trace-distance pair optimization and the projective-measurement
 search maximize functions of a unit vector on a half sphere, a stack of
 independent ones at once. The search alone knows its (theta, phi) chart: a
 coarse angle grid is followed by local halving refinements, so results are
-reproducible bit for bit.
+reproducible bit for bit. The module depends on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,38 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .register import DynamicsScheme, is_count
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid of n samples on [t0, t1]."""
-
-    t0: float
-    t1: float
-    n: int
-
-    def __post_init__(self):
-        if not is_count(self.n, 2):
-            raise ValueError(f"time grid needs an integer n >= 2 samples, got {self.n!r}")
-        if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t1 > self.t0):
-            raise ValueError(f"time grid needs finite t0 < t1, got {self.t0!r}, {self.t1!r}")
-
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.n)
-
-    def doubled(self) -> "TimeGrid":
-        return TimeGrid(self.t0, self.t1, 2 * self.n - 1)
-
-
-def default_grid(scheme: DynamicsScheme, steps_per_unit: int = 200) -> TimeGrid:
-    """Scheme's full time domain at `steps_per_unit` intervals per unit time."""
-    if not is_count(steps_per_unit, 1):
-        raise ValueError(f"steps_per_unit must be an integer >= 1, got {steps_per_unit!r}")
-    t0, t1 = scheme.time_domain
-    return TimeGrid(t0, t1, int(round((t1 - t0) * steps_per_unit)) + 1)
-
 
 # Half sphere: a measurement basis or antipodal pair is the same at -n and n.
 THETA_MAX = np.pi / 2

@@ -21,7 +21,6 @@ from .figures import RunConfig, figure_rows, run_figure
 from .nonmarkov import (
     THRESHOLD_CUTOFF,
     MeasureReport,
-    _bloch_vector,
     blp_measure,
     blp_pair_gain,
     first_crossing,
@@ -32,6 +31,7 @@ from .nonmarkov import (
 from .qmath import (
     PAULI_I,
     PAULIS,
+    bloch_vector,
     choi_state,
     mutual_information,
     trace_distance,
@@ -50,7 +50,6 @@ from .register import (
     system_map_stack,
     werner,
 )
-from .sweep import default_grid
 
 
 @dataclass
@@ -118,7 +117,7 @@ def check_channel_identity() -> CheckResult:
 def check_fidelity_law() -> CheckResult:
     # a pure input with Bloch vector r ends at c + M r of the simulated end map
     # R = [[1, 0], [c, M]], with fidelity (1 + r.(c + M r)) / 2
-    r = np.stack([_bloch_vector(alpha_ket(a)) for a in np.linspace(0.0, 1.0, 11)])
+    r = np.stack([bloch_vector(alpha_ket(a)) for a in np.linspace(0.0, 1.0, 11)])
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 11):
         for scheme in (BLOCK_SWAP, GATES_SWAP):
@@ -203,8 +202,8 @@ def check_thresholds(sweep: dict[str, np.ndarray]) -> CheckResult:
 
 
 def check_gate_backflow(report: MeasureReport) -> CheckResult:
-    """`report` is blp_measure(GATES_SWAP, 0.0) on the default grid."""
-    ts = report.grid.times()
+    """`report` is blp_measure(GATES_SWAP, 0.0) at the default resolution."""
+    ts = GATES_SWAP.times(report.steps_per_unit)
     d = pair_distance_curve(KET0, KET1, GATES_SWAP, 0.0, ts)
     early_dev = float(np.max(np.abs(d[ts <= 5.0 + 1e-12] - 1.0)))
     pair_is_z = abs(np.cos(report.optimal_pair[0])) >= 1.0 - 1e-9
@@ -225,7 +224,7 @@ def check_bbc_e2_law() -> CheckResult:
         gain = blp_pair_gain(KET0, KET1, GATES_BBC, p, observe="E2").value
         worst = max(worst, abs(gain - p))
     rng = np.random.default_rng(23)
-    ts = default_grid(GATES_BBC).times()
+    ts = GATES_BBC.times()
     worst_d0 = 0.0
     for _ in range(10):
         k1, k2 = _random_ket(rng), _random_ket(rng)
@@ -296,7 +295,7 @@ def check_cptp_sampling() -> CheckResult:
     # at p = 0 and p = 1 makes the map CPTP at every p in [0, 1]
     worst_eig, worst_tr = 0.0, 0.0
     for scheme in (BLOCK_SWAP, GATES_SWAP):
-        ts = default_grid(scheme).times()
+        ts = scheme.times()
         for p in (0.0, 1.0):
             c = choi_state(system_map_stack(scheme, p, ts))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(c)[:, 0].min()))
@@ -362,12 +361,11 @@ def check_grid_doubling(cfg: RunConfig) -> CheckResult:
     ok = True
     for p in (0.5, 0.8, 1.0):
         for fn in (
-            lambda g: blp_measure(BLOCK_SWAP, p, g).value,
-            lambda g: rhp_measure(BLOCK_SWAP, p, g).value,
-            lambda g: lfs_measure(BLOCK_SWAP, p, g).value,
+            lambda steps: blp_measure(BLOCK_SWAP, p, steps).value,
+            lambda steps: rhp_measure(BLOCK_SWAP, p, steps).value,
+            lambda steps: lfs_measure(BLOCK_SWAP, p, steps).value,
         ):
-            grid = default_grid(BLOCK_SWAP, cfg.steps_per_unit)
-            v1, v2 = fn(grid), fn(grid.doubled())
+            v1, v2 = fn(cfg.steps_per_unit), fn(2 * cfg.steps_per_unit)
             scale = max(abs(v1), abs(v2))
             if scale < THRESHOLD_CUTOFF:
                 continue
@@ -392,7 +390,7 @@ def check_determinism(cfg: RunConfig) -> CheckResult:
 
 
 def check_implementation_dependence(gates_report: MeasureReport) -> CheckResult:
-    """`gates_report` is blp_measure(GATES_SWAP, 0.0) on the default grid."""
+    """`gates_report` is blp_measure(GATES_SWAP, 0.0) at the default resolution."""
     # the paper's claim: one channel end to end, yet the back-flow depends on how it is driven
     end_dev = float(np.max(np.abs(_end_map(BLOCK_SWAP, 0.6) - _end_map(GATES_SWAP, 0.6))))
     b0, b6 = (blp_measure(BLOCK_SWAP, p).value for p in (0.0, 0.6))

@@ -21,7 +21,6 @@ from nmlab.register import (
     gate_sequence,
     system_map_stack,
 )
-from nmlab.sweep import default_grid
 
 from conftest import random_ket
 
@@ -141,7 +140,7 @@ def test_criterion_13_over_every_grouping():
 
     swap_dev = max(np.max(np.abs(end_map(s) - end_map(BLOCK_SWAP))) for s in swap)
     bbc_dev = max(np.max(np.abs(end_map(s, "E2") - end_map(bbc[0], "E2"))) for s in bbc)
-    n_blp = {p: {s.cuts: blp_measure(s, p, default_grid(s, GROUPING_STEPS)).value for s in swap}
+    n_blp = {p: {s.cuts: blp_measure(s, p, GROUPING_STEPS).value for s in swap}
              for p in (0.0, 0.6)}
     lo, hi = min(n_blp[0.6].values()), max(n_blp[0.6].values())
     off = {cuts for cuts, value in n_blp[0.0].items() if value <= THRESHOLD_CUTOFF}
@@ -158,7 +157,7 @@ def test_no_backflow_while_the_dynamics_is_local(variant, rng):
     # trace distance of two inputs is constant there, the sample opening it included
     gates = gate_sequence(variant)
     for scheme in groupings(variant):
-        ts = default_grid(scheme, GROUPING_STEPS).times()
+        ts = scheme.times(GROUPING_STEPS)
         curves = np.stack([
             pair_distance_curve(random_ket(rng), random_ket(rng), scheme, rng.uniform(), ts)
             for _ in range(2)

@@ -37,7 +37,7 @@ from nmlab.register import (
     repeats_s_idle_segment,
     werner,
 )
-from nmlab.sweep import TimeGrid, default_grid, two_stage_maximize, unit_vectors
+from nmlab.sweep import two_stage_maximize, unit_vectors
 
 from conftest import random_density
 
@@ -172,7 +172,7 @@ class TestStackedSearch:
 
     def test_fig6_trajectory_slice(self):
         # gates 6 to 8 of the fig6 run, where S is correlated with (E1 E2)
-        ts = TimeGrid(5.0, 8.0, 31).times()[1:]
+        ts = np.linspace(5.0, 8.0, 31)[1:]
         stack = joint_states(GATES_SWAP, 0.6, ts, np.outer(KET0, KET0.conj()))
         got = classical_correlations(stack)
         assert np.array_equal(got, [classical_correlations(rho) for rho in stack])
@@ -236,7 +236,7 @@ def searched_row(fig, p, n):
     """n evenly spread samples of one heatmap row that the trajectory searches."""
     scheme, psi = {"fig5": (BLOCK_SWAP, KET0), "fig6": (GATES_SWAP, KET0),
                    "fig7": (GATES_SWAP, KET_PLUS)}[fig]
-    ts = default_grid(scheme, 100).times()
+    ts = scheme.times(100)
     ts = ts[~repeats_s_idle_segment(scheme, ts)]
     states = joint_states(scheme, p, ts, np.outer(psi, psi.conj()))
     states = states[mutual_information(states) > MUTUAL_FLOOR]
@@ -308,9 +308,9 @@ class TestPrunedSearch:
 
 
 TINY_FIGURES = {
-    "fig5": (BLOCK_SWAP, KET0, TimeGrid(0.0, 1.0, 21)),
-    "fig6": (GATES_SWAP, KET0, TimeGrid(0.0, 8.0, 41)),
-    "fig7": (GATES_SWAP, KET_PLUS, TimeGrid(0.0, 8.0, 41)),
+    "fig5": (BLOCK_SWAP, KET0, BLOCK_SWAP.times(20)),
+    "fig6": (GATES_SWAP, KET0, GATES_SWAP.times(5)),
+    "fig7": (GATES_SWAP, KET_PLUS, GATES_SWAP.times(5)),
 }
 
 
@@ -318,8 +318,8 @@ class TestMutualCertificate:
     @pytest.mark.parametrize("fig", sorted(TINY_FIGURES))
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
     def test_classical_within_mutual(self, fig, p):
-        scheme, psi, grid = TINY_FIGURES[fig]
-        for s in correlation_trajectory(scheme, psi, p, grid):
+        scheme, psi, ts = TINY_FIGURES[fig]
+        for s in correlation_trajectory(scheme, psi, p, ts):
             assert -1e-12 <= s.classical <= s.mutual + 1e-12
             if s.mutual <= 1e-12:
                 assert s.classical == 0.0
@@ -327,7 +327,7 @@ class TestMutualCertificate:
 
     def test_weak_correlations_are_searched(self):
         # just after gate 6 starts, the mutual information is ~1e-10: small, not dust
-        traj = correlation_trajectory(GATES_SWAP, KET0, 0.7, TimeGrid(5.0, 5.00001, 3))
+        traj = correlation_trajectory(GATES_SWAP, KET0, 0.7, np.linspace(5.0, 5.00001, 3))
         for s in traj[1:]:
             assert 1e-10 < s.mutual < 1e-8
             direct = classical_correlations(joint_state(KET0, 0.7, GATES_SWAP, s.t))
@@ -336,7 +336,7 @@ class TestMutualCertificate:
 
     def test_product_segments_skip_the_search(self, monkeypatch):
         # input |0>: S stays in a product state with (E1 E2) until gate 6
-        scheme, psi, grid = TINY_FIGURES["fig6"]
+        scheme, psi, ts = TINY_FIGURES["fig6"]
         searched = []
 
         def counted(rho, *args, **kwargs):
@@ -344,7 +344,7 @@ class TestMutualCertificate:
             return classical_correlations(rho, *args, **kwargs)
 
         monkeypatch.setattr(correlations, "classical_correlations", counted)
-        traj = correlation_trajectory(scheme, psi, 0.7, grid)
+        traj = correlation_trajectory(scheme, psi, 0.7, ts)
         assert searched and min(searched) > correlations.MUTUAL_FLOOR
         quiet = [s for s in traj if s.t <= 5.0]
         assert len(quiet) == 26
@@ -354,15 +354,15 @@ class TestMutualCertificate:
     @pytest.mark.parametrize("fig", sorted(TINY_FIGURES))
     def test_pure_rows_skip_the_search(self, fig, monkeypatch):
         # at p = 1 every measurement of S leaves pure conditional states
-        scheme, psi, grid = TINY_FIGURES[fig]
+        scheme, psi, ts = TINY_FIGURES[fig]
 
         def forbidden(rho, *args, **kwargs):
             raise AssertionError("p = 1 row was searched")
 
         monkeypatch.setattr(correlations, "classical_correlations", forbidden)
-        traj = correlation_trajectory(scheme, psi, 1.0, grid)
+        traj = correlation_trajectory(scheme, psi, 1.0, ts)
         monkeypatch.undo()
-        states = joint_states(scheme, 1.0, grid.times(), np.outer(psi, psi.conj()))
+        states = joint_states(scheme, 1.0, ts, np.outer(psi, psi.conj()))
         direct = classical_correlations(states)
         assert max(s.mutual for s in traj) > 0.5
         for s, c in zip(traj, direct):
@@ -384,14 +384,14 @@ class TestDiscord:
 
 class TestTrajectory:
     def test_initial_sample_uncorrelated(self):
-        traj = correlation_trajectory(BLOCK_SWAP, KET0, 0.7, TimeGrid(0.0, 1.0, 3))
+        traj = correlation_trajectory(BLOCK_SWAP, KET0, 0.7, BLOCK_SWAP.times(2))
         first = traj[0]
         assert first.neg == pytest.approx(0.0, abs=1e-9)
         assert first.discord == pytest.approx(0.0, abs=1e-9)
         assert first.classical == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_discord_decomposition(self):
-        traj = correlation_trajectory(BLOCK_SWAP, KET0, 0.5, TimeGrid(0.0, 1.0, 9))
+        traj = correlation_trajectory(BLOCK_SWAP, KET0, 0.5, BLOCK_SWAP.times(8))
         for s in traj:
             assert s.discord == pytest.approx(s.mutual - s.classical, abs=1e-12)
             assert -1e-9 <= s.classical <= s.mutual + 1e-9
@@ -412,8 +412,7 @@ class TestTrajectory:
 
     def test_gate_scheme_quiet_before_swap_block(self):
         # input |0>: S stays uncorrelated until the final gates
-        grid = TimeGrid(0.0, 5.0, 11)
-        traj = correlation_trajectory(GATES_SWAP, KET0, 0.7, grid)
+        traj = correlation_trajectory(GATES_SWAP, KET0, 0.7, np.linspace(0.0, 5.0, 11))
         for s in traj:
             assert s.neg <= 1e-9
             assert s.mutual <= 1e-9
@@ -422,7 +421,7 @@ class TestTrajectory:
 
     def test_gate_scheme_perfect_resource_correlations_only_in_last_gate(self):
         traj = correlation_trajectory(
-            GATES_SWAP, KET0, 1.0, TimeGrid(5.0, 8.0, 13)
+            GATES_SWAP, KET0, 1.0, np.linspace(5.0, 8.0, 13)
         )
         for s in traj:
             inside = 7.0 < s.t < 8.0
@@ -451,8 +450,7 @@ class TestSegmentCarry:
     @pytest.mark.parametrize("psi", [KET0, KET_PLUS], ids=["ket0", "plus"])
     @pytest.mark.parametrize("p", [0.3, 1.0])
     def test_carried_samples_match_direct_evaluation(self, scheme, psi, p, monkeypatch):
-        n_gates = round(scheme.time_domain[1])
-        grid = TimeGrid(0.0, n_gates, 4 * n_gates + 1)
+        ts = scheme.times(4)
         searches = []
 
         def counted(rho, *args, **kwargs):
@@ -461,7 +459,7 @@ class TestSegmentCarry:
 
         with monkeypatch.context() as m:
             m.setattr(correlations, "classical_correlations", counted)
-            traj = correlation_trajectory(scheme, psi, p, grid)
+            traj = correlation_trajectory(scheme, psi, p, ts)
 
         uncorrelated = []
         for s in traj:
@@ -475,7 +473,7 @@ class TestSegmentCarry:
         # sample before it lies in the same environment-local segment, its
         # mutual information certifies zero classical correlations, or the
         # register is pure (p = 1)
-        gate = [math.ceil(t) for t in grid.times()]
+        gate = [math.ceil(t) for t in ts]
         carried = [
             k > 0 and gate[k] == gate[k - 1] and gate[k] in ENV_LOCAL_GATES[scheme]
             for k in range(len(gate))
@@ -487,8 +485,7 @@ class TestSegmentCarry:
     @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC, BLOCK_SWAP],
                              ids=["swap", "bbc", "block"])
     def test_only_fresh_samples_are_evolved(self, scheme, monkeypatch):
-        n_gates = round(scheme.time_domain[1])
-        grid = TimeGrid(0.0, n_gates, 4 * n_gates + 1)
+        ts = scheme.times(4)
         evolved = []
 
         def counted(scheme, p, ts, ops):
@@ -496,7 +493,7 @@ class TestSegmentCarry:
             return joint_states(scheme, p, ts, ops)
 
         monkeypatch.setattr(correlations, "joint_states", counted)
-        correlation_trajectory(scheme, KET_PLUS, 0.6, grid)
-        fresh = ~repeats_s_idle_segment(scheme, grid.times())
+        correlation_trajectory(scheme, KET_PLUS, 0.6, ts)
+        fresh = ~repeats_s_idle_segment(scheme, ts)
         assert len(evolved) == fresh.sum()
-        assert np.array_equal(evolved, grid.times()[fresh])
+        assert np.array_equal(evolved, ts[fresh])

@@ -11,7 +11,6 @@ from nmlab import cli
 from nmlab.figures import FIG4_P_VALUES, FIG_IDS, FIGURES, RunConfig, p_grid, run_figure, write_csv
 from nmlab.plotting import emit_plot, read_csv
 from nmlab.register import BLOCK_SWAP, GATES_SWAP
-from nmlab.sweep import default_grid
 
 FAST = dict(p_step=0.5, heatmap_p_step=0.5, heatmap_steps_per_unit=10)
 
@@ -96,7 +95,7 @@ class TestConfig:
     def test_default_grid_rejects_bad_steps(self, steps):
         for scheme in (BLOCK_SWAP, GATES_SWAP):
             with pytest.raises(ValueError, match="steps_per_unit"):
-                default_grid(scheme, steps)
+                scheme.times(steps)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_workers_env_rejects_non_positive_integers(self, monkeypatch, value):
@@ -300,6 +299,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(0.0159989, abs=1e-6)
         assert payload["scheme"] == {"interpolation": "block", "variant": "swap"}
+        assert payload["grid"] == {"t0": 0.0, "t1": 1.0, "n": 201}
+        assert cli.main(["measure", "lfs", "--p", "0.8", "--scheme", "gates"]) == 0
+        grid = json.loads(capsys.readouterr().out)["grid"]
+        assert grid == {"t0": 0.0, "t1": 8.0, "n": 1601}
+        assert isinstance(grid["t0"], float) and isinstance(grid["t1"], float)
 
     def test_measure_e2_observation(self, capsys):
         code = cli.main([

@@ -19,12 +19,13 @@ from nmlab.register import (
     GATES_SWAP,
     KET0,
     KET1,
+    STEPS_PER_UNIT,
+    alpha_ket,
     joint_states,
     reduced_evolution,
     system_map_derivative_stack,
     system_map_stack,
 )
-from nmlab.sweep import TimeGrid, default_grid
 
 from conftest import random_ket
 
@@ -90,7 +91,7 @@ class TestReports:
     def test_increments_are_maximal_runs(self, name, p):
         report = BUILDERS[name](BLOCK_SWAP, p)
         report_is_consistent(report)
-        ts = report.grid.times()
+        ts = report.scheme.times(report.steps_per_unit)
         spans = [span for span, _ in report.increments]
         assert all(a < b and a in ts and b in ts for a, b in spans)
         # each run ends before the next one starts: adjacent runs would have merged
@@ -99,15 +100,14 @@ class TestReports:
 
     def test_runs_split_at_every_zero_step(self, rng):
         gains = np.array([0.0, 1e-3, 2e-3, 0.0, 0.0, 5e-4, 0.0, 1e-3])
-        report = nonmarkov._report(BLOCK_SWAP, 0.5, TimeGrid(0.0, 8.0, 9), gains, tag=1)
+        report = nonmarkov._report(GATES_SWAP, 0.5, 1, gains, tag=1)
         assert report.increments == [((1.0, 3.0), 3e-3), ((5.0, 6.0), 5e-4), ((7.0, 8.0), 1e-3)]
         assert report.value == gains.sum() and report.diagnostics == {"tag": 1}
         report_is_consistent(report)
         for _ in range(20):
-            grid = TimeGrid(0.0, 1.0, 41)
             gains = rng.uniform(size=40) * (rng.uniform(size=40) < 0.6)
-            report = nonmarkov._report(BLOCK_SWAP, 0.5, grid, gains)
-            assert report.increments == merged_runs(grid.times().tolist(), gains.tolist())
+            report = nonmarkov._report(BLOCK_SWAP, 0.5, 40, gains)
+            assert report.increments == merged_runs(BLOCK_SWAP.times(40).tolist(), gains.tolist())
 
     def test_rhp_merges_its_steps(self):
         # the rate is positive from its onset to the end: one run instead of one per step
@@ -143,10 +143,17 @@ class TestBlpPairGain:
         with pytest.raises(ValueError, match="must differ"):
             blp_pair_gain(KET0, phase * KET0, BLOCK_SWAP, 0.8)
 
+    def test_nearby_distinct_states_accepted(self):
+        # at trace distance 1.25e-6 the states differ; only a relative tolerance merges them
+        k1, k2 = alpha_ket(0.6), alpha_ket(0.6 + 1e-6)
+        report = blp_pair_gain(k1, k2, BLOCK_SWAP, 0.9)
+        d0 = trace_distance(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
+        assert report.diagnostics["distance_start"] == pytest.approx(d0, rel=1e-8)
+        assert d0 == pytest.approx(1.25e-6, rel=1e-3)
+
     def test_matches_distance_curve(self):
-        grid = TimeGrid(0.0, 1.0, 101)
-        report = blp_pair_gain(KET0, KET1, BLOCK_SWAP, 0.9, grid)
-        d = pair_distance_curve(KET0, KET1, BLOCK_SWAP, 0.9, grid.times())
+        report = blp_pair_gain(KET0, KET1, BLOCK_SWAP, 0.9, 100)
+        d = pair_distance_curve(KET0, KET1, BLOCK_SWAP, 0.9, BLOCK_SWAP.times(100))
         manual = np.clip(np.diff(d), 0.0, None)
         manual[manual <= 1e-12] = 0.0
         assert report.value == pytest.approx(float(manual.sum()), abs=1e-12)
@@ -198,7 +205,7 @@ class TestBlochPath:
         (BLOCK_SWAP, "S"), (GATES_SWAP, "S"), (GATES_BBC, "E2"),
     ], ids=["block", "gates", "bbc_e2"])
     def test_pair_distance_is_trace_distance(self, rng, scheme, observe, p):
-        ts = default_grid(scheme, 20).times()
+        ts = scheme.times(20)
         for _ in range(3):
             k1, k2 = random_ket(rng), random_ket(rng)
             rhos = reduced_evolution(
@@ -230,12 +237,11 @@ class TestBlochPath:
 
         monkeypatch.setattr(register, "reduced_evolution", counting)
         register._transfer_endpoints.cache_clear()
-        grid = TimeGrid(0.0, 8.0, 161)
-        blp_measure(GATES_SWAP, 0.5, grid)
+        blp_measure(GATES_SWAP, 0.5, 20)
         assert [args[1] for args in calls] == [0.0, 1.0]
-        blp_measure(GATES_SWAP, 0.9, grid)
-        pair_distance_curve(KET0, KET1, GATES_SWAP, 0.3, grid.times())
-        lfs_measure(GATES_SWAP, 0.7, grid)
+        blp_measure(GATES_SWAP, 0.9, 20)
+        pair_distance_curve(KET0, KET1, GATES_SWAP, 0.3, GATES_SWAP.times(20))
+        lfs_measure(GATES_SWAP, 0.7, 20)
         assert len(calls) == 2
 
     def test_unnormalized_ket_rejected(self):
@@ -302,17 +308,15 @@ class TestRhp:
         monkeypatch.setattr(register, "joint_states", counting)
         register._transfer_endpoints.cache_clear()
         register._derivative_endpoints.cache_clear()
-        grid = TimeGrid(0.0, 1.0, 37)
-        rhp_measure(BLOCK_SWAP, 0.7, grid)
-        rhp_measure(BLOCK_SWAP, 0.2, grid)
+        rhp_measure(BLOCK_SWAP, 0.7, 36)
+        rhp_measure(BLOCK_SWAP, 0.2, 36)
         assert calls == [0.0, 1.0, 0.0, 1.0]
 
     def test_blp_and_lfs_never_build_the_derivative(self):
         register._derivative_endpoints.cache_clear()
-        grid = TimeGrid(0.0, 8.0, 41)
-        blp_measure(GATES_SWAP, 0.5, grid)
-        lfs_measure(GATES_SWAP, 0.5, grid)
-        pair_distance_curve(KET0, KET1, GATES_SWAP, 0.5, grid.times())
+        blp_measure(GATES_SWAP, 0.5, 5)
+        lfs_measure(GATES_SWAP, 0.5, 5)
+        pair_distance_curve(KET0, KET1, GATES_SWAP, 0.5, GATES_SWAP.times(5))
         assert register._derivative_endpoints.cache_info().currsize == 0
 
     @staticmethod
@@ -390,10 +394,9 @@ class TestSearchBehaviour:
         assert refined.value >= refined.diagnostics["coarse_value"] - 1e-15
 
     def test_grid_doubling_stable(self):
-        grid = default_grid(BLOCK_SWAP)
         for fn in (blp_measure, lfs_measure):
-            v1 = fn(BLOCK_SWAP, 0.8, grid).value
-            v2 = fn(BLOCK_SWAP, 0.8, grid.doubled()).value
+            v1 = fn(BLOCK_SWAP, 0.8, STEPS_PER_UNIT).value
+            v2 = fn(BLOCK_SWAP, 0.8, 2 * STEPS_PER_UNIT).value
             assert abs(v2 - v1) <= 0.02 * max(v1, v2)
 
 

@@ -77,3 +77,28 @@ def test_only_register_builds_segment_products():
     builders = sorted(path.name for path in PACKAGE.glob("*.py")
                       if re.search(r"\b(FractionalUnitary|_gate_unitaries)\(", path.read_text()))
     assert builders == ["register.py"]
+
+
+def package_imports(path):
+    """(module, name) of each name a package module imports from the package."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nmlab")):
+            out += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(alias.name, None) for alias in node.names if alias.name.startswith("nmlab")]
+    return out
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a helper that two modules need is public in the module that owns it
+    private = [(path.name, module, name) for path in sorted(PACKAGE.glob("*.py"))
+               for module, name in package_imports(path)
+               if name and name.startswith("_") and not name.startswith("__")]
+    assert private == []
+
+
+def test_sweep_imports_no_package_module():
+    # the angle search knows nothing of schemes, states or sample times
+    assert package_imports(PACKAGE / "register.py") != []  # the audit sees imports
+    assert package_imports(PACKAGE / "sweep.py") == []

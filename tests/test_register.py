@@ -197,10 +197,13 @@ class TestPropagator:
             assert np.allclose(u, propagator_stack(GATES_SWAP, [t])[0], atol=1e-13)
 
     def test_domain_enforced(self):
+        # raw sample times reach both the propagators and the segment carry of the curves
         for scheme, ts in ((BLOCK_SWAP, [1.5]), (GATES_BBC, [6.5]), (BLOCK_SWAP, [-0.2]),
-                           (BLOCK_SWAP, [0.5, 1.5]), (GATES_SWAP, [np.nan])):
-            with pytest.raises(ValueError, match="outside scheme domain"):
-                propagator_stack(scheme, ts)
+                           (BLOCK_SWAP, [0.5, 1.5]), (GATES_SWAP, [np.nan]),
+                           (GATES_SWAP, [np.inf]), (BLOCK_SWAP, [0.5, -np.inf])):
+            for fn in (propagator_stack, repeats_s_idle_segment):
+                with pytest.raises(ValueError, match="outside scheme domain"):
+                    fn(scheme, ts)
 
 
 class TestJointState:

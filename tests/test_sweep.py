@@ -3,11 +3,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import nmlab
 from nmlab import sweep
-from nmlab.sweep import THETA_MAX, TimeGrid, two_stage_maximize, unit_vectors
+from nmlab.sweep import THETA_MAX, two_stage_maximize, unit_vectors
 
 
 def bump(theta0, phi0):
@@ -65,15 +64,6 @@ class TestStackedSearch:
         assert np.isneginf(np.concatenate(rounds[1:], axis=1)).sum() > 0
         assert res.evaluations == sum(int(np.isfinite(v).sum()) for v in rounds)
         assert res.evaluations == 2 * (325 + 3 * 3) < full.evaluations
-
-
-@pytest.mark.parametrize("t0, t1, n", [
-    (0.0, 1.0, 3.0), (0.0, 1.0, True), (0.0, 1.0, 1), (1.0, 0.0, 3),
-    (0.0, np.inf, 3), (-np.inf, 1.0, 3), (np.nan, 1.0, 3),
-])
-def test_time_grid_refuses_bad_counts_and_ends(t0, t1, n):
-    with pytest.raises(ValueError, match="time grid"):
-        TimeGrid(t0, t1, n)
 
 
 def test_cli_import_leaves_scipy_out():
