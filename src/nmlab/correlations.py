@@ -29,29 +29,33 @@ J = S(rho_S) = I/2 in every basis. At p = 1 the register state
 
 Pruning certificate, in every round of the search. Measuring S along n leaves
 sigma+-(n) = (rho_K +- n.T) / 2 with p+- = tr sigma+-, and
-J(n) = S(rho_K) - sum_{p+- > PROB_FLOOR} p+- S(sigma+- / p+-). The von Neumann
-entropy is at least the Renyi-2 entropy S_2 = -log2(tr sigma^2 / p^2), and
-S_2 <= S <= log2 d, so J(n) <= B(n) = S(rho_K) - sum p+- clip(S_2, 0, log2 d).
-B needs tr sigma^2, the squared Frobenius norm of the conditional state, and no
-eigensolve. (The expansion (tr rho_K^2 +- 2 n.a + n.G.n) / 4 is exact too, but
-its O(1) terms cancel to ~1e-16, which swamps tr sigma^2 ~ p^2 below p ~ 1e-7.)
-In each row of a round's batch (the coarse grid or a refinement stencil), the
-SEEDS = 8 candidates of largest B are eigensolved and their best J is L; then
-every candidate with B >= L - BOUND_MARGIN is eigensolved and the rest score
--inf. A pruned candidate has J <= B + BOUND_MARGIN < L <= the batch's row
-maximum, so it is never the round's winner nor tied with it: every round's
-winner and value, hence the search, are those of the full J bit for bit.
+J(n) = S(rho_K) - sum_{p+- > PROB_FLOOR} p+- S(sigma+- / p+-). At index of
+coincidence q = tr(sigma / p)^2 the spectrum of sigma / p has entropy at least
+H(q) >= -log2 q, reached by floor(1/q) equal masses and one smaller one
+(Harremoes and Topsoe, IEEE Trans. Inf. Theory 47, 2944 (2001); exact on rank
+2). H falls as q rises, so any q' >= q gives J(n) <= B(n) = S(rho_K) -
+sum p+- H(clip(q', 1/d, 1)). B needs neither an eigensolve nor sigma:
+tr sigma+-^2 = (tr rho_K^2 +- 2 n.a + n.G.n) / 4, a_j = tr rho_K T_j and
+G_jl = tr T_j T_l. Its O(1) terms cancel to ~1e-16, swamping tr sigma^2 ~ p^2
+below p ~ 1e-7, so q' adds their rounding bound (d^2 + 16) eps (|rho_K| +
+|T|)^2 (Frobenius norms), which covers the built sigma's purity too; at small
+p+- q' reaches 1 and the branch's bound 0. Per row of a round's live batch, the
+SEEDS = 8 candidates of largest B are eigensolved, their best J is L, then
+every candidate with B >= L - BOUND_MARGIN; the rest score -inf. A pruned
+candidate has J <= B + BOUND_MARGIN < L <= the batch's row maximum, so it is
+never the round's winner nor tied with it: every round's winner and value,
+hence the search, are those of the full J bit for bit.
 
-BOUND_MARGIN = 1e-9 covers how the computed J may exceed B. J and B read the
-same computed sigma and p, so the Renyi inequality holds for them up to
-rounding. The EIG_CLAMP truncation of spectrum_entropy drops eigenvalues
-mu <= 1e-12 of sigma / p, each worth -mu log2 mu <= 1e-12 log2(1e12) < 4e-11
-bits: at most 4 eigenvalues x 2 outcomes x 4e-11 = 3.2e-10. Rounding (the
-eigensolver's backward error, sigma's trace against p, eigenvalues a rounding
-below zero) adds ~1e-14 at unit probability; near PROB_FLOOR, where the
-purity ratio is noise, the clip and the weight p keep it below
-2 p log2 d ~ 4e-11. The sum stays below 4e-10, 2.5 times inside the margin;
-on the stress states of the tests J exceeds B by at most 2.4e-12.
+BOUND_MARGIN = 1e-9 covers how the computed J may exceed B, which reads an
+upper bound on the purity of the sigma whose spectrum J takes, and the same p.
+EIG_CLAMP drops eigenvalues mu <= 1e-12 of sigma / p, each worth -mu log2 mu <
+4e-11 bits: at most 4 x 2 outcomes x 4e-11 = 3.2e-10. Rounding (eigensolver,
+sigma's trace against p) adds ~1e-14 at unit probability; near PROB_FLOOR the
+clip and the weight p keep it below 2 p log2 d ~ 4e-11. H's slope grows like
+log2(1/(1 - q)) as q -> 1, but 1 - q >= eps/2 unless q rounds to 1, so rounding
+q moves H by at most eps log2(2/eps) ~ 1e-14; H itself is good to ~2e-14. The
+sum stays below 4e-10, 2.5 times inside the margin; on the tests' stress states
+J - B <= 6.2e-11 (EIG_CLAMP).
 
 Every measure takes a stack of states (a single state gives a float). The
 search runs SEARCH_CHUNK = 16 states at a time; each gets its value alone.
@@ -123,61 +127,72 @@ def _bloch_blocks(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 
-def _conditionals(blocks: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional states (m, k, 2, d, d) of state i along n[i] (m, k, 3), and their probabilities.
-
-    Outcome +- of measuring S along n leaves the kept side in the unnormalized
-    state (rho_K +- n.T) / 2, of trace (1 +- n.r) / 2.
-    """
+def _directions(blocks: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n.T (m, k, d, d) of state i along n[i] (m, k, 3), and the probabilities (m, k, 2) of +-."""
     m, _, d, _ = blocks.shape
-    sign = np.array([1.0, -1.0])
-    n_t = (n @ blocks[:, 1:].reshape(m, 3, d * d)).reshape(m, -1, 1, d, d)
-    cond = 0.5 * (blocks[:, None, None, 0] + sign[:, None, None] * n_t)
+    n_t = (n @ blocks[:, 1:].reshape(m, 3, d * d)).reshape(m, -1, d, d)
     r = np.trace(blocks[:, 1:], axis1=-2, axis2=-1).real
-    return cond, 0.5 * (1.0 + (n @ r[:, :, None]) * sign)
+    return n_t, 0.5 * (1.0 + (n @ r[:, :, None]) * np.array([1.0, -1.0]))
 
 
-def _conditional_entropy(cond: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Sum over outcomes of p S(sigma / p); outcomes at or below PROB_FLOOR contribute zero."""
-    lam = np.linalg.eigvalsh(cond)
-    p_safe = np.where(probs > PROB_FLOOR, probs, 1.0)
-    branch = np.where(probs > PROB_FLOOR, probs * spectrum_entropy(lam / p_safe[..., None]), 0.0)
-    return branch.sum(axis=-1)
+def _conditional_entropy(blocks, n_t, probs, i, k) -> np.ndarray:
+    """Sum over outcomes p > PROB_FLOOR of p S(sigma / p), building sigma+- of (i, k) only."""
+    cond = np.empty((2, len(i)) + n_t.shape[-2:], dtype=complex)
+    cond[1] = blocks[i, 0]
+    n_t = n_t[i, k]
+    np.add(cond[1], n_t, out=cond[0])
+    cond[1] -= n_t
+    cond *= 0.5
+    lam, p = np.linalg.eigvalsh(cond), probs[i, k].T
+    del cond, n_t
+    p_safe = np.where(p > PROB_FLOOR, p, 1.0)
+    return np.where(p > PROB_FLOOR, p * spectrum_entropy(lam / p_safe[..., None]), 0.0).sum(axis=0)
 
 
-def _entropy_bound(s_a: np.ndarray, cond: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """The Renyi-2 bound B >= J - BOUND_MARGIN of the module docstring, without an eigensolve.
-
-    `cond` and `probs` come from `_conditionals`; tr sigma^2 is the squared
-    Frobenius norm of the conditional state.
-    """
-    purity = (cond.real**2 + cond.imag**2).sum(axis=(-2, -1))
-    p_safe = np.where(probs > PROB_FLOOR, probs, 1.0)
-    renyi = -np.log2(np.clip(purity / p_safe**2, 1.0 / cond.shape[-1], 1.0))
-    return s_a[:, None] - np.where(probs > PROB_FLOOR, probs * renyi, 0.0).sum(axis=-1)
+def _purities(blocks: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """tr sigma+-^2 (m, k, 2) by the quadratic form, plus its rounding bound (module docstring)."""
+    flat = blocks.reshape(len(blocks), 4, -1)
+    gram = (flat @ flat.conj().swapaxes(-1, -2)).real  # tr B_j B_l of the Hermitian blocks
+    form = (gram[:, None, None, 0, 0] + 2.0 * (n @ gram[:, 1:, :1]) * np.array([1.0, -1.0])
+            + ((n @ gram[:, 1:, 1:]) * n).sum(axis=-1, keepdims=True))
+    norm = np.sqrt(gram[:, 0, 0]) + np.sqrt(np.trace(gram[:, 1:, 1:], axis1=-2, axis2=-1))
+    return 0.25 * form + ((flat.shape[-1] + 16) * np.finfo(float).eps * norm**2)[:, None, None]
 
 
-def _pruned_j_values(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Extracted information J of state i along the unit vectors n[i] (m, k, 3), or -inf
-    where the entropy bound proves it below the row's maximum.
+def _min_entropy(q: np.ndarray) -> np.ndarray:
+    """Least entropy in bits at index of coincidence q in (0, 1]: for q in [1/(k+1), 1/k],
+    k masses a = (1 + sqrt(1 - (k+1)(1-q)/k)) / (k+1) and one mass 1 - k a."""
+    k = np.floor(1.0 / q)
+    a = (1.0 + np.sqrt(np.maximum(1.0 - (k + 1.0) * (1.0 - q) / k, 0.0))) / (k + 1.0)
+    b = np.maximum(1.0 - k * a, 0.0)
+    return -k * a * np.log2(a) - b * np.log2(np.where(b > 0.0, b, 1.0))
 
-    `blocks` stacks `_bloch_blocks` of m states, `s_a` the entropies of their
-    rho_K. The SEEDS candidates of largest bound (earliest first among equals)
-    are eigensolved first; their best value L rules out every candidate whose
-    bound lies below L - BOUND_MARGIN, and the rest are eigensolved.
-    """
-    cond, probs = _conditionals(blocks, n)
-    bound = _entropy_bound(s_a, cond, probs)
+
+def _entropy_bound(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray, p: np.ndarray):
+    """The bound B >= J - BOUND_MARGIN of the module docstring; `p` from `_directions`."""
+    p_safe = np.where(p > PROB_FLOOR, p, 1.0)
+    q = np.clip(_purities(blocks, n) / p_safe**2, 1.0 / blocks.shape[-1], 1.0)
+    return s_a[:, None] - np.where(p > PROB_FLOOR, p * _min_entropy(q), 0.0).sum(axis=-1)
+
+
+def _pruned_j_values(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray,
+                     live: np.ndarray) -> np.ndarray:
+    """J of state i (`blocks` of m states, `s_a` their S(rho_K)) along n[i] (m, k, 3), or -inf
+    where not `live` or pruned: the SEEDS live candidates of largest bound (earliest first
+    among equals) are eigensolved, their best value L rules out every bound below
+    L - BOUND_MARGIN, and the rest are eigensolved."""
+    n_t, probs = _directions(blocks, n)
+    bound = np.where(live, _entropy_bound(blocks, s_a, n, probs), -np.inf)
     values = np.full(bound.shape, -np.inf)
     seeds = np.zeros(bound.shape, dtype=bool)
     np.put_along_axis(seeds, np.argsort(-bound, axis=1, kind="stable")[:, :SEEDS], True, axis=1)
 
     def score(picked):
         i, k = np.nonzero(picked)
-        values[i, k] = s_a[i] - _conditional_entropy(cond[i, k], probs[i, k])
+        values[i, k] = s_a[i] - _conditional_entropy(blocks, n_t, probs, i, k)
 
-    score(seeds)
-    score(~seeds & (bound >= values.max(axis=1, keepdims=True) - BOUND_MARGIN))
+    score(seeds & live)
+    score(live & ~seeds & (bound >= values.max(axis=1, keepdims=True) - BOUND_MARGIN))
     return values
 
 
@@ -196,7 +211,7 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     value = np.empty(len(flat))
     for lo in range(0, len(flat), SEARCH_CHUNK):
         b, s = flat[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK]
-        value[lo:lo + len(b)] = two_stage_maximize(lambda n: _pruned_j_values(b, s, n),
+        value[lo:lo + len(b)] = two_stage_maximize(lambda n, live: _pruned_j_values(b, s, n, live),
                                                    len(b)).value
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 

@@ -151,7 +151,7 @@ def blp_measure(
         # a C-ordered (3, candidate) operand keeps the matmul ~1.4x faster than n.T
         return np.linalg.norm(m @ np.ascontiguousarray(n.T), axis=1).T  # (candidate, time)
 
-    result = two_stage_maximize(lambda n: _positive_steps(distances(n[0])).sum(-1)[None])
+    result = two_stage_maximize(lambda n, _live: _positive_steps(distances(n[0])).sum(-1)[None])
     report = _pair_report(scheme, p, steps_per_unit, observe,
                           distances(unit_vectors(result.theta, result.phi))[0],
                           coarse_value=float(result.coarse_value[0]),

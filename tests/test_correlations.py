@@ -52,7 +52,15 @@ def joint_state(psi, p, scheme, t):
 
 def full_j(blocks, s_a, n):
     """Extracted information of state i along every unit vector n[i]: the unpruned objective."""
-    return s_a[:, None] - correlations._conditional_entropy(*correlations._conditionals(blocks, n))
+    n_t, probs = correlations._directions(blocks, n)
+    i, k = np.nonzero(np.ones(n.shape[:2], dtype=bool))
+    entropy = correlations._conditional_entropy(blocks, n_t, probs, i, k)
+    return s_a[:, None] - entropy.reshape(n.shape[:2])
+
+
+def ht_bound(blocks, s_a, n):
+    """The pruning bound B of state i along every unit vector n[i]."""
+    return correlations._entropy_bound(blocks, s_a, n, correlations._directions(blocks, n)[1])
 
 
 def discord(rho):
@@ -210,11 +218,17 @@ def bound_test_state(rng, d, kind):
     return np.kron(np.diag([1.0 - q, 0.0]), a) + np.kron(np.diag([0.0, q]), b)
 
 
-def bound_test_directions(rng):
-    """The coarse grid, random directions on the sphere, and directions next to both poles."""
+def coarse_angles():
+    """(theta, phi) of the coarse grid, in the search's order."""
     th = np.repeat(np.linspace(0.0, np.pi / 2, sweep.COARSE_THETA), sweep.COARSE_PHI)
     ph = np.tile(np.linspace(0.0, 2 * np.pi, sweep.COARSE_PHI, endpoint=False),
                  sweep.COARSE_THETA)
+    return th, ph
+
+
+def bound_test_directions(rng):
+    """The coarse grid, random directions on the sphere, and directions next to both poles."""
+    th, ph = coarse_angles()
     near = np.array([0.0, 1e-7, 1e-6, 1e-5])
     th = np.concatenate([th, np.arccos(rng.uniform(-1, 1, 60)), near, np.pi - near])
     ph = np.concatenate([ph, rng.uniform(0, 2 * np.pi, 60 + 2 * near.size)])
@@ -226,22 +240,33 @@ def unpruned_search(stack):
     blocks = correlations._bloch_blocks(stack)
     s_a = vn_entropy(blocks[:, 0])
     return np.concatenate([
-        two_stage_maximize(lambda n: full_j(b, s, n), len(b)).value
+        two_stage_maximize(lambda n, live: full_j(b, s, n), len(b)).value
         for b, s in ((blocks[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK])
                      for lo in range(0, len(stack), SEARCH_CHUNK))
     ])
 
 
-def searched_row(fig, p, n):
-    """n evenly spread samples of one heatmap row that the trajectory searches."""
+def searched_row(fig, p, n=None, steps_per_unit=100):
+    """n evenly spread samples (all if n is None) of a heatmap row that the trajectory searches."""
     scheme, psi = {"fig5": (BLOCK_SWAP, KET0), "fig6": (GATES_SWAP, KET0),
                    "fig7": (GATES_SWAP, KET_PLUS)}[fig]
-    ts = scheme.times(100)
+    ts = scheme.times(steps_per_unit)
     ts = ts[~repeats_s_idle_segment(scheme, ts)]
     states = joint_states(scheme, p, ts, np.outer(psi, psi.conj()))
     states = states[mutual_information(states) > MUTUAL_FLOOR]
-    return states[np.linspace(0, len(states) - 1, n).astype(int)]
+    return states if n is None else states[np.linspace(0, len(states) - 1, n).astype(int)]
 
+
+def eigensolve_counter(monkeypatch):
+    """A list that records how many candidates each `_conditional_entropy` call eigensolves."""
+    solved, unpatched = [], correlations._conditional_entropy
+
+    def counted(blocks, n_t, probs, i, k):
+        solved.append(len(i))
+        return unpatched(blocks, n_t, probs, i, k)
+
+    monkeypatch.setattr(correlations, "_conditional_entropy", counted)
+    return solved
 
 class TestEntropyBound:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
@@ -253,7 +278,7 @@ class TestEntropyBound:
         blocks = correlations._bloch_blocks(rho)[None]
         s_a = vn_entropy(blocks[:, 0])
         n = bound_test_directions(rng)
-        bound = correlations._entropy_bound(s_a, *correlations._conditionals(blocks, n))
+        bound = ht_bound(blocks, s_a, n)
         j = full_j(blocks, s_a, n)
         assert np.all(bound >= j - BOUND_MARGIN), float(np.max(j - bound))
 
@@ -262,9 +287,69 @@ class TestEntropyBound:
         blocks = correlations._bloch_blocks(BELL)[None]
         s_a = vn_entropy(blocks[:, 0])
         n = bound_test_directions(np.random.default_rng(1))
-        bound = correlations._entropy_bound(s_a, *correlations._conditionals(blocks, n))
+        bound = ht_bound(blocks, s_a, n)
         assert np.max(np.abs(bound - 1.0)) <= 1e-12
         assert np.max(np.abs(bound - full_j(blocks, s_a, n))) <= 1e-12
+
+
+    def test_ht_entropy_is_never_below_renyi2(self):
+        # the entropy bound only tightens: H_HT(q) >= -log2 q, so B_HT <= B_Renyi-2
+        q = np.concatenate([np.linspace(0.125, 1.0, 20001), 1.0 - np.logspace(-16, -1, 200)])
+        assert np.all(correlations._min_entropy(q) >= -np.log2(q) - 1e-15)
+        rng = np.random.default_rng(3)
+        for kind in ("full", "rank", "floor", "rare", "clamp"):
+            blocks = correlations._bloch_blocks(bound_test_state(rng, 4, kind))[None]
+            s_a = vn_entropy(blocks[:, 0])
+            n = bound_test_directions(rng)
+            probs = correlations._directions(blocks, n)[1]
+            q = correlations._purities(blocks, n) / np.where(probs > PROB_FLOOR, probs, 1.0)**2
+            renyi = -np.log2(np.clip(q, 0.25, 1.0))
+            b_renyi = s_a[:, None] - np.where(probs > PROB_FLOOR, probs * renyi, 0.0).sum(-1)
+            assert np.all(ht_bound(blocks, s_a, n) <= b_renyi + 1e-15)
+
+    def test_ht_entropy_is_exact_on_uniform_and_binary_spectra(self, rng):
+        # k equal masses: q = 1/k and H = log2 k; two masses: the binary entropy
+        k = np.arange(1, 17)
+        assert np.max(np.abs(correlations._min_entropy(1.0 / k) - np.log2(k))) <= 1e-13
+        lam = np.concatenate([rng.uniform(0.0, 1.0, 1000), [0.5, 1.0, 1e-9, 1.0 - 1e-9]])
+        binary = -sum(x * np.log2(np.where(x > 0, x, 1.0)) for x in (lam, 1.0 - lam))
+        got = correlations._min_entropy(lam**2 + (1.0 - lam)**2)
+        assert np.max(np.abs(got - binary)) <= 1e-12
+
+    def test_bound_is_exact_on_rank_two_conditionals(self, rng):
+        # a two-qubit state leaves 2x2 conditional states, whose spectra are binary
+        for _ in range(20):
+            blocks = correlations._bloch_blocks(random_density(rng, 4))[None]
+            s_a = vn_entropy(blocks[:, 0])
+            n = bound_test_directions(rng)
+            assert np.max(np.abs(ht_bound(blocks, s_a, n) - full_j(blocks, s_a, n))) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
+           st.sampled_from(["full", "rank", "floor", "rare", "clamp"]))
+    @settings(max_examples=100, deadline=None)
+    def test_quadratic_purity_bounds_the_built_state(self, seed, d, kind):
+        # (tr rho_K^2 +- 2 n.a + n.G.n) / 4 is within its rounding bound
+        # (d^2 + 16) eps (|rho_K| + |T|)^2 of the Frobenius purity, which it bounds from above
+        rng = np.random.default_rng(seed)
+        blocks = correlations._bloch_blocks(bound_test_state(rng, d, kind))[None]
+        n = bound_test_directions(rng)
+        n_t, rho_k = correlations._directions(blocks, n)[0], blocks[:, None, 0]
+        cond = 0.5 * np.stack([rho_k + n_t, rho_k - n_t], axis=2)  # as _conditional_entropy builds
+        frobenius = (cond.real**2 + cond.imag**2).sum(axis=(-2, -1))
+        norms = np.sqrt((np.abs(blocks[0])**2).sum(axis=(-2, -1)))
+        rounding = (d * d + 16) * np.finfo(float).eps * (norms[0] + np.hypot.reduce(norms[1:]))**2
+        purity = correlations._purities(blocks, n)
+        assert np.all(purity >= frobenius)
+        assert np.all(purity <= frobenius + 2.0 * rounding)
+
+    @pytest.mark.parametrize("fig", ["fig5", "fig6", "fig7"])
+    @pytest.mark.parametrize("p", [0.0, 0.4, 0.8])
+    def test_heatmap_candidates_stay_under_the_bound(self, fig, p):
+        stack = searched_row(fig, p, steps_per_unit=10)
+        blocks = correlations._bloch_blocks(stack)
+        s_a = vn_entropy(blocks[:, 0])
+        n = np.broadcast_to(unit_vectors(*coarse_angles()), (len(stack), 325, 3))
+        assert np.max(full_j(blocks, s_a, n) - ht_bound(blocks, s_a, n)) <= 1e-12
 
 
 class TestPrunedSearch:
@@ -284,8 +369,9 @@ class TestPrunedSearch:
         # Bell: every basis extracts 1 bit; classical pair: the 25 pole points tie
         blocks = correlations._bloch_blocks(rho)[None]
         s_a = vn_entropy(blocks[:, 0])
-        full = two_stage_maximize(lambda n: full_j(blocks, s_a, n))
-        pruned = two_stage_maximize(lambda n: correlations._pruned_j_values(blocks, s_a, n))
+        full = two_stage_maximize(lambda n, live: full_j(blocks, s_a, n))
+        pruned = two_stage_maximize(
+            lambda n, live: correlations._pruned_j_values(blocks, s_a, n, live))
         for field in ("value", "theta", "phi", "coarse_value"):
             assert np.array_equal(getattr(pruned, field), getattr(full, field)), field
         assert classical_correlations(rho) == full.value[0]
@@ -296,8 +382,8 @@ class TestPrunedSearch:
         s_a = vn_entropy(blocks[:, 0])
         rounds = []
 
-        def pruned(n):
-            rounds.append(correlations._pruned_j_values(blocks, s_a, n))
+        def pruned(n, live):
+            rounds.append(correlations._pruned_j_values(blocks, s_a, n, live))
             return rounds[-1]
 
         result = two_stage_maximize(pruned, len(stack))
@@ -305,6 +391,31 @@ class TestPrunedSearch:
         assert len(rounds) == 1 + sweep.REFINE_ROUNDS
         assert result.evaluations == sum(scored)
         assert correlations.SEEDS * len(stack) <= scored[0] < rounds[0].size
+
+
+    def test_seeds_are_live(self, monkeypatch):
+        # rows with 3, 0 and 12 live candidates, all below SEEDS but the last
+        stack = searched_row("fig6", 0.4, 3)
+        blocks = correlations._bloch_blocks(stack)
+        s_a = vn_entropy(blocks[:, 0])
+        n = np.broadcast_to(unit_vectors(*coarse_angles()), (3, 325, 3))
+        live = np.zeros((3, 325), dtype=bool)
+        live[0, [5, 100, 200]] = live[2, 40:52] = True
+        solved = eigensolve_counter(monkeypatch)
+        values = correlations._pruned_j_values(blocks, s_a, n, live)
+        assert np.all(np.isneginf(values[~live]))
+        assert np.all(np.isfinite(values[0, live[0]]))
+        assert sum(solved) == np.isfinite(values).sum() <= live.sum()
+        assert np.max(values[2]) == np.max(full_j(blocks, s_a, n)[2, live[2]])
+
+    def test_pruning_keeps_its_share_of_the_work(self, monkeypatch):
+        # measured: 2602 of the full grid's 16 * 400 = 6400 candidates eigensolved (40.7%);
+        # the Renyi-2 bound solves 49%, the 0.17.0 search 59%, no pruning 100%
+        stack = searched_row("fig6", 0.4, SEARCH_CHUNK)
+        solved = eigensolve_counter(monkeypatch)
+        classical_correlations(stack)
+        full = SEARCH_CHUNK * (sweep.COARSE_THETA * sweep.COARSE_PHI + sweep.REFINE_ROUNDS * 25)
+        assert sum(solved) <= 0.42 * full
 
 
 TINY_FIGURES = {
