@@ -29,33 +29,54 @@ J = S(rho_S) = I/2 in every basis. At p = 1 the register state
 
 Pruning certificate, in every round of the search. Measuring S along n leaves
 sigma+-(n) = (rho_K +- n.T) / 2 with p+- = tr sigma+-, and
-J(n) = S(rho_K) - sum_{p+- > PROB_FLOOR} p+- S(sigma+- / p+-). At index of
-coincidence q = tr(sigma / p)^2 the spectrum of sigma / p has entropy at least
-H(q) >= -log2 q, reached by floor(1/q) equal masses and one smaller one
-(Harremoes and Topsoe, IEEE Trans. Inf. Theory 47, 2944 (2001); exact on rank
-2). H falls as q rises, so any q' >= q gives J(n) <= B(n) = S(rho_K) -
-sum p+- H(clip(q', 1/d, 1)). B needs neither an eigensolve nor sigma:
-tr sigma+-^2 = (tr rho_K^2 +- 2 n.a + n.G.n) / 4, a_j = tr rho_K T_j and
-G_jl = tr T_j T_l. Its O(1) terms cancel to ~1e-16, swamping tr sigma^2 ~ p^2
-below p ~ 1e-7, so q' adds their rounding bound (d^2 + 16) eps (|rho_K| +
-|T|)^2 (Frobenius norms), which covers the built sigma's purity too; at small
-p+- q' reaches 1 and the branch's bound 0. Per row of a round's live batch, the
-SEEDS = 8 candidates of largest B are eigensolved, their best J is L, then
-every candidate with B >= L - BOUND_MARGIN; the rest score -inf. A pruned
-candidate has J <= B + BOUND_MARGIN < L <= the batch's row maximum, so it is
-never the round's winner nor tied with it: every round's winner and value,
-hence the search, are those of the full J bit for bit.
+J(n) = S(rho_K) - sum_{p+- > PROB_FLOOR} p+- S(sigma+- / p+-). Two lower bounds
+on S(sigma), sigma = sigma+- / p+-, read only the moments mu_k = tr sigma^(k+1)
+of its spectral measure nu = sum_i lambda_i delta_(lambda_i) (mu_0 = 1):
+- H(q) >= -log2 q at index of coincidence q = mu_1, reached by floor(1/q)
+  equal masses and one smaller one (Harremoes and Topsoe, IEEE Trans. Inf.
+  Theory 47, 2944 (2001); exact on rank 2). H falls as q rises.
+- G, the two-node Gauss rule of f = -log2 x against nu (Golub and Meurant,
+  Matrices, Moments and Quadrature (2010)): nodes x1,2 = mu_1 + s +- r, with
+  r^2 = s^2 + v, v = mu_2 - mu_1^2, s = t / 2v and t the third central moment,
+  weights (mu_1 - x2, x1 - mu_1) / (x1 - x2). Its error f^(4)(xi) / 4! times
+  int pi_2^2 dnu is >= 0 as f^(4) = 6 / (x^4 ln 2): G <= S, with equality on at
+  most two distinct nonzero eigenvalues.
+So J(n) <= B(n) = S(rho_K) - sum p+- max(H(clip(q + delta_1, 1/d, 1)), G - E),
+which needs neither an eigensolve nor sigma. With u = (1, n) and
+B = (rho_K, T), 2^(k+1) tr sigma+-^(k+1) is a form in the monomials
+w = u_a u_b (and u), read off Re tr of products of the B_a once per chunk; the
+- outcome flips its odd part. The forms' O(1) terms cancel: each is good to
+(d^2 + 16) eps N^(k+1) with N = |rho_K| + |T| (Frobenius norms), so mu_k to
+delta_k = (d^2 + 16) eps (N / p)^(k+1), which swamps mu_1 below p ~ 1e-7.
+q + delta_1 covers the built sigma's purity too and reaches 1 at small p+-,
+where the branch's bound is 0. To first order G moves by sum c_k dmu_k, with
+c_k the coefficients of the cubic that matches f and f' at both nodes (the
+rule is exact on cubics, and f minus that cubic vanishes doubly at the nodes),
+and E = delta_1 (|f'(x1)| + D (5 + 4 N / p + (N / p)^2)) bounds sum |c_k|
+delta_k: as f' rises, |c_3| <= D, |c_2| <= 4 D and |c_1| <= |f'(x1)| + 5 D
+with D = 1 / (x1 x2 (x1 - x2) ln 2). The node solve rounds like moment errors
+of a few eps < delta_k. Nodes and weights move by about delta_3 / (v x2) of
+themselves; G - E is 0 unless that is below GAUSS_RATIO = 1e-3, so the
+neglected second-order terms stay under 1e-3 of E.
 
-BOUND_MARGIN = 1e-9 covers how the computed J may exceed B, which reads an
-upper bound on the purity of the sigma whose spectrum J takes, and the same p.
-EIG_CLAMP drops eigenvalues mu <= 1e-12 of sigma / p, each worth -mu log2 mu <
-4e-11 bits: at most 4 x 2 outcomes x 4e-11 = 3.2e-10. Rounding (eigensolver,
-sigma's trace against p) adds ~1e-14 at unit probability; near PROB_FLOOR the
-clip and the weight p keep it below 2 p log2 d ~ 4e-11. H's slope grows like
-log2(1/(1 - q)) as q -> 1, but 1 - q >= eps/2 unless q rounds to 1, so rounding
-q moves H by at most eps log2(2/eps) ~ 1e-14; H itself is good to ~2e-14. The
-sum stays below 4e-10, 2.5 times inside the margin; on the tests' stress states
-J - B <= 6.2e-11 (EIG_CLAMP).
+Per row of a round's live batch, the SEEDS = 8 candidates of largest B are
+eigensolved, their best J is L, then every candidate with
+B >= L - BOUND_MARGIN; the rest score -inf. A pruned candidate has
+J <= B + BOUND_MARGIN < L <= the batch's row maximum, so it is never the
+round's winner nor tied with it: every round's winner and value, hence the
+search, are those of the full J bit for bit.
+
+BOUND_MARGIN = 1e-9 covers how the computed J may exceed B, whose entropy
+bounds hold for the sigma whose spectrum J takes (H at an upper bound on its
+purity, G - E below its entropy) and the same p. EIG_CLAMP drops eigenvalues
+mu <= 1e-12 of sigma / p, each worth -mu log2 mu < 4e-11 bits: at most
+4 x 2 outcomes x 4e-11 = 3.2e-10. Rounding (eigensolver, sigma's trace against
+p) adds ~1e-14 at unit probability; near PROB_FLOOR the clip and the weight p
+keep it below 2 p log2 d ~ 4e-11. H's slope grows like log2(1/(1 - q)) as
+q -> 1, but 1 - q >= eps/2 unless q rounds to 1, so rounding q moves H by at
+most eps log2(2/eps) ~ 1e-14; H itself is good to ~2e-14. The sum stays below
+4e-10, 2.5 times inside the margin; on the tests' stress states
+J - B <= 6.9e-11.
 
 Every measure takes a stack of states (a single state gives a float). The
 search runs SEARCH_CHUNK = 16 states at a time; each gets its value alone.
@@ -63,7 +84,9 @@ search runs SEARCH_CHUNK = 16 states at a time; each gets its value alone.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,6 +97,7 @@ from .qmath import (
     partial_transpose,
     spectrum_entropy,
     trace_norm,
+    unit_ket,
     vn_entropy,
 )
 from .register import DynamicsScheme, joint_states, repeats_s_idle_segment
@@ -89,6 +113,16 @@ SEARCH_CHUNK = 16
 SEEDS = 8
 # Slack of the entropy bound against the computed J (derived in the module docstring).
 BOUND_MARGIN = 1e-9
+# The bound's Gauss term needs moment errors below this share of variance x lower node.
+GAUSS_RATIO = 1e-3
+# The monomials w_m = u_a u_b of u = (1, n), of degree <= 2 in n; _TO_W[m] adds the (a, b) and
+# (b, a) entries of a 4 x 4 array. The - outcome has u * _FLIP, which flips the odd part.
+_PAIRS = np.array([(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)])
+_TO_W = np.zeros((10, 4, 4))
+_TO_W[(np.arange(10), *_PAIRS.T)] = _TO_W[(np.arange(10), *_PAIRS.T[::-1])] = 1.0
+_FLIP = np.array([1.0, -1.0, -1.0, -1.0])
+_FLIP_FORMS = _FLIP[_PAIRS].prod(1)[:, None] * np.r_[1.0, _FLIP, _FLIP[_PAIRS].prod(1)]
+_Chunk = namedtuple("_Chunk", "blocks s_a r norm forms")
 
 
 @dataclass(frozen=True)
@@ -127,12 +161,25 @@ def _bloch_blocks(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 
-def _directions(blocks: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n.T (m, k, d, d) of state i along n[i] (m, k, 3), and the probabilities (m, k, 2) of +-."""
+def _chunk(blocks: np.ndarray, s_a: np.ndarray) -> _Chunk:
+    """What the search reads of states with `blocks` and `s_a`, once per chunk: r_j = tr T_j,
+    N = |rho_K| + |T| and forms (m, 10, 2 x 15) from Re tr B_a B_b, B_a B_b B_c, B_a B_b B_c B_d."""
     m, _, d, _ = blocks.shape
-    n_t = (n @ blocks[:, 1:].reshape(m, 3, d * d)).reshape(m, -1, d, d)
-    r = np.trace(blocks[:, 1:], axis1=-2, axis2=-1).real
-    return n_t, 0.5 * (1.0 + (n @ r[:, :, None]) * np.array([1.0, -1.0]))
+    pairs = (blocks[:, :, None] @ blocks[:, None]).reshape(m, 16, d * d)  # B_a B_b
+    # tr XY = sum X_ij conj(Y_ij) for Hermitian Y; Y = B_c B_d reads B_d B_c, the same monomial
+    tr34 = (pairs @ np.concatenate([blocks.reshape(m, 4, -1), pairs], 1).conj().swapaxes(1, 2))
+    tr2, tr34, to_w = pairs[..., ::d + 1].sum(axis=-1).real, tr34.real, _TO_W.reshape(10, 16)
+    forms = to_w @ np.concatenate([tr2[..., None], tr34[..., :4], tr34[..., 4:] @ to_w.T], -1)
+    return _Chunk(blocks, s_a, np.trace(blocks[:, 1:], axis1=-2, axis2=-1).real,
+                  np.sqrt(tr2[:, 0]) + np.sqrt(tr2[:, [5, 10, 15]].sum(axis=-1)),
+                  np.concatenate([forms, forms * _FLIP_FORMS], axis=-1))
+
+
+def _directions(chunk: _Chunk, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n.T (m, k, d, d) of state i along n[i] (m, k, 3), and the probabilities (m, k, 2) of +-."""
+    m, _, d, _ = chunk.blocks.shape
+    n_t = (n @ chunk.blocks[:, 1:].reshape(m, 3, d * d)).reshape(m, -1, d, d)
+    return n_t, 0.5 * (1.0 + (n @ chunk.r[:, :, None]) * np.array([1.0, -1.0]))
 
 
 def _conditional_entropy(blocks, n_t, probs, i, k) -> np.ndarray:
@@ -149,14 +196,13 @@ def _conditional_entropy(blocks, n_t, probs, i, k) -> np.ndarray:
     return np.where(p > PROB_FLOOR, p * spectrum_entropy(lam / p_safe[..., None]), 0.0).sum(axis=0)
 
 
-def _purities(blocks: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """tr sigma+-^2 (m, k, 2) by the quadratic form, plus its rounding bound (module docstring)."""
-    flat = blocks.reshape(len(blocks), 4, -1)
-    gram = (flat @ flat.conj().swapaxes(-1, -2)).real  # tr B_j B_l of the Hermitian blocks
-    form = (gram[:, None, None, 0, 0] + 2.0 * (n @ gram[:, 1:, :1]) * np.array([1.0, -1.0])
-            + ((n @ gram[:, 1:, 1:]) * n).sum(axis=-1, keepdims=True))
-    norm = np.sqrt(gram[:, 0, 0]) + np.sqrt(np.trace(gram[:, 1:, 1:], axis1=-2, axis2=-1))
-    return 0.25 * form + ((flat.shape[-1] + 16) * np.finfo(float).eps * norm**2)[:, None, None]
+def _moments(chunk: _Chunk, n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """tr sigma+-^k, k = 2, 3, 4 (m, k, 2) along n (m, k, 3): w.A/4, (w.C).u/8, (w.Q).w/16."""
+    u = np.concatenate([np.ones(n.shape[:-1] + (1,)), n], axis=-1)
+    w = u[..., _PAIRS[:, 0]] * u[..., _PAIRS[:, 1]]
+    f = (w @ chunk.forms).reshape(w.shape[:2] + (2, 15))
+    return (0.25 * f[..., 0], 0.125 * np.einsum("mkoc,mkc->mko", f[..., 1:5], u),
+            0.0625 * np.einsum("mkoj,mkj->mko", f[..., 5:], w))
 
 
 def _min_entropy(q: np.ndarray) -> np.ndarray:
@@ -168,28 +214,47 @@ def _min_entropy(q: np.ndarray) -> np.ndarray:
     return -k * a * np.log2(a) - b * np.log2(np.where(b > 0.0, b, 1.0))
 
 
-def _entropy_bound(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray, p: np.ndarray):
+def _gauss_entropy(mu1, mu2, mu3, err, scale) -> np.ndarray:
+    """G - E <= S of the module docstring for moments mu_k good to err * scale^(k-1), where the
+    errors fall below GAUSS_RATIO times variance times lower node; 0 elsewhere."""
+    var, out = mu2 - mu1**2, np.zeros(mu1.shape)
+    i = np.nonzero(err * scale**2 < GAUSS_RATIO * var)
+    mu1, var, err, scale = mu1[i], var[i], err[i], scale[i]
+    # nodes mu1 + shift +- half, from the third central moment: no cancellation under the root
+    shift = 0.5 * (mu3[i] - mu1 * (3.0 * mu2[i] - 2.0 * mu1**2)) / var
+    half = np.sqrt(shift**2 + var)
+    pos = err * scale**2 < GAUSS_RATIO * var * (mu1 + shift - half)  # x2 > 0; stand-ins elsewhere
+    x1, x2 = np.where(pos, mu1 + shift + half, 1.0), np.where(pos, mu1 + shift - half, 0.5)
+    gauss = ((mu1 - x2) * np.log2(x1) + (x1 - mu1) * np.log2(x2)) / (-2.0 * half)
+    bound = err * (1.0 + (5.0 + scale * (4.0 + scale)) / (2.0 * half * x2)) / (np.log(2.0) * x1)
+    out[i] = np.where(pos, gauss - bound, 0.0)
+    return out
+
+
+def _entropy_bound(chunk: _Chunk, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The bound B >= J - BOUND_MARGIN of the module docstring; `p` from `_directions`."""
-    p_safe = np.where(p > PROB_FLOOR, p, 1.0)
-    q = np.clip(_purities(blocks, n) / p_safe**2, 1.0 / blocks.shape[-1], 1.0)
-    return s_a[:, None] - np.where(p > PROB_FLOOR, p * _min_entropy(q), 0.0).sum(axis=-1)
+    p_safe, d = np.where(p > PROB_FLOOR, p, 1.0), chunk.blocks.shape[-1]
+    mu1, mu2, mu3 = (f / p_safe**k for k, f in zip((2, 3, 4), _moments(chunk, n)))
+    scale = chunk.norm[:, None, None] / p_safe
+    err = (d * d + 16) * np.finfo(float).eps * scale**2  # rounding bound of mu1
+    h = np.maximum(_min_entropy(np.clip(mu1 + err, 1.0 / d, 1.0)),
+                   _gauss_entropy(mu1, mu2, mu3, err, scale))
+    return chunk.s_a[:, None] - np.where(p > PROB_FLOOR, p * h, 0.0).sum(axis=-1)
 
 
-def _pruned_j_values(blocks: np.ndarray, s_a: np.ndarray, n: np.ndarray,
-                     live: np.ndarray) -> np.ndarray:
-    """J of state i (`blocks` of m states, `s_a` their S(rho_K)) along n[i] (m, k, 3), or -inf
-    where not `live` or pruned: the SEEDS live candidates of largest bound (earliest first
-    among equals) are eigensolved, their best value L rules out every bound below
-    L - BOUND_MARGIN, and the rest are eigensolved."""
-    n_t, probs = _directions(blocks, n)
-    bound = np.where(live, _entropy_bound(blocks, s_a, n, probs), -np.inf)
+def _pruned_j_values(chunk: _Chunk, n: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """J of state i of the chunk along n[i] (m, k, 3), or -inf where not `live` or pruned: the
+    SEEDS live candidates of largest bound (earliest first among equals) are eigensolved, their
+    best value L rules out every bound below L - BOUND_MARGIN, and the rest are eigensolved."""
+    n_t, probs = _directions(chunk, n)
+    bound = np.where(live, _entropy_bound(chunk, n, probs), -np.inf)
     values = np.full(bound.shape, -np.inf)
     seeds = np.zeros(bound.shape, dtype=bool)
     np.put_along_axis(seeds, np.argsort(-bound, axis=1, kind="stable")[:, :SEEDS], True, axis=1)
 
     def score(picked):
         i, k = np.nonzero(picked)
-        values[i, k] = s_a[i] - _conditional_entropy(blocks, n_t, probs, i, k)
+        values[i, k] = chunk.s_a[i] - _conditional_entropy(chunk.blocks, n_t, probs, i, k)
 
     score(seeds & live)
     score(live & ~seeds & (bound >= values.max(axis=1, keepdims=True) - BOUND_MARGIN))
@@ -210,9 +275,9 @@ def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     s_a = vn_entropy(flat[:, 0])
     value = np.empty(len(flat))
     for lo in range(0, len(flat), SEARCH_CHUNK):
-        b, s = flat[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK]
-        value[lo:lo + len(b)] = two_stage_maximize(lambda n, live: _pruned_j_values(b, s, n, live),
-                                                   len(b)).value
+        chunk = _chunk(flat[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK])
+        value[lo:lo + len(chunk.s_a)] = two_stage_maximize(partial(_pruned_j_values, chunk),
+                                                           len(chunk.s_a)).value
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 
 
@@ -241,7 +306,7 @@ def correlation_trajectory(
     off by at most MUTUAL_FLOOR since 0 <= grid value <= classical <= mutual.
     At p = 1 the register stays pure and classical = discord = mutual / 2.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = unit_ket(psi)
     ts = np.asarray(ts, dtype=float)
     fresh = ~repeats_s_idle_segment(scheme, ts)
     states = joint_states(scheme, p, ts[fresh], np.outer(psi, psi.conj()))

@@ -34,6 +34,8 @@ from .register import STEPS_PER_UNIT, DynamicsScheme, system_map_derivative_stac
 from .sweep import two_stage_maximize, unit_vectors
 
 INCREMENT_FLOOR = 1e-12
+# Time samples per slice of a BLP round's distances (see `blp_measure`).
+TIME_SLICE = 128
 # Relative singular-value floor below which an RHP map counts as singular.
 SVD_TOL = 1e-10
 # Smallest measure value counted as genuine non-Markovianity when scanning
@@ -143,13 +145,17 @@ def blp_measure(
 
     The pair at ±n(theta, phi), theta in [0, pi/2], is at distance |M_t n|:
     one stack of Bloch blocks M_t scores every candidate of the two-stage grid
-    search and gives the reported winner's curve.
+    search and gives the reported winner's curve, TIME_SLICE samples at a time,
+    which bounds the temporaries: each sample's product is alone, so no bit moves.
     """
     m = system_map_stack(scheme, p, scheme.times(steps_per_unit), observe)[:, 1:, 1:]
 
     def distances(n: np.ndarray) -> np.ndarray:
         # a C-ordered (3, candidate) operand keeps the matmul ~1.4x faster than n.T
-        return np.linalg.norm(m @ np.ascontiguousarray(n.T), axis=1).T  # (candidate, time)
+        n_t, out = np.ascontiguousarray(n.T), np.empty((len(m), len(n)))
+        for lo in range(0, len(m), TIME_SLICE):
+            out[lo:lo + TIME_SLICE] = np.linalg.norm(m[lo:lo + TIME_SLICE] @ n_t, axis=1)
+        return out.T  # (candidate, time)
 
     result = two_stage_maximize(lambda n, _live: _positive_steps(distances(n[0])).sum(-1)[None])
     report = _pair_report(scheme, p, steps_per_unit, observe,

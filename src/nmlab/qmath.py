@@ -90,11 +90,17 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     return 0.5 * trace_norm(r1 - r2)
 
 
+def unit_ket(psi: np.ndarray) -> np.ndarray:
+    """`psi` as a complex array; ValueError unless it is a qubit ket of norm 1 within 1e-9."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (2,) or abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
+        raise ValueError("input kets must be 2-vectors of unit norm")
+    return psi
+
+
 def bloch_vector(psi: np.ndarray) -> np.ndarray:
     """Bloch vector (<X>, <Y>, <Z>) of a unit qubit ket."""
-    psi = np.asarray(psi, dtype=complex)
-    if abs(np.vdot(psi, psi).real - 1.0) > 1e-9:
-        raise ValueError("input kets must have unit norm")
+    psi = unit_ket(psi)
     return np.einsum("a,iab,b->i", psi.conj(), PAULIS[1:], psi).real
 
 

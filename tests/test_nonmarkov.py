@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,28 @@ class TestBlochPath:
     def test_unnormalized_ket_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):
             pair_distance_curve(2 * KET0, KET1, BLOCK_SWAP, 0.5, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("scheme, p, observe", [
+        (BLOCK_SWAP, 0.0, "S"), (BLOCK_SWAP, 0.6, "S"), (GATES_SWAP, 0.0, "S"),
+        (GATES_SWAP, 0.6, "S"), (GATES_BBC, 0.6, "E2"),
+    ], ids=["block-0", "block-0.6", "gates-0", "gates-0.6", "bbc_e2-0.6"])
+    def test_time_slices_change_no_bit(self, scheme, p, observe, monkeypatch):
+        sliced = blp_measure(scheme, p, observe=observe).to_dict()
+        monkeypatch.setattr(nonmarkov, "TIME_SLICE", 10**9)  # one slice: the unsliced product
+        assert blp_measure(scheme, p, observe=observe).to_dict() == sliced
+        monkeypatch.setattr(nonmarkov, "TIME_SLICE", 7)  # slices that split no segment evenly
+        assert blp_measure(scheme, p, observe=observe).to_dict() == sliced
+
+    def test_gates_search_memory(self):
+        # one (time, 3, candidate) product per round peaked at 34 MB; slices keep it small
+        register._transfer_endpoints.cache_clear()
+        tracemalloc.start()
+        try:
+            blp_measure(GATES_SWAP, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
 
 class TestRhp:
