@@ -29,54 +29,52 @@ J = S(rho_S) = I/2 in every basis. At p = 1 the register state
 
 Pruning certificate, in every round of the search. Measuring S along n leaves
 sigma+-(n) = (rho_K +- n.T) / 2 with p+- = tr sigma+-, and
-J(n) = S(rho_K) - sum_{p+- > PROB_FLOOR} p+- S(sigma+- / p+-). Two lower bounds
-on S(sigma), sigma = sigma+- / p+-, read only the moments mu_k = tr sigma^(k+1)
-of its spectral measure nu = sum_i lambda_i delta_(lambda_i) (mu_0 = 1):
-- H(q) >= -log2 q at index of coincidence q = mu_1, reached by floor(1/q)
-  equal masses and one smaller one (Harremoes and Topsoe, IEEE Trans. Inf.
-  Theory 47, 2944 (2001); exact on rank 2). H falls as q rises.
-- G, the two-node Gauss rule of f = -log2 x against nu (Golub and Meurant,
-  Matrices, Moments and Quadrature (2010)): nodes x1,2 = mu_1 + s +- r, with
-  r^2 = s^2 + v, v = mu_2 - mu_1^2, s = t / 2v and t the third central moment,
-  weights (mu_1 - x2, x1 - mu_1) / (x1 - x2). Its error f^(4)(xi) / 4! times
-  int pi_2^2 dnu is >= 0 as f^(4) = 6 / (x^4 ln 2): G <= S, with equality on at
-  most two distinct nonzero eigenvalues.
-So J(n) <= B(n) = S(rho_K) - sum p+- max(H(clip(q + delta_1, 1/d, 1)), G - E),
-which needs neither an eigensolve nor sigma. With u = (1, n) and
+J(n) = S(rho_K) - sum_{p+- > PROB_FLOOR} p+- S(sigma+- / p+-). Gauss rules of
+f = -log2 x against the spectral measure nu = sum_i lambda_i delta_(lambda_i) of
+sigma = sigma+- / p+- bound S(sigma) = int f dnu from below, reading only its
+moments mu_k = tr sigma^(k+1) (mu_0 = 1; Golub and Meurant, Matrices, Moments
+and Quadrature (2010)). An m-node rule errs by f^(2m)(xi) / (2m)! times
+int pi_m^2 dnu >= 0, as f'' = 1 / (x^2 ln 2) and f^(4) = 6 / (x^4 ln 2):
+- one node at mu_1 gives -log2 mu_1, the Renyi-2 entropy (Jensen);
+- two nodes x1,2 = mu_1 + s +- r, with r^2 = s^2 + v, v = mu_2 - mu_1^2, s = t / 2v
+  and t the third central moment, weights (mu_1 - x2, x1 - mu_1) / (x1 - x2),
+  give G, with equality on at most two distinct nonzero eigenvalues.
+So J(n) <= B(n) = S(rho_K) - sum p+- max(-log2(clip(q + delta_1, 1/d, 1)), G - E)
+at q = mu_1, which needs neither an eigensolve nor sigma. With u = (1, n) and
 B = (rho_K, T), 2^(k+1) tr sigma+-^(k+1) is a form in the monomials
 w = u_a u_b (and u), read off Re tr of products of the B_a once per chunk; the
 - outcome flips its odd part. The forms' O(1) terms cancel: each is good to
 (d^2 + 16) eps N^(k+1) with N = |rho_K| + |T| (Frobenius norms), so mu_k to
 delta_k = (d^2 + 16) eps (N / p)^(k+1), which swamps mu_1 below p ~ 1e-7.
-q + delta_1 covers the built sigma's purity too and reaches 1 at small p+-,
-where the branch's bound is 0. To first order G moves by sum c_k dmu_k, with
-c_k the coefficients of the cubic that matches f and f' at both nodes (the
-rule is exact on cubics, and f minus that cubic vanishes doubly at the nodes),
-and E = delta_1 (|f'(x1)| + D (5 + 4 N / p + (N / p)^2)) bounds sum |c_k|
-delta_k: as f' rises, |c_3| <= D, |c_2| <= 4 D and |c_1| <= |f'(x1)| + 5 D
-with D = 1 / (x1 x2 (x1 - x2) ln 2). The node solve rounds like moment errors
-of a few eps < delta_k. Nodes and weights move by about delta_3 / (v x2) of
-themselves; G - E is 0 unless that is below GAUSS_RATIO = 1e-3, so the
-neglected second-order terms stay under 1e-3 of E.
+-log2 falls, so the one-node term reads the upper bound q + delta_1 on the
+purity, which covers the built sigma's too; the clip keeps it in [0, log2 d],
+and it is 0 at small p+-, where q + delta_1 reaches 1. To first order G moves by
+sum c_k dmu_k, with c_k the coefficients of the cubic that matches f and f' at
+both nodes (the rule is exact on cubics, and f minus that cubic vanishes doubly
+at the nodes), and E = delta_1 (|f'(x1)| + D (5 + 4 N / p + (N / p)^2)) bounds
+sum |c_k| delta_k: as f' rises, |c_3| <= D, |c_2| <= 4 D and
+|c_1| <= |f'(x1)| + 5 D with D = 1 / (x1 x2 (x1 - x2) ln 2). The node solve
+rounds like moment errors of a few eps < delta_k. Nodes and weights move by
+about delta_3 / (v x2) of themselves; G - E is 0 unless that is below
+GAUSS_RATIO = 1e-3, so the neglected second-order terms stay under 1e-3 of E.
 
-Per row of a round's live batch, the SEEDS = 8 candidates of largest B are
-eigensolved, their best J is L, then every candidate with
-B >= L - BOUND_MARGIN; the rest score -inf. A pruned candidate has
+Per row of a round's live batch, one seed is eigensolved: the earliest live
+candidate of largest B. Its J is L, and then every other live candidate with
+B >= L - BOUND_MARGIN is; the rest score -inf. A pruned candidate has
 J <= B + BOUND_MARGIN < L <= the batch's row maximum, so it is never the
 round's winner nor tied with it: every round's winner and value, hence the
 search, are those of the full J bit for bit.
 
 BOUND_MARGIN = 1e-9 covers how the computed J may exceed B, whose entropy
-bounds hold for the sigma whose spectrum J takes (H at an upper bound on its
-purity, G - E below its entropy) and the same p. EIG_CLAMP drops eigenvalues
-mu <= 1e-12 of sigma / p, each worth -mu log2 mu < 4e-11 bits: at most
-4 x 2 outcomes x 4e-11 = 3.2e-10. Rounding (eigensolver, sigma's trace against
-p) adds ~1e-14 at unit probability; near PROB_FLOOR the clip and the weight p
-keep it below 2 p log2 d ~ 4e-11. H's slope grows like log2(1/(1 - q)) as
-q -> 1, but 1 - q >= eps/2 unless q rounds to 1, so rounding q moves H by at
-most eps log2(2/eps) ~ 1e-14; H itself is good to ~2e-14. The sum stays below
-4e-10, 2.5 times inside the margin; on the tests' stress states
-J - B <= 6.9e-11.
+bounds hold for the sigma whose spectrum J takes (the one-node term at an upper
+bound on its purity, G - E below its entropy) and the same p. EIG_CLAMP drops
+eigenvalues mu <= 1e-12 of sigma / p, each worth -mu log2 mu < 4e-11 bits: at
+most 4 x 2 outcomes x 4e-11 = 3.2e-10. Rounding (eigensolver, sigma's trace
+against p) adds ~1e-14 at unit probability; near PROB_FLOOR the clip and the
+weight p keep it below 2 p log2 d ~ 4e-11. On [1/d, 1] the slope of -log2 is at
+most d / ln 2, so rounding q, or log2 itself, moves the one-node term by
+~1e-15. The sum stays below 4e-10, 2.5 times inside the margin; on the tests'
+stress states J - B <= 6.9e-11.
 
 Every measure takes a stack of states (a single state gives a float). The
 search runs SEARCH_CHUNK = 16 states at a time; each gets its value alone.
@@ -109,8 +107,6 @@ PROB_FLOOR = 1e-12
 MUTUAL_FLOOR = 1e-12
 # States per stacked basis search; bounds the candidate arrays, not the values.
 SEARCH_CHUNK = 16
-# Candidates per state and round eigensolved first, by largest entropy bound.
-SEEDS = 8
 # Slack of the entropy bound against the computed J (derived in the module docstring).
 BOUND_MARGIN = 1e-9
 # The bound's Gauss term needs moment errors below this share of variance x lower node.
@@ -205,15 +201,6 @@ def _moments(chunk: _Chunk, n: np.ndarray) -> tuple[np.ndarray, ...]:
             0.0625 * np.einsum("mkoj,mkj->mko", f[..., 5:], w))
 
 
-def _min_entropy(q: np.ndarray) -> np.ndarray:
-    """Least entropy in bits at index of coincidence q in (0, 1]: for q in [1/(k+1), 1/k],
-    k masses a = (1 + sqrt(1 - (k+1)(1-q)/k)) / (k+1) and one mass 1 - k a."""
-    k = np.floor(1.0 / q)
-    a = (1.0 + np.sqrt(np.maximum(1.0 - (k + 1.0) * (1.0 - q) / k, 0.0))) / (k + 1.0)
-    b = np.maximum(1.0 - k * a, 0.0)
-    return -k * a * np.log2(a) - b * np.log2(np.where(b > 0.0, b, 1.0))
-
-
 def _gauss_entropy(mu1, mu2, mu3, err, scale) -> np.ndarray:
     """G - E <= S of the module docstring for moments mu_k good to err * scale^(k-1), where the
     errors fall below GAUSS_RATIO times variance times lower node; 0 elsewhere."""
@@ -237,27 +224,26 @@ def _entropy_bound(chunk: _Chunk, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     mu1, mu2, mu3 = (f / p_safe**k for k, f in zip((2, 3, 4), _moments(chunk, n)))
     scale = chunk.norm[:, None, None] / p_safe
     err = (d * d + 16) * np.finfo(float).eps * scale**2  # rounding bound of mu1
-    h = np.maximum(_min_entropy(np.clip(mu1 + err, 1.0 / d, 1.0)),
+    h = np.maximum(-np.log2(np.clip(mu1 + err, 1.0 / d, 1.0)),
                    _gauss_entropy(mu1, mu2, mu3, err, scale))
     return chunk.s_a[:, None] - np.where(p > PROB_FLOOR, p * h, 0.0).sum(axis=-1)
 
 
 def _pruned_j_values(chunk: _Chunk, n: np.ndarray, live: np.ndarray) -> np.ndarray:
     """J of state i of the chunk along n[i] (m, k, 3), or -inf where not `live` or pruned: the
-    SEEDS live candidates of largest bound (earliest first among equals) are eigensolved, their
-    best value L rules out every bound below L - BOUND_MARGIN, and the rest are eigensolved."""
+    earliest live candidate of largest bound is eigensolved, its value L rules out every bound
+    below L - BOUND_MARGIN, and the rest are eigensolved."""
     n_t, probs = _directions(chunk, n)
     bound = np.where(live, _entropy_bound(chunk, n, probs), -np.inf)
     values = np.full(bound.shape, -np.inf)
-    seeds = np.zeros(bound.shape, dtype=bool)
-    np.put_along_axis(seeds, np.argsort(-bound, axis=1, kind="stable")[:, :SEEDS], True, axis=1)
+    seed = live & (np.arange(bound.shape[1]) == np.argmax(bound, axis=1)[:, None])
 
     def score(picked):
         i, k = np.nonzero(picked)
         values[i, k] = chunk.s_a[i] - _conditional_entropy(chunk.blocks, n_t, probs, i, k)
 
-    score(seeds & live)
-    score(live & ~seeds & (bound >= values.max(axis=1, keepdims=True) - BOUND_MARGIN))
+    score(seed)
+    score(live & ~seed & (bound >= values.max(axis=1, keepdims=True) - BOUND_MARGIN))
     return values
 
 

@@ -157,7 +157,10 @@ def blp_measure(
             out[lo:lo + TIME_SLICE] = np.linalg.norm(m[lo:lo + TIME_SLICE] @ n_t, axis=1)
         return out.T  # (candidate, time)
 
-    result = two_stage_maximize(lambda n, _live: _positive_steps(distances(n[0])).sum(-1)[None])
+    # steps as a C-ordered (time, candidate) array, whatever layout they come in: numpy sums
+    # that slow axis one time at a time, in order, as np.cumsum would but ~10x faster
+    result = two_stage_maximize(lambda n, _live: np.ascontiguousarray(
+        _positive_steps(distances(n[0])).T).sum(0)[None])
     report = _pair_report(scheme, p, steps_per_unit, observe,
                           distances(unit_vectors(result.theta, result.phi))[0],
                           coarse_value=float(result.coarse_value[0]),

@@ -202,18 +202,26 @@ def bell_basis() -> list[np.ndarray]:
     ]
 
 
+def _sample_times(scheme: DynamicsScheme, ts) -> np.ndarray:
+    """`ts` as a 1-D float array inside the scheme's domain; anything else, NaN included,
+    raises ValueError before a time reaches a cache key."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"sample times must be a 1-D array, got shape {ts.shape}")
+    lo, hi = scheme.time_domain
+    outside = ts[~((ts >= lo - 1e-9) & (ts <= hi + 1e-9))]
+    if outside.size:
+        raise ValueError(f"time {outside[0]} outside scheme domain [{lo}, {hi}]")
+    return ts
+
+
 def _active_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
     """Index in 1..n of the segment of `scheme` running at each time; 0 before the first.
 
     Segment i runs over i-1 < t <= i, so a boundary time belongs to the segment
     that just finished; the 1e-12 slack absorbs float dust above integer times.
-    A time outside the scheme's domain, NaN included, raises ValueError.
     """
-    ts = np.asarray(ts, dtype=float)
-    lo, hi = scheme.time_domain
-    outside = ts[~((ts >= lo - 1e-9) & (ts <= hi + 1e-9))]
-    if outside.size:
-        raise ValueError(f"time {outside[0]} outside scheme domain [{lo}, {hi}]")
+    ts, hi = _sample_times(scheme, ts), scheme.time_domain[1]
     return np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), int(hi)), 0)
 
 
@@ -331,10 +339,10 @@ def _derivative_endpoints(scheme: DynamicsScheme, ts: tuple[float, ...]):
 
 
 def _affine_in_p(endpoints, p: float, *key) -> np.ndarray:
-    """New array E(0) + p (E(1) - E(0)) of the cached pair `endpoints(*key)`, key times last."""
+    """New array E(0) + p (E(1) - E(0)) of the cached pair `endpoints(scheme, ..., times)`."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
-    e0, e1 = endpoints(*key[:-1], tuple(np.asarray(key[-1], dtype=float).tolist()))
+    e0, e1 = endpoints(*key[:-1], tuple(_sample_times(key[0], key[-1]).tolist()))
     return e0 + p * (e1 - e0)
 
 

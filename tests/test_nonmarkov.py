@@ -252,13 +252,18 @@ class TestBlochPath:
 
     @pytest.mark.parametrize("scheme, p, observe", [
         (BLOCK_SWAP, 0.0, "S"), (BLOCK_SWAP, 0.6, "S"), (GATES_SWAP, 0.0, "S"),
-        (GATES_SWAP, 0.6, "S"), (GATES_BBC, 0.6, "E2"),
-    ], ids=["block-0", "block-0.6", "gates-0", "gates-0.6", "bbc_e2-0.6"])
+        (GATES_SWAP, 0.6, "S"), (GATES_SWAP, 1.0, "S"), (GATES_BBC, 0.6, "E2"),
+    ], ids=["block-0", "block-0.6", "gates-0", "gates-0.6", "gates-1", "bbc_e2-0.6"])
     def test_time_slices_change_no_bit(self, scheme, p, observe, monkeypatch):
         sliced = blp_measure(scheme, p, observe=observe).to_dict()
         monkeypatch.setattr(nonmarkov, "TIME_SLICE", 10**9)  # one slice: the unsliced product
         assert blp_measure(scheme, p, observe=observe).to_dict() == sliced
         monkeypatch.setattr(nonmarkov, "TIME_SLICE", 7)  # slices that split no segment evenly
+        assert blp_measure(scheme, p, observe=observe).to_dict() == sliced
+        # the objective sums each candidate's steps in time order, whatever their layout: a
+        # C-ordered (candidate, time) copy gives the same bits (a pairwise .sum moved gates-1)
+        steps = nonmarkov._positive_steps
+        monkeypatch.setattr(nonmarkov, "_positive_steps", lambda d: steps(np.ascontiguousarray(d)))
         assert blp_measure(scheme, p, observe=observe).to_dict() == sliced
 
     def test_gates_search_memory(self):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nmlab import register
+from nmlab.correlations import correlation_trajectory
+from nmlab.nonmarkov import pair_distance_curve
 from nmlab.qmath import (
     HADAMARD,
     PAULI_X,
@@ -204,6 +206,23 @@ class TestPropagator:
             for fn in (propagator_stack, repeats_s_idle_segment):
                 with pytest.raises(ValueError, match="outside scheme domain"):
                     fn(scheme, ts)
+
+    @pytest.mark.parametrize("ts", [np.array([[1.0, 2.0]]), [[7.5, 7.6]], 1.0],
+                             ids=["2d_array", "nested_list", "bare_float"])
+    @pytest.mark.parametrize("call", [
+        lambda ts: propagator_stack(GATES_SWAP, ts),
+        lambda ts: joint_states(GATES_SWAP, 0.5, ts, np.eye(2)),
+        lambda ts: reduced_evolution(GATES_SWAP, 0.5, ts, np.eye(2)),
+        lambda ts: system_map_stack(GATES_SWAP, 0.5, ts),
+        lambda ts: system_map_derivative_stack(GATES_SWAP, 0.5, ts),
+        lambda ts: pair_distance_curve(KET0, KET1, GATES_SWAP, 0.5, ts),
+        lambda ts: correlation_trajectory(GATES_SWAP, KET0, 0.5, ts),
+    ], ids=["propagator_stack", "joint_states", "reduced_evolution", "system_map_stack",
+            "system_map_derivative_stack", "pair_distance_curve", "correlation_trajectory"])
+    def test_times_must_be_one_dimensional(self, call, ts):
+        # refused before any cache key is built from them
+        with pytest.raises(ValueError, match="sample times must be a 1-D array"):
+            call(ts)
 
 
 class TestJointState:
