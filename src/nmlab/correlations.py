@@ -21,8 +21,9 @@ measured bases against the fixed angle grid.
 
 Certificate: the grid value lies in [0, J] and 0 <= J <= I, the mutual
 information. So where I <= MUTUAL_FLOOR = 1e-12 a trajectory skips the search
-and reports classical correlations of exactly 0 and discord equal to I, off
-by at most 1e-12 (the dust convention of log_negativity's collapse to zero).
+and reports I, the grid value and the discord as exactly 0, each off by at
+most 1e-12; elsewhere a discord below 1e-12 (dust, or J above I by rounding)
+is 0 as well.
 Nor does a pure state: measuring S leaves pure conditional states, so
 J = S(rho_S) = I/2 in every basis. At p = 1 the register state
 |psi><psi| (x) |phi+><phi+| stays pure, so a trajectory reports I/2.
@@ -60,10 +61,10 @@ GAUSS_RATIO = 1e-3, so the neglected second-order terms stay under 1e-3 of E.
 
 Per row of a round's live batch, one seed is eigensolved: the earliest live
 candidate of largest B. Its J is L, and then every other live candidate with
-B >= L - BOUND_MARGIN is; the rest score -inf. A pruned candidate has
-J <= B + BOUND_MARGIN < L <= the batch's row maximum, so it is never the
-round's winner nor tied with it: every round's winner and value, hence the
-search, are those of the full J bit for bit.
+B >= L - BOUND_MARGIN is; only these get a sigma+-, and the rest score -inf. A
+pruned candidate has J <= B + BOUND_MARGIN < L <= the batch's row maximum, so
+it is never the round's winner nor tied with it: every round's winner and
+value, hence the search, are those of the full J bit for bit.
 
 BOUND_MARGIN = 1e-9 covers how the computed J may exceed B, whose entropy
 bounds hold for the sigma whose spectrum J takes (the one-node term at an upper
@@ -140,9 +141,13 @@ def log_negativity(rho: np.ndarray) -> float | np.ndarray:
     states do not report float dust as entanglement. Leading axes of `rho`
     are stack axes; a single state gives a float.
     """
-    val = np.log2(trace_norm(partial_transpose(rho)))
-    val = np.where(val < 1e-12, 0.0, val)
+    val = _zero_dust(np.log2(trace_norm(partial_transpose(rho))))
     return float(val) if val.ndim == 0 else val
+
+
+def _zero_dust(val: np.ndarray) -> np.ndarray:
+    """`val` with every value below 1e-12, float dust or negative, set to an exact 0."""
+    return np.where(val < 1e-12, 0.0, val)
 
 
 def _bloch_blocks(rho: np.ndarray) -> np.ndarray:
@@ -171,24 +176,20 @@ def _chunk(blocks: np.ndarray, s_a: np.ndarray) -> _Chunk:
                   np.concatenate([forms, forms * _FLIP_FORMS], axis=-1))
 
 
-def _directions(chunk: _Chunk, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n.T (m, k, d, d) of state i along n[i] (m, k, 3), and the probabilities (m, k, 2) of +-."""
-    m, _, d, _ = chunk.blocks.shape
-    n_t = (n @ chunk.blocks[:, 1:].reshape(m, 3, d * d)).reshape(m, -1, d, d)
-    return n_t, 0.5 * (1.0 + (n @ chunk.r[:, :, None]) * np.array([1.0, -1.0]))
+def _probabilities(chunk: _Chunk, n: np.ndarray) -> np.ndarray:
+    """p+- = (1 +- n.r) / 2 (m, k, 2) of state i measured along n[i] (m, k, 3)."""
+    return 0.5 * (1.0 + (n @ chunk.r[:, :, None]) * np.array([1.0, -1.0]))
 
 
-def _conditional_entropy(blocks, n_t, probs, i, k) -> np.ndarray:
-    """Sum over outcomes p > PROB_FLOOR of p S(sigma / p), building sigma+- of (i, k) only."""
-    cond = np.empty((2, len(i)) + n_t.shape[-2:], dtype=complex)
-    cond[1] = blocks[i, 0]
-    n_t = n_t[i, k]
-    np.add(cond[1], n_t, out=cond[0])
-    cond[1] -= n_t
-    cond *= 0.5
-    lam, p = np.linalg.eigvalsh(cond), probs[i, k].T
-    del cond, n_t
-    p_safe = np.where(p > PROB_FLOOR, p, 1.0)
+def _conditionals(blocks: np.ndarray, n: np.ndarray, i, k) -> np.ndarray:
+    """sigma+- = (rho_K +- n.T) / 2 (2, len(i), d, d) of state i along n[i, k], for (i, k) only."""
+    n_t = np.einsum("pj,pjab->pab", n[i, k], blocks[i, 1:])
+    return 0.5 * np.stack([blocks[i, 0] + n_t, blocks[i, 0] - n_t])
+
+
+def _conditional_entropy(sigma: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Sum over outcomes p (2, ...) > PROB_FLOOR of p S(sigma / p), for sigma+- (2, ..., d, d)."""
+    lam, p_safe = np.linalg.eigvalsh(sigma), np.where(p > PROB_FLOOR, p, 1.0)
     return np.where(p > PROB_FLOOR, p * spectrum_entropy(lam / p_safe[..., None]), 0.0).sum(axis=0)
 
 
@@ -219,7 +220,7 @@ def _gauss_entropy(mu1, mu2, mu3, err, scale) -> np.ndarray:
 
 
 def _entropy_bound(chunk: _Chunk, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The bound B >= J - BOUND_MARGIN of the module docstring; `p` from `_directions`."""
+    """The bound B >= J - BOUND_MARGIN of the module docstring; `p` from `_probabilities`."""
     p_safe, d = np.where(p > PROB_FLOOR, p, 1.0), chunk.blocks.shape[-1]
     mu1, mu2, mu3 = (f / p_safe**k for k, f in zip((2, 3, 4), _moments(chunk, n)))
     scale = chunk.norm[:, None, None] / p_safe
@@ -233,14 +234,15 @@ def _pruned_j_values(chunk: _Chunk, n: np.ndarray, live: np.ndarray) -> np.ndarr
     """J of state i of the chunk along n[i] (m, k, 3), or -inf where not `live` or pruned: the
     earliest live candidate of largest bound is eigensolved, its value L rules out every bound
     below L - BOUND_MARGIN, and the rest are eigensolved."""
-    n_t, probs = _directions(chunk, n)
+    probs = _probabilities(chunk, n)
     bound = np.where(live, _entropy_bound(chunk, n, probs), -np.inf)
     values = np.full(bound.shape, -np.inf)
     seed = live & (np.arange(bound.shape[1]) == np.argmax(bound, axis=1)[:, None])
 
     def score(picked):
         i, k = np.nonzero(picked)
-        values[i, k] = chunk.s_a[i] - _conditional_entropy(chunk.blocks, n_t, probs, i, k)
+        sigma = _conditionals(chunk.blocks, n, i, k)
+        values[i, k] = chunk.s_a[i] - _conditional_entropy(sigma, probs[i, k].T)
 
     score(seed)
     score(live & ~seed & (bound >= values.max(axis=1, keepdims=True) - BOUND_MARGIN))
@@ -277,8 +279,8 @@ def correlation_trajectory(
 
     The register starts in |psi><psi| x W(p); at each time of `ts` the state
     is split S versus (E1, E2) and all three correlation measures are
-    evaluated (discord as mutual - classical, so the identity holds exactly
-    in every sample).
+    evaluated (discord as mutual - classical, below 1e-12 reported as 0 like
+    log_negativity's dust, so the identity holds to 1e-12).
 
     A segment that leaves S alone is evaluated at its first sample only; the
     later samples that `register.repeats_s_idle_segment` marks copy its values
@@ -288,25 +290,21 @@ def correlation_trajectory(
     Segments acting on S are computed in full.
 
     The basis search runs, as one stack, where the mutual information exceeds
-    MUTUAL_FLOOR; elsewhere classical is exactly 0 and discord equals mutual,
-    off by at most MUTUAL_FLOOR since 0 <= grid value <= classical <= mutual.
+    MUTUAL_FLOOR; elsewhere mutual, classical and discord are exactly 0, off by
+    at most MUTUAL_FLOOR since 0 <= grid value <= classical <= mutual.
     At p = 1 the register stays pure and classical = discord = mutual / 2.
     """
     psi = unit_ket(psi)
     ts = np.asarray(ts, dtype=float)
     fresh = ~repeats_s_idle_segment(scheme, ts)
     states = joint_states(scheme, p, ts[fresh], np.outer(psi, psi.conj()))
-    neg = log_negativity(states)
-    mutual = mutual_information(states)
-    classical = np.zeros(len(states))
+    neg, mutual = log_negativity(states), mutual_information(states)
     searched = mutual > MUTUAL_FLOOR
+    mutual, classical = np.where(searched, mutual, 0.0), np.zeros(len(states))
     classical[searched] = (0.5 * mutual[searched] if p == 1
                            else classical_correlations(states[searched]))
+    discord = _zero_dust(mutual - classical)
     # every carried sample copies the last freshly computed one
-    return [
-        CorrelationSample(
-            t=float(t), p=p, neg=float(neg[k]), discord=float(mutual[k] - classical[k]),
-            classical=float(classical[k]), mutual=float(mutual[k]),
-        )
-        for t, k in zip(ts, np.cumsum(fresh) - 1)
-    ]
+    return [CorrelationSample(t=float(t), p=p, neg=float(neg[k]), discord=float(discord[k]),
+                              classical=float(classical[k]), mutual=float(mutual[k]))
+            for t, k in zip(ts, np.cumsum(fresh) - 1)]

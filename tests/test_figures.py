@@ -166,8 +166,10 @@ class TestFigures:
         a, b, c = self.csv_bytes(tmp_path, fig_id, (1, 1, 2))
         assert a == b == c
 
-    def test_fig6_deterministic_across_workers(self, tmp_path):
-        a, b = self.csv_bytes(tmp_path, "fig6", (1, 2))
+    @pytest.mark.parametrize("fig_id", ["fig5", "fig6", "fig7"])
+    def test_heatmap_deterministic_across_workers(self, tmp_path, fig_id):
+        # fig5 searches every sample, fig6 and fig7 carry different segments
+        a, b = self.csv_bytes(tmp_path, fig_id, (1, 2))
         assert a == b
 
     @pytest.mark.parametrize("fig_id, workers, started", [
