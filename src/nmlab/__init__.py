@@ -6,7 +6,7 @@ back-flow with the BLP, RHP, and LFS non-Markovianity measures, and tracks
 system-environment correlations along any grouping of the gates in time.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 from .qmath import (
     choi_state,

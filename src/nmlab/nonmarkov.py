@@ -29,13 +29,12 @@ from typing import Iterable
 
 import numpy as np
 
+from . import register
 from .qmath import bloch_vector, choi_state, mutual_information
 from .register import STEPS_PER_UNIT, DynamicsScheme, system_map_derivative_stack, system_map_stack
 from .sweep import two_stage_maximize, unit_vectors
 
 INCREMENT_FLOOR = 1e-12
-# Time samples per slice of a BLP round's distances (see `blp_measure`).
-TIME_SLICE = 128
 # Relative singular-value floor below which an RHP map counts as singular.
 SVD_TOL = 1e-10
 # Smallest measure value counted as genuine non-Markovianity when scanning
@@ -76,10 +75,12 @@ class MeasureReport:
         }
 
 
-def _positive_steps(series: np.ndarray) -> np.ndarray:
-    """Grid increments along the last axis; those at or below INCREMENT_FLOOR are 0."""
-    diffs = np.diff(series, axis=-1)
-    return np.where(diffs > INCREMENT_FLOOR, diffs, 0.0)
+def _positive_steps(series: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Grid increments along the first (time) axis, written to `out` if given; those at
+    or below INCREMENT_FLOOR are 0."""
+    steps = np.subtract(series[1:], series[:-1], out=out)
+    steps[~(steps > INCREMENT_FLOOR)] = 0.0
+    return steps
 
 
 def _report(scheme, p, steps_per_unit, gains: np.ndarray, **diagnostics) -> MeasureReport:
@@ -135,6 +136,35 @@ def blp_pair_gain(
                         pair_distance_curve(psi1, psi2, scheme, p, ts, observe))
 
 
+def _summed_gains(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Summed positive steps of the distances |M_t n| of (k, 3) unit vectors n, shape (k,).
+
+    The Bloch blocks `m` are scored `register.TIME_SLICE` samples at a time into
+    buffers made once: row 0 of `acc` holds each candidate's running sum above the
+    slice's steps. numpy sums that C-ordered (time, candidate) axis one row after
+    another, so every step is added in time order, as np.cumsum would but ~10x
+    faster, whatever the slices.
+    """
+    size = max(1, min(register.TIME_SLICE, len(m)))
+    # a C-ordered (3, candidate) operand keeps the matmul ~1.4x faster than n.T
+    n_t = np.ascontiguousarray(n.T)
+    prod = np.empty((size, 3, len(n)))
+    dist = np.empty((size + 1, len(n)))  # row 0: the previous slice's last distance
+    acc = np.zeros((size + 1, len(n)))
+    for lo in range(0, len(m), size):
+        k = min(size, len(m) - lo)
+        np.matmul(m[lo:lo + k], n_t, out=prod[:k])
+        np.multiply(prod[:k], prod[:k], out=prod[:k])
+        # the bits of np.linalg.norm(axis=1), which is sqrt(add.reduce(x * x, axis=1))
+        np.sqrt(np.add.reduce(prod[:k], axis=1, out=dist[1:k + 1]), out=dist[1:k + 1])
+        if not lo:
+            dist[0] = dist[1]  # a zero step before the first sample adds nothing
+        _positive_steps(dist[:k + 1], out=acc[1:k + 1])
+        acc[0] = acc[:k + 1].sum(0)
+        dist[0] = dist[k]
+    return acc[0]
+
+
 def blp_measure(
     scheme: DynamicsScheme,
     p: float,
@@ -145,24 +175,13 @@ def blp_measure(
 
     The pair at ±n(theta, phi), theta in [0, pi/2], is at distance |M_t n|:
     one stack of Bloch blocks M_t scores every candidate of the two-stage grid
-    search and gives the reported winner's curve, TIME_SLICE samples at a time,
-    which bounds the temporaries: each sample's product is alone, so no bit moves.
+    search (`_summed_gains`) and gives the reported winner's curve.
     """
     m = system_map_stack(scheme, p, scheme.times(steps_per_unit), observe)[:, 1:, 1:]
-
-    def distances(n: np.ndarray) -> np.ndarray:
-        # a C-ordered (3, candidate) operand keeps the matmul ~1.4x faster than n.T
-        n_t, out = np.ascontiguousarray(n.T), np.empty((len(m), len(n)))
-        for lo in range(0, len(m), TIME_SLICE):
-            out[lo:lo + TIME_SLICE] = np.linalg.norm(m[lo:lo + TIME_SLICE] @ n_t, axis=1)
-        return out.T  # (candidate, time)
-
-    # steps as a C-ordered (time, candidate) array, whatever layout they come in: numpy sums
-    # that slow axis one time at a time, in order, as np.cumsum would but ~10x faster
-    result = two_stage_maximize(lambda n, _live: np.ascontiguousarray(
-        _positive_steps(distances(n[0])).T).sum(0)[None])
+    result = two_stage_maximize(lambda n, _live: _summed_gains(m, n[0])[None])
+    n = unit_vectors(result.theta, result.phi)
     report = _pair_report(scheme, p, steps_per_unit, observe,
-                          distances(unit_vectors(result.theta, result.phi))[0],
+                          np.linalg.norm(m @ n.T, axis=1)[:, 0],
                           coarse_value=float(result.coarse_value[0]),
                           evaluations=result.evaluations)
     report.optimal_pair = (float(result.theta[0]), float(result.phi[0]))

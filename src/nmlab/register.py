@@ -42,6 +42,9 @@ WIRES = ("S", "E1", "E2")
 DIM = 8
 # Default time resolution: sample intervals per unit of time.
 STEPS_PER_UNIT = 200
+# Time samples evolved or scored at once wherever a full-length stack is built, which
+# bounds the temporaries: every sample is computed alone, so the slicing moves no bit.
+TIME_SLICE = 128
 
 
 def is_count(value, minimum: int) -> bool:
@@ -300,12 +303,19 @@ def reduced_evolution(
 
     `initial_ops` is one 2x2 operator on S or a stack of them; the result has
     shape (len(ts), *leading axes, 2, 2) and holds the reduced state on
-    `observe` ("S" or "E2").
+    `observe` ("S" or "E2"). The register is evolved TIME_SLICE samples at a time.
     """
     cuts = {"S": ((2, 4), 0), "E2": ((4, 2), 1)}
     if observe not in cuts:
         raise ValueError(f"observe must be 'S' or 'E2', got {observe!r}")
-    return partial_trace(joint_states(scheme, p, ts, initial_ops), *cuts[observe])
+    return _in_slices(_sample_times(scheme, ts), lambda part: partial_trace(
+        joint_states(scheme, p, part, initial_ops), *cuts[observe]))
+
+
+def _in_slices(ts: np.ndarray, f) -> np.ndarray:
+    """`f` of the times `ts` evaluated TIME_SLICE samples at a time, joined along time."""
+    return np.concatenate([f(ts[lo:lo + TIME_SLICE])
+                           for lo in range(0, max(len(ts), 1), TIME_SLICE)])
 
 
 def _transfer(images: np.ndarray) -> np.ndarray:
@@ -331,11 +341,15 @@ def _derivative_endpoints(scheme: DynamicsScheme, ts: tuple[float, ...]):
     one at a segment boundary (the right derivative, although U(t) there
     belongs to the segment that just finished), the last one at the domain end.
     """
-    times = np.array(ts)
     gens = np.stack([f.generator for f in _segments(scheme)[0]])
-    h = gens[np.clip(np.floor(times + 1e-12).astype(int), 0, len(gens) - 1), None]
-    rhos = (joint_states(scheme, p, times, PAULIS) for p in (0.0, 1.0))
-    return tuple(_transfer(partial_trace(1j * (h @ rho - rho @ h), (2, 4), 0)) for rho in rhos)
+
+    def rates(p, part):
+        h = gens[np.clip(np.floor(part + 1e-12).astype(int), 0, len(gens) - 1), None]
+        rho = joint_states(scheme, p, part, PAULIS)
+        return partial_trace(1j * (h @ rho - rho @ h), (2, 4), 0)
+
+    return tuple(_transfer(_in_slices(np.array(ts), lambda part: rates(p, part)))
+                 for p in (0.0, 1.0))
 
 
 def _affine_in_p(endpoints, p: float, *key) -> np.ndarray:

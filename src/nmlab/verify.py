@@ -16,7 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from .channel import bell_sandwich_table, distance_after_block1, final_distance, kraus_set
-from .correlations import classical_correlations, log_negativity
+from .correlations import correlation_trajectory, log_negativity
 from .figures import RunConfig, figure_rows, run_figure
 from .nonmarkov import (
     THRESHOLD_CUTOFF,
@@ -33,7 +33,6 @@ from .qmath import (
     PAULIS,
     bloch_vector,
     choi_state,
-    mutual_information,
     trace_distance,
 )
 from .register import (
@@ -44,7 +43,6 @@ from .register import (
     KET1,
     alpha_ket,
     circuit_unitary,
-    joint_states,
     propagator_stack,
     reduced_evolution,
     system_map_stack,
@@ -193,10 +191,11 @@ def check_thresholds(sweep: dict[str, np.ndarray]) -> CheckResult:
     )
     # ok leaves no onset None, so the order compares numbers
     ok = ok and found["rhp"] <= found["blp"] <= found["lfs"]
+    shown = {name: "None" if p is None else f"{p:.2f}" for name, p in found.items()}
     return CheckResult(
         "5 non-Markovianity thresholds",
         "RHP 0.41, BLP 0.50, LFS 0.65 (each +-0.02), ordered",
-        f"RHP {found['rhp']}, BLP {found['blp']}, LFS {found['lfs']}",
+        f"RHP {shown['rhp']}, BLP {shown['blp']}, LFS {shown['lfs']}",
         "0.02 on a 0.01 p-grid", bool(ok),
     )
 
@@ -257,12 +256,11 @@ def check_werner_boundary() -> CheckResult:
 
 def check_end_correlations() -> CheckResult:
     ps = (0.2, 0.5, 0.8, 1.0)
-    rho0 = np.outer(KET0, KET0.conj())
-    states = np.stack([joint_states(BLOCK_SWAP, p, np.array([1.0]), rho0)[0] for p in ps])
-    # one stacked basis search for all four states
-    cla = classical_correlations(states)
-    neg = log_negativity(states)
-    dis = mutual_information(states) - cla
+    # each run's end sample, read off the one correlation path with its dust rule
+    ends = [correlation_trajectory(BLOCK_SWAP, KET0, p, [1.0])[0] for p in ps]
+    neg = [s.neg for s in ends]
+    dis = [s.discord for s in ends]
+    cla = [s.classical for s in ends]
     ok = all(n <= 1e-9 and d <= 1e-6 and c >= 1e-3 for n, d, c in zip(neg, dis, cla[:-1]))
     rows = [f"p={p}: neg {n:.1e} dis {d:.1e} cla {c:.3f}"
             for p, n, d, c in zip(ps, neg, dis, cla[:-1])]

@@ -71,6 +71,14 @@ def test_criterion_05_thresholds(sweep):
     _run(verify.check_thresholds(sweep))
 
 
+def test_threshold_onsets_print_on_the_p_grid(sweep):
+    # the onsets print with the grid's two decimals, not as 0.41000000000000003
+    assert verify.check_thresholds(sweep).measured == "RHP 0.41, BLP 0.49, LFS 0.65"
+    flat = {"p": np.array([0.0, 1.0]), "rhp": np.zeros(2), "blp": np.zeros(2), "lfs": np.zeros(2)}
+    result = verify.check_thresholds(flat)
+    assert not result.passed and result.measured == "RHP None, BLP None, LFS None"
+
+
 def test_criterion_06_gate_backflow(gates_report):
     _run(verify.check_gate_backflow(gates_report))
 
@@ -85,6 +93,14 @@ def test_criterion_08_werner_boundary():
 
 def test_criterion_09_end_correlations():
     _run(verify.check_end_correlations())
+
+
+def test_end_correlations_print_no_discord_dust():
+    # check 9 reads correlation_trajectory's end samples, so discord dust (-6.0e-16 at
+    # p = 1 when computed apart as mutual - classical) is the trajectory's exact 0
+    measured = verify.check_end_correlations().measured
+    assert measured.count("dis 0.0e+00") == 3
+    assert measured.endswith("p=1: 0.0e+00 0.0e+00 0.0e+00")
 
 
 def test_criterion_10_entanglement_consistency(sweep):

@@ -28,6 +28,7 @@ from nmlab.register import (
     system_map_derivative_stack,
     system_map_stack,
 )
+from nmlab.sweep import two_stage_maximize
 
 from conftest import random_ket
 
@@ -255,19 +256,36 @@ class TestBlochPath:
         (GATES_SWAP, 0.6, "S"), (GATES_SWAP, 1.0, "S"), (GATES_BBC, 0.6, "E2"),
     ], ids=["block-0", "block-0.6", "gates-0", "gates-0.6", "gates-1", "bbc_e2-0.6"])
     def test_time_slices_change_no_bit(self, scheme, p, observe, monkeypatch):
-        sliced = blp_measure(scheme, p, observe=observe).to_dict()
-        monkeypatch.setattr(nonmarkov, "TIME_SLICE", 10**9)  # one slice: the unsliced product
-        assert blp_measure(scheme, p, observe=observe).to_dict() == sliced
-        monkeypatch.setattr(nonmarkov, "TIME_SLICE", 7)  # slices that split no segment evenly
-        assert blp_measure(scheme, p, observe=observe).to_dict() == sliced
-        # the objective sums each candidate's steps in time order, whatever their layout: a
-        # C-ordered (candidate, time) copy gives the same bits (a pairwise .sum moved gates-1)
-        steps = nonmarkov._positive_steps
-        monkeypatch.setattr(nonmarkov, "_positive_steps", lambda d: steps(np.ascontiguousarray(d)))
-        assert blp_measure(scheme, p, observe=observe).to_dict() == sliced
+        def measure():
+            register._transfer_endpoints.cache_clear()  # the maps are built in slices too
+            return blp_measure(scheme, p, observe=observe).to_dict()
+
+        sliced = measure()
+        monkeypatch.setattr(register, "TIME_SLICE", 10**9)  # one slice: the unsliced product
+        assert measure() == sliced
+        monkeypatch.setattr(register, "TIME_SLICE", 7)  # slices that split no segment evenly
+        assert measure() == sliced
+        # the objective adds each candidate's steps in time order, across slices: every
+        # round scores what np.cumsum of the unsliced steps gives (a pairwise .sum moved gates-1)
+        rounds = []
+
+        def recording(f_batch, rows=1):
+            def f(n, live):
+                rounds.append((n[0], f_batch(n, live)[0]))
+                return rounds[-1][1][None]
+            return two_stage_maximize(f, rows)
+
+        monkeypatch.setattr(nonmarkov, "two_stage_maximize", recording)
+        assert measure() == sliced
+        assert len(rounds) == 4
+        m = system_map_stack(scheme, p, scheme.times(), observe)[:, 1:, 1:]
+        for n, scores in rounds:
+            d = np.linalg.norm(m @ np.ascontiguousarray(n.T), axis=1)  # (time, candidate)
+            assert np.array_equal(scores, np.cumsum(nonmarkov._positive_steps(d), axis=0)[-1])
 
     def test_gates_search_memory(self):
-        # one (time, 3, candidate) product per round peaked at 34 MB; slices keep it small
+        # the cold endpoint build's (time, 4, 8, 8) sandwiches peaked at 16.7 MB, a warm
+        # round's (time, candidate) arrays at 13.2 MB; slices keep both small
         register._transfer_endpoints.cache_clear()
         tracemalloc.start()
         try:
@@ -275,7 +293,7 @@ class TestBlochPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20e6
+        assert peak <= 5e6
 
 
 class TestRhp:

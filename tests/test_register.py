@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,50 @@ class TestOnePath:
         assert np.array_equal(system_map_stack(BLOCK_SWAP, 0.4, ts), before)
         for end in register._transfer_endpoints(BLOCK_SWAP, "S", tuple(ts.tolist())):
             assert not end.flags.writeable
+
+
+class TestTimeSlices:
+    """Full-length stacks are evolved TIME_SLICE samples at a time, moving no bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, register.TIME_SLICE, register.TIME_SLICE + 1])
+    @pytest.mark.parametrize("scheme", [BLOCK_SWAP, GATES_SWAP, GATES_BBC],
+                             ids=["block", "gates-swap", "gates-bbc"])
+    def test_slices_change_no_bit(self, scheme, n, monkeypatch):
+        ts = np.linspace(*scheme.time_domain, n)
+        key = tuple(ts.tolist())
+
+        def build():
+            register._transfer_endpoints.cache_clear()
+            register._derivative_endpoints.cache_clear()
+            return (reduced_evolution(scheme, 0.37, ts, PAULIS, "E2"),
+                    *register._transfer_endpoints(scheme, "S", key),
+                    *register._transfer_endpoints(scheme, "E2", key),
+                    *register._derivative_endpoints(scheme, key))
+
+        default = build()
+        assert default[0].shape == (n, 4, 2, 2)
+        assert [a.shape for a in default[1:]] == [(n, 4, 4)] * 6
+        for size in (7, 10**9):
+            monkeypatch.setattr(register, "TIME_SLICE", size)
+            assert all(np.array_equal(a, b) for a, b in zip(build(), default, strict=True))
+        register._transfer_endpoints.cache_clear()
+        register._derivative_endpoints.cache_clear()
+
+    @pytest.mark.parametrize("build, ceiling", [
+        (lambda: system_map_stack(GATES_SWAP, 0.6, GATES_SWAP.times()), 4e6),
+        (lambda: system_map_derivative_stack(GATES_BBC, 0.5, GATES_BBC.times()), 5e6),
+    ], ids=["gates-map", "bbc-derivative"])
+    def test_cold_builds_stay_small(self, build, ceiling):
+        # unsliced, the (time, 4, 8, 8) sandwiches of 1601 samples peaked at 16.7 / 18.7 MB
+        register._transfer_endpoints.cache_clear()
+        register._derivative_endpoints.cache_clear()
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling
 
 
 class TestMapDerivative:
