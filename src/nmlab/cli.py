@@ -8,9 +8,18 @@ Subcommands:
 * ``nmlab plot <csv>``       minimal SVG rendering of a figure CSV, kind read from its header
 
 A JSON config file (see RunConfig) supplies sweep settings; command-line
-flags override it. NMLAB_WORKERS sets the default worker count. Invalid
-input (a bad config value, NMLAB_WORKERS, Werner parameter or unreadable file)
-ends the command with one ``error:`` line on stderr and exit status 2.
+flags override it. NMLAB_WORKERS sets the default worker count.
+
+The CLI runs BLAS on one thread unless told otherwise: when none of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set (a blank
+value counts as unset, as for NMLAB_WORKERS), importing this module sets
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1 before numpy loads, and pool
+workers inherit them. The largest matrix is 64x64, where BLAS threads cost
+more than they save; the thread count changes no output bit.
+
+Invalid input (a bad config value, NMLAB_WORKERS, Werner parameter or
+unreadable file) ends the command with one ``error:`` line on stderr and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -18,8 +27,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+
+# At import, above the package imports that load numpy and with it the BLAS
+# thread pool, and not under `__main__`: the console script imports `main`.
+if not any(os.environ.get(k, "").strip()
+           for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 from .figures import FIG_IDS, RunConfig, run_figure
 from .nonmarkov import blp_measure, lfs_measure, rhp_measure

@@ -1,5 +1,8 @@
 """Every name `nmlab` exports or defines is used somewhere besides its own definition.
 
+The exports are the names of the package's `EXPORTS` table, read from the
+syntax tree of `__init__.py`.
+
 Package callers are read from the syntax tree: a name counts as used by a
 package module when that module's code reads it as a name, reaches it as an
 attribute or imports it, so a mention in a docstring or comment does not
@@ -21,9 +24,9 @@ PACKAGE = ROOT / "src" / "nmlab"
 
 def exported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return sorted(alias.asname or alias.name
-                  for node in tree.body if isinstance(node, ast.ImportFrom)
-                  for alias in node.names)
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [target.id for target in node.targets] == ["EXPORTS"])
+    return sorted(name for names in ast.literal_eval(table).values() for name in names)
 
 
 def defined_names():
