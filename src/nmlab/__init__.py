@@ -12,7 +12,7 @@ and no numpy, and neither it nor any module but `nmlab.cli` touches
 
 import importlib.util
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 # each exported name, under the module that defines it
 EXPORTS = {

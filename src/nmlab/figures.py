@@ -13,10 +13,10 @@ regardless of the worker count.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import numbers
 import os
+import zlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -85,7 +85,7 @@ class RunConfig:
     def config_hash(self) -> str:
         d = {k: v for k, v in self.to_dict().items() if k not in _EXECUTION_KEYS}
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return format(zlib.crc32(blob.encode()), "08x")
 
     def resolve_workers(self) -> int:
         if self.workers > 0:

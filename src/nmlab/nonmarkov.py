@@ -11,7 +11,8 @@ R_t = [[1, 0], [c_t, M_t]] of ``register.system_map_stack``.
 * RHP (Rivas, Huelga & Plenio, PRL 105, 050403 (2010)): integral of the
   momentary complete-positivity violation of the time-local generator
   L_t = dR_t/dt R_t^-1, with the exact dR_t/dt of
-  ``register.system_map_derivative_stack``.
+  ``register.system_map_derivative_stack``, read off the same per-segment
+  Fourier tables as the maps.
 * LFS: summed increases of the system-ancilla mutual information starting
   from a maximally entangled pair, i.e. of the Choi states of R_t.
 
@@ -29,12 +30,14 @@ from typing import Iterable
 
 import numpy as np
 
-from . import register
 from .qmath import bloch_vector, choi_state, mutual_information
 from .register import STEPS_PER_UNIT, DynamicsScheme, system_map_derivative_stack, system_map_stack
 from .sweep import two_stage_maximize, unit_vectors
 
 INCREMENT_FLOOR = 1e-12
+# Time samples a BLP search round scores at once, which bounds its temporaries: every
+# candidate adds its steps in time order, so the slicing moves no bit.
+TIME_SLICE = 128
 # Relative singular-value floor below which an RHP map counts as singular.
 SVD_TOL = 1e-10
 # Smallest measure value counted as genuine non-Markovianity when scanning
@@ -139,13 +142,13 @@ def blp_pair_gain(
 def _summed_gains(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Summed positive steps of the distances |M_t n| of (k, 3) unit vectors n, shape (k,).
 
-    The Bloch blocks `m` are scored `register.TIME_SLICE` samples at a time into
+    The Bloch blocks `m` are scored TIME_SLICE samples at a time into
     buffers made once: row 0 of `acc` holds each candidate's running sum above the
     slice's steps. numpy sums that C-ordered (time, candidate) axis one row after
     another, so every step is added in time order, as np.cumsum would but ~10x
     faster, whatever the slices.
     """
-    size = max(1, min(register.TIME_SLICE, len(m)))
+    size = max(1, min(TIME_SLICE, len(m)))
     # a C-ordered (3, candidate) operand keeps the matmul ~1.4x faster than n.T
     n_t = np.ascontiguousarray(n.T)
     prod = np.empty((size, 3, len(n)))

@@ -140,7 +140,8 @@ class FractionalUnitary:
     without branch ambiguity. The QR factor Z of the eigenvectors is an
     orthonormal eigenbasis even for degenerate eigenphases, which are read
     off diag(Z^dagger U Z); an off-diagonal entry above STRUCTURE_TOL raises.
-    The power at 0 is the identity and the power at 1 recovers ``U``.
+    The power at 0 is the identity and the power at 1 recovers ``U``:
+    U^t = basis diag(exp(i phases t)) basis^dagger.
     """
 
     def __init__(self, u: np.ndarray):
@@ -154,19 +155,14 @@ class FractionalUnitary:
         phases = np.angle(np.diagonal(t))
         # snap just-below-the-cut phases (eigenvalue -1 with roundoff) to +pi
         phases = np.where(phases <= -np.pi + BRANCH_TOL, phases + 2.0 * np.pi, phases)
-        self._basis = z
-        self._phases = phases
-
-    @property
-    def generator(self) -> np.ndarray:
-        """Hermitian H = Z diag(phases) Z^dagger, so that d(U^t)/dt = i H U^t."""
-        return (self._basis * self._phases) @ self._basis.conj().T
+        self.basis = z
+        self.phases = phases
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
         """Stacked powers, shape (len(ts), d, d)."""
         ts = np.asarray(ts, dtype=float)
-        ph = np.exp(1j * np.outer(ts, self._phases))
-        return np.einsum("ab,tb,cb->tac", self._basis, ph, self._basis.conj())
+        ph = np.exp(1j * np.outer(ts, self.phases))
+        return np.einsum("ab,tb,cb->tac", self.basis, ph, self.basis.conj())
 
 
 def choi_state(mats: np.ndarray) -> np.ndarray:

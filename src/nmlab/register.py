@@ -42,9 +42,6 @@ WIRES = ("S", "E1", "E2")
 DIM = 8
 # Default time resolution: sample intervals per unit of time.
 STEPS_PER_UNIT = 200
-# Time samples evolved or scored at once wherever a full-length stack is built, which
-# bounds the temporaries: every sample is computed alone, so the slicing moves no bit.
-TIME_SLICE = 128
 
 
 def is_count(value, minimum: int) -> bool:
@@ -303,60 +300,58 @@ def reduced_evolution(
 
     `initial_ops` is one 2x2 operator on S or a stack of them; the result has
     shape (len(ts), *leading axes, 2, 2) and holds the reduced state on
-    `observe` ("S" or "E2"). The register is evolved TIME_SLICE samples at a time.
+    `observe` ("S" or "E2"). This is the direct path, one register sandwich
+    per sample, that the tables of `system_map_stack` are checked against.
     """
     cuts = {"S": ((2, 4), 0), "E2": ((4, 2), 1)}
     if observe not in cuts:
         raise ValueError(f"observe must be 'S' or 'E2', got {observe!r}")
-    return _in_slices(_sample_times(scheme, ts), lambda part: partial_trace(
-        joint_states(scheme, p, part, initial_ops), *cuts[observe]))
-
-
-def _in_slices(ts: np.ndarray, f) -> np.ndarray:
-    """`f` of the times `ts` evaluated TIME_SLICE samples at a time, joined along time."""
-    return np.concatenate([f(ts[lo:lo + TIME_SLICE])
-                           for lo in range(0, max(len(ts), 1), TIME_SLICE)])
-
-
-def _transfer(images: np.ndarray) -> np.ndarray:
-    """Read-only real transfer matrices (t, i, j) of the images (t, j, 2, 2) of the Paulis."""
-    r = 0.5 * np.einsum("iab,tjba->tij", PAULIS, images).real
-    r.flags.writeable = False
-    return r
+    return partial_trace(joint_states(scheme, p, ts, initial_ops), *cuts[observe])
 
 
 @lru_cache(maxsize=32)
-def _transfer_endpoints(scheme: DynamicsScheme, observe: str, ts: tuple[float, ...]):
-    """Transfer-matrix stacks at p = 0 and p = 1 on the times `ts`."""
-    return tuple(_transfer(reduced_evolution(scheme, p, np.array(ts), PAULIS, observe))
-                 for p in (0.0, 1.0))
+def _endpoints(scheme: DynamicsScheme, observe: str, ts: tuple[float, ...], order: int):
+    """Read-only stacks at p = 0 and p = 1 on the times `ts`: transfer matrices (order 0)
+    or their time derivatives (order 1), from one Fourier table per segment.
 
-
-@lru_cache(maxsize=32)
-def _derivative_endpoints(scheme: DynamicsScheme, ts: tuple[float, ...]):
-    """Time derivatives of the S transfer-matrix stacks at p = 0 and p = 1.
-
-    With dU/dt = i H U, each evolved operator rho moves as i[H, rho], and so
-    does its partial trace onto S. H generates the running segment: the next
-    one at a segment boundary (the right derivative, although U(t) there
-    belongs to the segment that just finished), the last one at the domain end.
+    A segment evolves as U(s) = Z diag(e^{i phi s}) Z^dagger P, P the segments before it,
+    so R(s) = Re sum_ab e^{i w_ab s} C_ab with w_ab = phi_a - phi_b and C_ab[i, j] half
+    the product of entries (b, a) of sigma_i on `observe` and (a, b) of
+    P (sigma_j (x) W(p)) P^dagger in the eigenbasis Z; d/dt multiplies term ab by i w_ab.
+    Maps are read on the segments of `_active_segment`, a time at or before 0 at s = 0;
+    derivatives on the segment starting at their time (the right derivative), the last
+    one at the domain end.
     """
-    gens = np.stack([f.generator for f in _segments(scheme)[0]])
+    observables = {"S": [kron(op, np.eye(4)) for op in PAULIS],
+                   "E2": [kron(np.eye(4), op) for op in PAULIS]}
+    if observe not in observables:
+        raise ValueError(f"observe must be 'S' or 'E2', got {observe!r}")
+    ts = np.array(ts, dtype=float)
+    fractional, prefixes, _ = _segments(scheme)
+    if order:
+        seg = np.clip(np.floor(ts + 1e-12).astype(int), 0, len(fractional) - 1)
+    else:
+        seg = np.maximum(_active_segment(scheme, ts) - 1, 0)
+    sources = np.stack([[kron(op, werner(p)) for op in PAULIS] for p in (0.0, 1.0)])
+    out = np.empty((len(ts), 2, 4, 4))
+    for i, (f, prefix) in enumerate(zip(fractional, prefixes)):
+        mask = seg == i
+        zp = f.basis.conj().T @ prefix
+        obs = f.basis.conj().T @ observables[observe] @ f.basis
+        coeffs = 0.5 * np.einsum("iba,ejab->abeij", obs, zp @ sources @ zp.conj().T)
+        omega = (f.phases[:, None] - f.phases[None, :]).ravel()
+        coeffs = coeffs.reshape(len(omega), -1) * (1j * omega[:, None]) ** order
+        waves = np.exp(1j * np.outer(np.maximum(ts[mask] - i, 0.0), omega))
+        out[mask] = (waves @ coeffs).real.reshape(-1, 2, 4, 4)
+    out.flags.writeable = False
+    return out[:, 0], out[:, 1]
 
-    def rates(p, part):
-        h = gens[np.clip(np.floor(part + 1e-12).astype(int), 0, len(gens) - 1), None]
-        rho = joint_states(scheme, p, part, PAULIS)
-        return partial_trace(1j * (h @ rho - rho @ h), (2, 4), 0)
 
-    return tuple(_transfer(_in_slices(np.array(ts), lambda part: rates(p, part)))
-                 for p in (0.0, 1.0))
-
-
-def _affine_in_p(endpoints, p: float, *key) -> np.ndarray:
-    """New array E(0) + p (E(1) - E(0)) of the cached pair `endpoints(scheme, ..., times)`."""
+def _affine_in_p(scheme: DynamicsScheme, p: float, ts, observe: str, order: int) -> np.ndarray:
+    """New array E(0) + p (E(1) - E(0)) of the cached pair `_endpoints` gives."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
-    e0, e1 = endpoints(*key[:-1], tuple(_sample_times(key[0], key[-1]).tolist()))
+    e0, e1 = _endpoints(scheme, observe, tuple(_sample_times(scheme, ts).tolist()), order)
     return e0 + p * (e1 - e0)
 
 
@@ -371,10 +366,10 @@ def system_map_stack(
     The result is a new array, R_t(0) + p (R_t(1) - R_t(0)) of the cached
     endpoints.
     """
-    return _affine_in_p(_transfer_endpoints, p, scheme, observe, ts)
+    return _affine_in_p(scheme, p, ts, observe, 0)
 
 
 def system_map_derivative_stack(scheme: DynamicsScheme, p: float, ts: np.ndarray) -> np.ndarray:
-    """Exact time derivatives dR_t/dt of the S maps of `system_map_stack`, cached apart
-    from them; a gate boundary takes the right derivative, the domain end the left one."""
-    return _affine_in_p(_derivative_endpoints, p, scheme, ts)
+    """Exact time derivatives dR_t/dt of the S maps of `system_map_stack`, from the same
+    tables; a gate boundary takes the right derivative, the domain end the left one."""
+    return _affine_in_p(scheme, p, ts, "S", 1)

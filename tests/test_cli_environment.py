@@ -99,3 +99,30 @@ def test_thread_count_changes_no_output_bit(tmp_path):
                                 tmp_path, **env))
     assert csvs[0] == csvs[1] and csvs[0].count(b"\n") > 2
     assert measures[0] == measures[1] and json.loads(measures[0])["value"] > 0
+
+
+# Runs `python -m nmlab.cli` on argv[1:] in this interpreter, then prints whether
+# OpenSSL's `_hashlib` (about 3.6 MB of resident libcrypto) was ever loaded.
+LIBCRYPTO_CHILD = """
+import runpy, sys
+try:
+    runpy.run_module("nmlab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+print("_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("fig_id", ["fig3", "fig6"])
+def test_figures_load_no_libcrypto(fig_id, tmp_path):
+    # the CSV comment's config tag is a CRC-32, not a digest from hashlib
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps_per_unit": 4, "heatmap_p_step": 0.5,
+                                  "heatmap_steps_per_unit": 4, "workers": 1}))
+    out = subprocess.run(
+        [sys.executable, "-c", LIBCRYPTO_CHILD, "figure", fig_id, "--config", str(config),
+         "--out", str(tmp_path)],
+        cwd=tmp_path, env={"PYTHONPATH": SRC}, capture_output=True, text=True, check=True)
+    assert (tmp_path / f"{fig_id}.csv").exists()
+    assert out.stdout.splitlines()[-1] == "False"

@@ -23,7 +23,6 @@ from nmlab.register import (
     KET1,
     STEPS_PER_UNIT,
     alpha_ket,
-    joint_states,
     reduced_evolution,
     system_map_derivative_stack,
     system_map_stack,
@@ -217,35 +216,33 @@ class TestBlochPath:
             got = pair_distance_curve(k1, k2, scheme, p, ts, observe)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("scheme, p", [(BLOCK_SWAP, 0.8), (GATES_SWAP, 0.5)],
-                             ids=["block", "gates"])
-    def test_measure_is_pair_gain_of_its_winner(self, scheme, p):
-        report = blp_measure(scheme, p)
+    @pytest.mark.parametrize("scheme, p, observe", [
+        (BLOCK_SWAP, 0.8, "S"), (GATES_SWAP, 0.5, "S"), (GATES_BBC, 0.6, "E2"),
+        (GATES_SWAP, 1.0, "S"),
+    ], ids=["block", "gates", "bbc_e2-0.6", "gates-1"])
+    def test_measure_is_pair_gain_of_its_winner(self, scheme, p, observe):
+        # on the flat objectives of bbc_e2-0.6 and gates-1 float dust picks the winner;
+        # whichever pair wins, its own gain is the value
+        report = blp_measure(scheme, p, observe=observe)
         theta, phi = report.optimal_pair
 
         def ket(theta, phi):
             return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
 
-        pair = blp_pair_gain(ket(theta, phi), ket(np.pi - theta, phi + np.pi), scheme, p)
+        pair = blp_pair_gain(ket(theta, phi), ket(np.pi - theta, phi + np.pi), scheme, p,
+                             observe=observe)
         assert abs(report.value - pair.value) <= 1e-12
 
-    def test_measure_evolves_once(self, monkeypatch):
-        # the register is evolved once per endpoint p = 0, 1 of a grid; every
-        # measure at any p on that grid then reads the cached transfer matrices
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return reduced_evolution(*args, **kwargs)
-
-        monkeypatch.setattr(register, "reduced_evolution", counting)
-        register._transfer_endpoints.cache_clear()
+    def test_measure_evolves_once(self):
+        # the endpoint maps p = 0, 1 of a grid are built once; every measure at
+        # any p on that grid then reads the cached transfer matrices
+        register._endpoints.cache_clear()
         blp_measure(GATES_SWAP, 0.5, 20)
-        assert [args[1] for args in calls] == [0.0, 1.0]
+        assert register._endpoints.cache_info().misses == 1
         blp_measure(GATES_SWAP, 0.9, 20)
         pair_distance_curve(KET0, KET1, GATES_SWAP, 0.3, GATES_SWAP.times(20))
         lfs_measure(GATES_SWAP, 0.7, 20)
-        assert len(calls) == 2
+        assert register._endpoints.cache_info().misses == 1
 
     def test_unnormalized_ket_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):
@@ -257,13 +254,12 @@ class TestBlochPath:
     ], ids=["block-0", "block-0.6", "gates-0", "gates-0.6", "gates-1", "bbc_e2-0.6"])
     def test_time_slices_change_no_bit(self, scheme, p, observe, monkeypatch):
         def measure():
-            register._transfer_endpoints.cache_clear()  # the maps are built in slices too
             return blp_measure(scheme, p, observe=observe).to_dict()
 
         sliced = measure()
-        monkeypatch.setattr(register, "TIME_SLICE", 10**9)  # one slice: the unsliced product
+        monkeypatch.setattr(nonmarkov, "TIME_SLICE", 10**9)  # one slice: the unsliced product
         assert measure() == sliced
-        monkeypatch.setattr(register, "TIME_SLICE", 7)  # slices that split no segment evenly
+        monkeypatch.setattr(nonmarkov, "TIME_SLICE", 7)  # slices that split no segment evenly
         assert measure() == sliced
         # the objective adds each candidate's steps in time order, across slices: every
         # round scores what np.cumsum of the unsliced steps gives (a pairwise .sum moved gates-1)
@@ -284,9 +280,9 @@ class TestBlochPath:
             assert np.array_equal(scores, np.cumsum(nonmarkov._positive_steps(d), axis=0)[-1])
 
     def test_gates_search_memory(self):
-        # the cold endpoint build's (time, 4, 8, 8) sandwiches peaked at 16.7 MB, a warm
-        # round's (time, candidate) arrays at 13.2 MB; slices keep both small
-        register._transfer_endpoints.cache_clear()
+        # a cold endpoint build from (time, 4, 8, 8) sandwiches peaked at 16.7 MB, a warm
+        # round's (time, candidate) arrays at 13.2 MB; tables and slices keep both small
+        register._endpoints.cache_clear()
         tracemalloc.start()
         try:
             blp_measure(GATES_SWAP, 0.6)
@@ -344,27 +340,27 @@ class TestRhp:
         assert invertible.sum() >= 8
         assert np.max(np.abs(trace)) <= 1e-12
 
-    def test_new_grid_evolves_four_times(self, monkeypatch):
-        # p = 0 and p = 1 for the maps and again for their derivatives
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return joint_states(*args, **kwargs)
-
-        monkeypatch.setattr(register, "joint_states", counting)
-        register._transfer_endpoints.cache_clear()
-        register._derivative_endpoints.cache_clear()
+    def test_new_grid_evolves_four_times(self):
+        # one build of the maps and one of their derivatives, each holding p = 0 and p = 1
+        register._endpoints.cache_clear()
         rhp_measure(BLOCK_SWAP, 0.7, 36)
+        assert register._endpoints.cache_info().misses == 2
         rhp_measure(BLOCK_SWAP, 0.2, 36)
-        assert calls == [0.0, 1.0, 0.0, 1.0]
+        assert register._endpoints.cache_info().misses == 2
 
-    def test_blp_and_lfs_never_build_the_derivative(self):
-        register._derivative_endpoints.cache_clear()
+    def test_blp_and_lfs_never_build_the_derivative(self, monkeypatch):
+        orders = []
+
+        def recording(scheme, observe, ts, order):
+            orders.append(order)
+            return endpoints(scheme, observe, ts, order)
+
+        endpoints = register._endpoints
+        monkeypatch.setattr(register, "_endpoints", recording)
         blp_measure(GATES_SWAP, 0.5, 5)
         lfs_measure(GATES_SWAP, 0.5, 5)
         pair_distance_curve(KET0, KET1, GATES_SWAP, 0.5, GATES_SWAP.times(5))
-        assert register._derivative_endpoints.cache_info().currsize == 0
+        assert orders and set(orders) == {0}
 
     @staticmethod
     def _g_from(monkeypatch, maps, derivatives):

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nmlab import register
+from nmlab import nonmarkov, register
 from nmlab.correlations import correlation_trajectory
-from nmlab.nonmarkov import pair_distance_curve
+from nmlab.nonmarkov import TIME_SLICE, pair_distance_curve
 from nmlab.qmath import (
     HADAMARD,
     PAULI_X,
@@ -358,7 +358,12 @@ class TestOnePath:
         (BLOCK_SWAP, "S"), (GATES_SWAP, "S"), (GATES_BBC, "S"), (GATES_BBC, "E2"),
     ], ids=["block", "gates-swap", "gates-bbc", "gates-bbc-e2"])
     def test_transfer_matrix_matches_direct_evolution(self, scheme, observe, p, rng):
-        ts = np.sort(rng.uniform(*scheme.time_domain, size=9))
+        # random times never land on a segment boundary, where the tables and
+        # `_active_segment` could disagree: add every integer time and times next to it
+        lo, hi = scheme.time_domain
+        ks = np.arange(lo, hi + 1.0)
+        near = np.concatenate([ks + d for d in (0.0, -5e-13, 5e-13, -2e-12, 2e-12)])
+        ts = np.sort(np.concatenate([rng.uniform(lo, hi, size=9), np.clip(near, lo, hi)]))
         images = reduced_evolution(scheme, p, ts, PAULIS, observe)
         expected = 0.5 * np.einsum("iab,tjba->tij", PAULIS, images).real
         got = system_map_stack(scheme, p, ts, observe)
@@ -390,45 +395,39 @@ class TestOnePath:
         for p in (0.0, 0.4, 1.0):
             system_map_stack(BLOCK_SWAP, p, ts)[:] = 7.0
         assert np.array_equal(system_map_stack(BLOCK_SWAP, 0.4, ts), before)
-        for end in register._transfer_endpoints(BLOCK_SWAP, "S", tuple(ts.tolist())):
-            assert not end.flags.writeable
+        for order in (0, 1):
+            for end in register._endpoints(BLOCK_SWAP, "S", tuple(ts.tolist()), order):
+                assert not end.flags.writeable
 
 
 class TestTimeSlices:
-    """Full-length stacks are evolved TIME_SLICE samples at a time, moving no bit."""
+    """Full-length stacks stay small: maps come from per-segment tables, and a BLP round
+    scores them `nonmarkov.TIME_SLICE` samples at a time, moving no bit."""
 
-    @pytest.mark.parametrize("n", [0, 1, register.TIME_SLICE, register.TIME_SLICE + 1])
+    @pytest.mark.parametrize("n", [0, 1, TIME_SLICE, TIME_SLICE + 1])
     @pytest.mark.parametrize("scheme", [BLOCK_SWAP, GATES_SWAP, GATES_BBC],
                              ids=["block", "gates-swap", "gates-bbc"])
     def test_slices_change_no_bit(self, scheme, n, monkeypatch):
         ts = np.linspace(*scheme.time_domain, n)
-        key = tuple(ts.tolist())
-
-        def build():
-            register._transfer_endpoints.cache_clear()
-            register._derivative_endpoints.cache_clear()
-            return (reduced_evolution(scheme, 0.37, ts, PAULIS, "E2"),
-                    *register._transfer_endpoints(scheme, "S", key),
-                    *register._transfer_endpoints(scheme, "E2", key),
-                    *register._derivative_endpoints(scheme, key))
-
-        default = build()
-        assert default[0].shape == (n, 4, 2, 2)
-        assert [a.shape for a in default[1:]] == [(n, 4, 4)] * 6
+        maps = (system_map_stack(scheme, 0.37, ts), system_map_stack(scheme, 0.37, ts, "E2"),
+                system_map_derivative_stack(scheme, 0.37, ts))
+        assert reduced_evolution(scheme, 0.37, ts, PAULIS, "E2").shape == (n, 4, 2, 2)
+        assert [a.shape for a in maps] == [(n, 4, 4)] * 3
+        vectors = np.stack([np.eye(3)[2], np.ones(3) / np.sqrt(3.0)])
+        default = nonmarkov._summed_gains(maps[1][:, 1:, 1:], vectors)
+        steps = nonmarkov._positive_steps(np.linalg.norm(maps[1][:, 1:, 1:] @ vectors.T, axis=1))
+        assert np.array_equal(default, np.cumsum(steps, axis=0)[-1] if n > 1 else np.zeros(2))
         for size in (7, 10**9):
-            monkeypatch.setattr(register, "TIME_SLICE", size)
-            assert all(np.array_equal(a, b) for a, b in zip(build(), default, strict=True))
-        register._transfer_endpoints.cache_clear()
-        register._derivative_endpoints.cache_clear()
+            monkeypatch.setattr(nonmarkov, "TIME_SLICE", size)
+            assert np.array_equal(nonmarkov._summed_gains(maps[1][:, 1:, 1:], vectors), default)
 
     @pytest.mark.parametrize("build, ceiling", [
         (lambda: system_map_stack(GATES_SWAP, 0.6, GATES_SWAP.times()), 4e6),
         (lambda: system_map_derivative_stack(GATES_BBC, 0.5, GATES_BBC.times()), 5e6),
     ], ids=["gates-map", "bbc-derivative"])
     def test_cold_builds_stay_small(self, build, ceiling):
-        # unsliced, the (time, 4, 8, 8) sandwiches of 1601 samples peaked at 16.7 / 18.7 MB
-        register._transfer_endpoints.cache_clear()
-        register._derivative_endpoints.cache_clear()
+        # built from direct (time, 4, 8, 8) sandwiches of 1601 samples, they peaked at 16.7 / 18.7 MB
+        register._endpoints.cache_clear()
         tracemalloc.start()
         try:
             build()
@@ -436,6 +435,23 @@ class TestTimeSlices:
         finally:
             tracemalloc.stop()
         assert peak <= ceiling
+
+
+class TestFourierTables:
+    """A gate has eigenphases 0 and pi, so on each gate segment a map oscillates at one frequency."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("observe", ["S", "E2"])
+    @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC], ids=["swap", "bbc"])
+    def test_gate_segments_are_trigonometric(self, scheme, observe, p):
+        s = np.linspace(0.0, 1.0, 41)
+        for k in range(int(scheme.time_domain[1])):
+            maps = system_map_stack(scheme, p, k + s, observe)
+            # A + B cos(pi s) + C sin(pi s), fitted at s = 0, 1/2 and 1
+            a = 0.5 * (maps[0] + maps[-1])
+            b, c = 0.5 * (maps[0] - maps[-1]), maps[20] - a
+            fit = a + np.cos(np.pi * s)[:, None, None] * b + np.sin(np.pi * s)[:, None, None] * c
+            assert np.max(np.abs(maps - fit)) <= 1e-14
 
 
 class TestMapDerivative:
