@@ -30,14 +30,19 @@ _STOPS = np.array(
 
 
 def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Header names and float data of a figure CSV (comment lines skipped)."""
+    """Header names and finite float data of a figure CSV (comment lines skipped)."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: no data")
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != len(header):
+    header, *rows = [ln.split(",") for ln in lines]
+    if not rows or any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: malformed rows")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite value")
     return header, data
 
 

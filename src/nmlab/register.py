@@ -277,9 +277,10 @@ def joint_states(scheme: DynamicsScheme, p: float, ts: np.ndarray, ops) -> np.nd
 
     `ops` is one 2x2 operator on S or a stack of them on any leading axes
     (linearity makes operator differences as useful as states). The result
-    has shape (len(ts), *leading axes, 8, 8). This is the only place the
-    register dynamics acts: every reduced state, map and correlation sample
-    is derived from it.
+    has shape (len(ts), *leading axes, 8, 8). Maps and their derivatives come
+    from the Fourier tables of `_endpoints`; this is the direct path, which the
+    correlation samples use and which `reduced_evolution` reduces into the
+    reference that check 11c compares those tables with.
     """
     us = propagator_stack(scheme, ts)
     ops = np.asarray(ops, dtype=complex)

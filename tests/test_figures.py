@@ -338,6 +338,19 @@ class TestCli:
         code = cli.main(["plot", str(bad)])
         self._assert_one_error_line(code, capsys, "no plot schema matches columns")
 
+    @pytest.mark.parametrize("rows, fragment", [
+        ("1,nan\n2,0.5\n", "non-finite value"),
+        ("1,0.5\n2,inf\n", "non-finite value"),
+        ("1,0.5\n2,0.5,7\n", "malformed rows"),
+        ("1,0.5\n2,x\n", "could not convert string to float: 'x'"),
+    ], ids=["nan", "inf", "ragged", "non-numeric"])
+    def test_plot_command_bad_csv(self, tmp_path, capsys, rows, fragment):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,D\n" + rows)
+        code = cli.main(["plot", str(bad)])
+        self._assert_one_error_line(code, capsys, f"{bad}: {fragment}")
+        assert list(tmp_path.glob("*.svg")) == []
+
     def _assert_one_error_line(self, code, capsys, fragment):
         err = capsys.readouterr().err
         assert code == 2

@@ -1,17 +1,16 @@
-"""Every name `nmlab` exports or defines is used somewhere besides its own definition.
+"""Every name an `nmlab` module defines at top level is used somewhere besides its definition.
 
-The exports are the names of the package's `EXPORTS` table, read from the
-syntax tree of `__init__.py`.
+A name is a function, a class or a module-level assignment target. Each is
+public, or private, in the module that defines it; the package itself binds
+only `__version__`.
 
 Package callers are read from the syntax tree: a name counts as used by a
 package module when that module's code reads it as a name, reaches it as an
-attribute or imports it, so a mention in a docstring or comment does not
-count. The benchmark scripts in `perfbench/` name functions by string, so any
-line there that mentions the name, other than a `def`/`class` line of it,
-counts. An export counts as used by a package module other than `__init__.py`
-or by `perfbench/`; a top-level function or class of any package module counts
-as used by the package, `__init__.py` included, or by `perfbench/`. A name that
-only tests call fails this audit.
+attribute or imports it, so a mention in a docstring or comment, or the
+assignment that defines a constant, does not count. The benchmark scripts in
+`perfbench/` name functions by string, so any line there that mentions the
+name, other than a `def`/`class` line of it, counts. A name that only tests
+use fails this audit.
 """
 
 import ast
@@ -22,25 +21,29 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nmlab"
 
 
-def exported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and [target.id for target in node.targets] == ["EXPORTS"])
-    return sorted(name for names in ast.literal_eval(table).values() for name in names)
+def top_level(path):
+    return ast.parse(path.read_text()).body
 
 
 def defined_names():
-    return sorted(node.name
-                  for path in PACKAGE.glob("*.py")
-                  for node in ast.parse(path.read_text()).body
+    return sorted(node.name for path in PACKAGE.glob("*.py") for node in top_level(path)
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
 
 
-def package_uses(with_init=False):
+def constant_names():
+    """Names bound by module-level assignments, tuple targets unpacked."""
+    return sorted(name.id for path in PACKAGE.glob("*.py") for node in top_level(path)
+                  if isinstance(node, ast.Assign)
+                  for target in node.targets for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+
+
+def package_uses():
     """Names the package's code reads, reaches as attributes, or imports."""
-    paths = [p for p in PACKAGE.glob("*.py") if with_init or p.name != "__init__.py"]
-    nodes = [node for path in paths for node in ast.walk(ast.parse(path.read_text()))]
-    return ({node.id for node in nodes if isinstance(node, ast.Name)}
+    nodes = [node for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))]
+    return ({node.id for node in nodes
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
             | {node.name for node in nodes if isinstance(node, ast.alias)})
 
@@ -50,8 +53,8 @@ def perfbench_lines():
             for line in path.read_text().splitlines()]
 
 
-def unused(names, with_init=False):
-    uses, lines = package_uses(with_init), perfbench_lines()
+def unused(names):
+    uses, lines = package_uses(), perfbench_lines()
     out = []
     for name in names:
         word = re.compile(rf"\b{re.escape(name)}\b")
@@ -62,16 +65,11 @@ def unused(names, with_init=False):
     return out
 
 
-def test_every_export_has_a_caller():
-    names = exported_names()
-    assert "classical_correlations" in names  # the parse found the exports
-    assert unused(names) == []
-
-
 def test_every_top_level_definition_has_a_caller():
-    names = defined_names()
+    names, constants = defined_names(), constant_names()
     assert {"_segments", "_report", "unit_vectors"} <= set(names)  # the parse found the helpers
-    assert unused(names, with_init=True) == []
+    assert {"BLOCK_SWAP", "GATES_BBC", "WIDTH", "__version__"} <= set(constants)  # and constants
+    assert unused(names + constants) == []
 
 
 def test_only_register_builds_segment_products():
