@@ -18,8 +18,8 @@ workers inherit them. The largest matrix is 64x64, where BLAS threads cost
 more than they save; the thread count changes no output bit.
 
 Invalid input (a bad config value, NMLAB_WORKERS, Werner parameter or
-unreadable file) ends the command with one ``error:`` line on stderr and
-exit status 2.
+unreadable file) and a grid too large to allocate end the command with one
+``error:`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,4 +160,4 @@ def emit_plot(csv_path: str | Path) -> list[Path]:
                          col, f"{csv_path.stem}: {col}")
             for k, col in enumerate(header[2:])
         ]
-    raise ValueError(f"no plot schema matches columns {header}")
+    raise ValueError(f"{csv_path}: no plot schema matches columns {header}")

@@ -14,7 +14,7 @@ import numpy as np
 STRUCTURE_TOL = 1e-10
 # Eigenvalues below this are treated as zero in entropies.
 EIG_CLAMP = 1e-12
-# Eigenphases within this of -pi are moved to +pi by FractionalUnitary.
+# Eigenphases within this of -pi are moved to +pi by eigenphases.
 BRANCH_TOL = 1e-12
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -131,38 +131,27 @@ def mutual_information(rho: np.ndarray) -> float | np.ndarray:
     )
 
 
-class FractionalUnitary:
-    """Continuous interpolation ``U^t`` through the principal matrix logarithm.
+def eigenphases(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis Z and principal eigenphases phi of a unitary u = Z diag(e^{i phi}) Z^dagger.
 
-    Eigenphases are taken on the principal branch (-pi, pi], with an
-    eigenvalue of -1 mapped deterministically to +pi (the closed end), so
-    gates carrying a -1 eigenvalue (CNOT, SWAP, Hadamard) interpolate
-    without branch ambiguity. The QR factor Z of the eigenvectors is an
-    orthonormal eigenbasis even for degenerate eigenphases, which are read
-    off diag(Z^dagger U Z); an off-diagonal entry above STRUCTURE_TOL raises.
-    The power at 0 is the identity and the power at 1 recovers ``U``:
-    U^t = basis diag(exp(i phases t)) basis^dagger.
+    Eigenphases lie on the principal branch (-pi, pi], with an eigenvalue of -1
+    mapped deterministically to +pi (the closed end), so the power
+    U^s = Z diag(e^{i phi s}) Z^dagger of a gate carrying a -1 eigenvalue (CNOT,
+    SWAP, Hadamard) has no branch ambiguity: the identity at s = 0, U at s = 1.
+    Z is the QR factor of the eigenvectors, an orthonormal eigenbasis even for
+    degenerate eigenphases, which are read off diag(Z^dagger U Z). ValueError
+    unless u is unitary and that matrix is diagonal within STRUCTURE_TOL.
     """
-
-    def __init__(self, u: np.ndarray):
-        u = np.asarray(u, dtype=complex)
-        if not is_unitary(u):
-            raise ValueError("input is not unitary within tolerance")
-        z = np.linalg.qr(np.linalg.eig(u)[1])[0]
-        t = z.conj().T @ u @ z
-        if np.max(np.abs(t - np.diag(np.diagonal(t)))) > STRUCTURE_TOL:
-            raise ValueError("eigenbasis does not diagonalize the unitary")
-        phases = np.angle(np.diagonal(t))
-        # snap just-below-the-cut phases (eigenvalue -1 with roundoff) to +pi
-        phases = np.where(phases <= -np.pi + BRANCH_TOL, phases + 2.0 * np.pi, phases)
-        self.basis = z
-        self.phases = phases
-
-    def at_many(self, ts: np.ndarray) -> np.ndarray:
-        """Stacked powers, shape (len(ts), d, d)."""
-        ts = np.asarray(ts, dtype=float)
-        ph = np.exp(1j * np.outer(ts, self.phases))
-        return np.einsum("ab,tb,cb->tac", self.basis, ph, self.basis.conj())
+    u = np.asarray(u, dtype=complex)
+    if not is_unitary(u):
+        raise ValueError("input is not unitary within tolerance")
+    z = np.linalg.qr(np.linalg.eig(u)[1])[0]
+    t = z.conj().T @ u @ z
+    if np.max(np.abs(t - np.diag(np.diagonal(t)))) > STRUCTURE_TOL:
+        raise ValueError("eigenbasis does not diagonalize the unitary")
+    # snap just-below-the-cut phases (eigenvalue -1 with roundoff) to +pi
+    phases = np.angle(np.diagonal(t))
+    return z, np.where(phases <= -np.pi + BRANCH_TOL, phases + 2.0 * np.pi, phases)
 
 
 def choi_state(mats: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .qmath import (
     PAULI_Y,
     PAULI_Z,
     PAULIS,
-    FractionalUnitary,
+    eigenphases,
     kron,
     partial_trace,
 )
@@ -172,14 +172,10 @@ GATES_SWAP = DynamicsScheme.named("gates", CircuitVariant.SWAP_TERMINATED)
 GATES_BBC = DynamicsScheme.named("gates", CircuitVariant.ORIGINAL_BBC)
 
 
-@lru_cache(maxsize=None)
-def _gate_unitaries(variant: CircuitVariant) -> tuple[np.ndarray, ...]:
-    return tuple(gate_unitary(g) for g in gate_sequence(variant))
-
-
 def circuit_unitary(variant: CircuitVariant = CircuitVariant.SWAP_TERMINATED) -> np.ndarray:
-    """Full 8x8 product of the circuit's gates in order, the block scheme's one segment."""
-    return _segments(DynamicsScheme(variant))[1][-1].copy()
+    """Full 8x8 product of the circuit's gates in order."""
+    gates = gate_sequence(variant)
+    return reduce(lambda acc, g: gate_unitary(g) @ acc, gates, np.eye(DIM, dtype=complex))
 
 
 def werner(p: float) -> np.ndarray:
@@ -226,28 +222,30 @@ def _active_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _segments(scheme: DynamicsScheme):
-    """Fractional segment unitaries, the products of the segments before each, and their wires.
+def _segments(scheme: DynamicsScheme) -> tuple[tuple, ...]:
+    """One record (Z, phi, Z^dagger P, wires) per segment of the scheme.
 
-    Segment i runs over i-1 < t <= i: the product of its group of gates, on the
-    wires they touch. This is the one place the dynamics depends on the grouping.
+    Segment i runs over i-1 < t <= i as U(s) = Z diag(e^{i phi s}) Z^dagger P,
+    s = t - (i - 1): Z and phi are the `eigenphases` of the product of its group
+    of gates, P the product of the segments before it, and wires those its gates
+    touch. This is the one place the dynamics depends on the grouping.
     """
-    gates, units = gate_sequence(scheme.variant), _gate_unitaries(scheme.variant)
+    gates = gate_sequence(scheme.variant)
     bounds = (0,) + scheme.cuts + (len(gates),)
-    fractional, prefixes, wires = [], [np.eye(DIM, dtype=complex)], []
+    prefix, records = np.eye(DIM, dtype=complex), []
     for a, b in zip(bounds, bounds[1:]):
-        u = reduce(lambda acc, g: g @ acc, units[a:b], np.eye(DIM, dtype=complex))
-        fractional.append(FractionalUnitary(u))
-        prefixes.append(u @ prefixes[-1])
-        wires.append(tuple(w for w in WIRES if any(w in g.wires for g in gates[a:b])))
-    return fractional, prefixes, tuple(wires)
+        u = reduce(lambda acc, g: gate_unitary(g) @ acc, gates[a:b], np.eye(DIM, dtype=complex))
+        z, phases = eigenphases(u)
+        wires = tuple(w for w in WIRES if any(w in g.wires for g in gates[a:b]))
+        records.append((z, phases, z.conj().T @ prefix, wires))
+        prefix = u @ prefix
+    return tuple(records)
 
 
 def repeats_s_idle_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
     """True where a time repeats the previous time's segment and that segment leaves S alone."""
     seg = _active_segment(scheme, ts)
-    wires = _segments(scheme)[2]
-    s_idle = np.array([False] + ["S" not in w for w in wires])
+    s_idle = np.array([False] + ["S" not in wires for *_, wires in _segments(scheme)])
     repeats = np.zeros(len(seg), dtype=bool)
     repeats[1:] = (seg[1:] == seg[:-1]) & s_idle[seg[1:]]
     return repeats
@@ -260,15 +258,11 @@ def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
     """
     ts = np.asarray(ts, dtype=float)
     seg = _active_segment(scheme, ts)
-    fractional, prefixes, _ = _segments(scheme)
     out = np.empty((len(ts), DIM, DIM), dtype=complex)
     out[seg == 0] = np.eye(DIM, dtype=complex)
-    for i in range(1, len(fractional) + 1):
+    for i, (z, phases, zp, _) in enumerate(_segments(scheme), 1):
         mask = seg == i
-        if not mask.any():
-            continue
-        local = fractional[i - 1].at_many(ts[mask] - (i - 1))
-        out[mask] = np.einsum("tab,bc->tac", local, prefixes[i - 1])
+        out[mask] = (z * np.exp(1j * np.outer(ts[mask] - (i - 1), phases))[:, None]) @ zp
     return out
 
 
@@ -328,19 +322,18 @@ def _endpoints(scheme: DynamicsScheme, observe: str, ts: tuple[float, ...], orde
     if observe not in observables:
         raise ValueError(f"observe must be 'S' or 'E2', got {observe!r}")
     ts = np.array(ts, dtype=float)
-    fractional, prefixes, _ = _segments(scheme)
+    segments = _segments(scheme)
     if order:
-        seg = np.clip(np.floor(ts + 1e-12).astype(int), 0, len(fractional) - 1)
+        seg = np.clip(np.floor(ts + 1e-12).astype(int), 0, len(segments) - 1)
     else:
         seg = np.maximum(_active_segment(scheme, ts) - 1, 0)
     sources = np.stack([[kron(op, werner(p)) for op in PAULIS] for p in (0.0, 1.0)])
     out = np.empty((len(ts), 2, 4, 4))
-    for i, (f, prefix) in enumerate(zip(fractional, prefixes)):
+    for i, (z, phases, zp, _) in enumerate(segments):
         mask = seg == i
-        zp = f.basis.conj().T @ prefix
-        obs = f.basis.conj().T @ observables[observe] @ f.basis
+        obs = z.conj().T @ observables[observe] @ z
         coeffs = 0.5 * np.einsum("iba,ejab->abeij", obs, zp @ sources @ zp.conj().T)
-        omega = (f.phases[:, None] - f.phases[None, :]).ravel()
+        omega = (phases[:, None] - phases[None, :]).ravel()
         coeffs = coeffs.reshape(len(omega), -1) * (1j * omega[:, None]) ** order
         waves = np.exp(1j * np.outer(np.maximum(ts[mask] - i, 0.0), omega))
         out[mask] = (waves @ coeffs).real.reshape(-1, 2, 4, 4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nmlab.qmath import PAULIS
+from nmlab.qmath import PAULIS, eigenphases
 
 
 @pytest.fixture
@@ -29,3 +29,9 @@ def random_unitary(rng, d=2):
 def transfer_matrix(act):
     """Transfer matrix tr(sigma_i act(sigma_j)) / 2 of a map acting on a stack of operators."""
     return 0.5 * np.einsum("iab,jba->ij", PAULIS, act(PAULIS)).real
+
+
+def fractional_power(u, ts):
+    """Stacked powers U^t = Z diag(e^{i phi t}) Z^dagger from the `eigenphases` of `u`."""
+    z, phases = eigenphases(u)
+    return np.stack([(z * np.exp(1j * phases * t)) @ z.conj().T for t in ts])

@@ -336,7 +336,7 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         code = cli.main(["plot", str(bad)])
-        self._assert_one_error_line(code, capsys, "no plot schema matches columns")
+        self._assert_one_error_line(code, capsys, f"{bad}: no plot schema matches columns")
 
     @pytest.mark.parametrize("rows, fragment", [
         ("1,nan\n2,0.5\n", "non-finite value"),
@@ -409,3 +409,12 @@ class TestCli:
     def test_bad_resource_parameter_is_one_error_line(self, capsys):
         code = cli.main(["measure", "lfs", "--p", "1.5", "--scheme", "block"])
         self._assert_one_error_line(code, capsys, "Werner")
+
+    def test_allocation_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a grid too large for memory; raised by a stand-in, since whether a real
+        # allocation of that size fails depends on the host's overcommit policy
+        def run_figure(fig_id, cfg):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+        monkeypatch.setattr(cli, "run_figure", run_figure)
+        code = cli.main(["figure", "fig2_inset", "--out", str(tmp_path)])
+        self._assert_one_error_line(code, capsys, "Unable to allocate 8.00 TiB")

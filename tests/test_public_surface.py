@@ -75,8 +75,10 @@ def test_every_top_level_definition_has_a_caller():
 def test_only_register_builds_segment_products():
     # a scheme's segments are products of its gate groups, built in one place;
     # every other module asks `register` for the dynamics
+    call = re.compile(r"\b(eigenphases|gate_unitary)\(")
     builders = sorted(path.name for path in PACKAGE.glob("*.py")
-                      if re.search(r"\b(FractionalUnitary|_gate_unitaries)\(", path.read_text()))
+                      if any(call.search(line) and not re.match(r"\s*def ", line)
+                             for line in path.read_text().splitlines()))
     assert builders == ["register.py"]
 
 

@@ -10,8 +10,8 @@ from nmlab.qmath import (
     PAULI_Y,
     PAULI_Z,
     PAULIS,
-    FractionalUnitary,
     choi_state,
+    eigenphases,
     kron,
     mutual_information,
     partial_trace,
@@ -29,7 +29,7 @@ from nmlab.register import (
     werner,
 )
 
-from conftest import random_density, random_ket, random_unitary, transfer_matrix
+from conftest import fractional_power, random_density, random_ket, random_unitary, transfer_matrix
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -245,31 +245,30 @@ class TestEntropy:
 class TestFractionalPower:
     def test_endpoints(self, rng):
         u = random_unitary(rng, 4)
-        ends = FractionalUnitary(u).at_many([0.0, 1.0])
+        ends = fractional_power(u, [0.0, 1.0])
         assert np.allclose(ends[0], np.eye(4), atol=1e-12)
         assert np.allclose(ends[1], u, atol=1e-12)
 
     def test_sqrt_of_x(self):
         expected = 0.5 * ((1 + 1j) * PAULI_I + (1 - 1j) * PAULI_X)
-        assert np.allclose(FractionalUnitary(PAULI_X).at_many([0.5])[0], expected, atol=1e-12)
+        assert np.allclose(fractional_power(PAULI_X, [0.5])[0], expected, atol=1e-12)
 
     def test_continuity(self, rng):
         # no branch jumps: ||U^t - U^(t+delta)|| <= 4 delta along the path
         u = random_unitary(rng, 8)
-        f = FractionalUnitary(u)
         delta = 1e-6
         for t in (0.0, 0.3, 0.77, 1.0 - delta):
-            a, b = f.at_many([t, t + delta])
+            a, b = fractional_power(u, [t, t + delta])
             assert np.linalg.norm(b - a, ord=2) <= 4 * delta
 
     def test_minus_one_maps_to_plus_pi(self):
         # sqrt(diag(1,-1)) must pick +i, the closed branch end
-        root = FractionalUnitary(np.diag([1.0, -1.0 + 0j])).at_many([0.5])[0]
+        root = fractional_power(np.diag([1.0, -1.0 + 0j]), [0.5])[0]
         assert np.allclose(root, np.diag([1.0, 1j]), atol=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
-            FractionalUnitary(np.diag([1.0, 2.0 + 0j]))
+            eigenphases(np.diag([1.0, 2.0 + 0j]))
 
     @pytest.mark.parametrize("phases", [
         (np.pi, np.pi, 0.0, 0.0),
@@ -280,18 +279,17 @@ class TestFractionalPower:
         # repeated eigenvalues, -1 included, in a random eigenbasis
         w = random_unitary(rng, len(phases))
         u = (w * np.exp(1j * np.array(phases))) @ w.conj().T
-        f = FractionalUnitary(u)
-        ends = f.at_many([0.0, 1.0])
+        ends = fractional_power(u, [0.0, 1.0])
         assert np.max(np.abs(ends[0] - np.eye(len(phases)))) <= 1e-12
         assert np.max(np.abs(ends[1] - u)) <= 1e-12
-        half = f.at_many([0.5])[0]
+        half = fractional_power(u, [0.5])[0]
         assert np.max(np.abs(half @ half - u)) <= 1e-12
 
     def test_non_diagonalizing_basis_raises(self, rng, monkeypatch):
         u = random_unitary(rng, 4)
         monkeypatch.setattr(qmath.np.linalg, "eig", lambda a: (np.diagonal(a), np.eye(len(a))))
         with pytest.raises(ValueError, match="diagonalize"):
-            FractionalUnitary(u)
+            eigenphases(u)
 
 
 def conjugation(u):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +12,6 @@ from nmlab.qmath import (
     HADAMARD,
     PAULI_X,
     PAULIS,
-    FractionalUnitary,
     choi_state,
     kron,
     partial_trace,
@@ -40,7 +40,7 @@ from nmlab.register import (
     werner,
 )
 
-from conftest import random_ket, transfer_matrix
+from conftest import fractional_power, random_ket, transfer_matrix
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -108,6 +108,13 @@ class TestSequence:
         u1, u2, u3, _ = reference_blocks()
         assert np.allclose(circuit_unitary(), u3 @ u2 @ u1, atol=1e-12)
 
+    def test_circuit_unitary_builds_no_segment_table(self):
+        # the product of the gates is not read off the block scheme's dynamics
+        register._segments.cache_clear()
+        for variant in CircuitVariant:
+            circuit_unitary(variant)
+        assert register._segments.cache_info().currsize == 0
+
     def test_bbc_tail(self):
         _, _, _, cnot_s_e2 = reference_blocks()
         gates = [gate_unitary(g) for g in gate_sequence(CircuitVariant.ORIGINAL_BBC)]
@@ -169,7 +176,7 @@ class TestPropagator:
         ts = np.linspace(0.0, 1.0, 21)
         stack = propagator_stack(BLOCK_SWAP, ts)
         assert np.array_equal(stack[0], np.eye(8))
-        want = FractionalUnitary(circuit_unitary()).at_many(ts[1:])
+        want = fractional_power(circuit_unitary(), ts[1:])
         assert np.max(np.abs(stack[1:] - want)) <= 1e-15
 
     @pytest.mark.parametrize("scheme, end", [(BLOCK_SWAP, 1.0), (GATES_SWAP, 8.0),
@@ -300,7 +307,7 @@ class TestGroupings:
     def test_segments_multiply_their_gates_on_the_wires_they_touch(self, variant, cuts, wires):
         scheme = DynamicsScheme(variant, cuts)
         assert scheme.time_domain == (0.0, float(len(wires)))
-        assert register._segments(scheme)[2] == tuple(wires)
+        assert tuple(record[3] for record in register._segments(scheme)) == tuple(wires)
         prefixes = [np.eye(8, dtype=complex)]
         for g in gate_sequence(variant):
             prefixes.append(gate_unitary(g) @ prefixes[-1])
@@ -308,6 +315,20 @@ class TestGroupings:
         ends = propagator_stack(scheme, np.arange(1.0, len(wires) + 1))
         for b, u in zip([*cuts, len(prefixes) - 1], ends):
             assert np.allclose(u, prefixes[b], atol=1e-12)
+
+    @pytest.mark.parametrize("variant, count", [(SWAP, 128), (BBC, 32)])
+    def test_propagators_at_every_cut_of_every_grouping(self, variant, count):
+        # at t = 0, 1, ..., n_segments every grouping has applied the gates before each cut
+        prefixes = [np.eye(8, dtype=complex)]
+        for g in gate_sequence(variant):
+            prefixes.append(gate_unitary(g) @ prefixes[-1])
+        n = len(prefixes) - 1
+        groupings = [c for k in range(n) for c in itertools.combinations(range(1, n), k)]
+        assert len(groupings) == count
+        for cuts in groupings:
+            stack = propagator_stack(DynamicsScheme(variant, cuts), np.arange(len(cuts) + 2.0))
+            for b, u in zip((0, *cuts, n), stack):
+                assert np.max(np.abs(u - prefixes[b])) <= 1e-12
 
 
 class TestSegmentRepeats:
