@@ -66,6 +66,9 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
+    # made before the checks run, so a bad --out fails before any check does
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     results, sweep_s = run_all(cfg)
     for r in results:
         print(r.line())
@@ -77,8 +80,6 @@ def _cmd_verify(args) -> int:
         "failures": n_fail,
         "sweep_duration_s": sweep_s,
     }
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "verify_report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"{len(results) - n_fail}/{len(results)} checks passed; report: {report_path}")

@@ -6,6 +6,9 @@ gates BLP report feeding checks 6 and 13, run once per session.
 """
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from nmlab.register import (
 from conftest import random_ket
 
 CFG = RunConfig()
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 # Grid intervals per unit time of the tests that run every grouping of the gates.
 GROUPING_STEPS = 10
 
@@ -129,6 +133,27 @@ def test_criterion_11e_grid_doubling():
 
 def test_criterion_12_determinism():
     _run(verify.check_determinism(CFG))
+
+
+@pytest.mark.parametrize("check", [
+    verify.check_channel_identity, verify.check_bbc_e2_law,
+    verify.check_superop_roundtrip, verify.check_blp_antipodal_optimality,
+], ids=["1", "7", "11c", "11d"])
+def test_sampled_checks_are_seeded(check):
+    assert check().measured == check().measured
+
+
+def test_run_all_loads_no_numpy_random():
+    # a fresh interpreter, since this one has numpy.random loaded (conftest);
+    # the coarse config keeps the run short, whether or not its checks pass
+    child = ("import sys\n"
+             "from nmlab import verify\n"
+             "from nmlab.figures import RunConfig\n"
+             "verify.run_all(RunConfig(steps_per_unit=20, p_step=0.25, workers=1))\n"
+             "print('numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env={"PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_criterion_13_implementation_dependence(gates_report):

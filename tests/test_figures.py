@@ -397,6 +397,19 @@ class TestCli:
         assert all(isinstance(d, float) and d >= 0.0 for d in durations)
         assert "duration" not in capsys.readouterr().out
 
+    def test_verify_bad_out_fails_before_any_check(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def run_all(cfg):
+            raise AssertionError("a check ran before --out was made")
+        monkeypatch.setattr(cli, "run_all", run_all)
+        code = cli.main(["verify", "--out", str(blocker / "out")])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert str(blocker) in out.err
+
     def test_negative_workers_flag_is_one_error_line(self, tmp_path, capsys):
         code = cli.main(["figure", "fig3", "--workers", "-3", "--out", str(tmp_path)])
         self._assert_one_error_line(code, capsys, "workers")
