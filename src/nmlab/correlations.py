@@ -77,8 +77,43 @@ most d / ln 2, so rounding q, or log2 itself, moves the one-node term by
 ~1e-15. The sum stays below 4e-10, 2.5 times inside the margin; on the tests'
 stress states J - B <= 6.9e-11.
 
-Every measure takes a stack of states (a single state gives a float). The
-search runs SEARCH_CHUNK = 16 states at a time; each gets its value alone.
+Closed form, where the kept side splits into 2 x 2 blocks. If rho_K and the
+T_j are block diagonal in one basis with no block larger than 2 x 2, so is
+every sigma+-(n), and a block [[a, b], [b*, d]] has the eigenvalues
+(a + d) / 2 +- sqrt(((a - d) / 2)^2 + |b|^2), with a, d and b linear in
+u = (1, n). Each searched state is rotated once into the eigenbasis of the
+fixed generic combination _MIX.(rho_K, T), the QR factor of its eigenvectors
+from `eig` as in qmath.eigenphases. Its eigenvalues are distinct for a
+generic state, so its eigenvectors lie inside the blocks; a degeneracy across
+two blocks only mixes them, and the state then fails the test. The
+off-diagonal entries of the four rotated blocks above BLOCK_TOL link basis
+indices. Where each index links to at most one other, the linked pairs and the
+lone indices two at a time (an odd d gets a zero row) are the blocks, read
+into one real (4h, 4) table per state. Such a state scores every live
+candidate of every round in closed form, with no bound, seed or eigensolve,
+ties going to the earliest as before. Every other state keeps the pruned
+search above bit for bit, in chunks of its own.
+
+BLOCK_TOL = 1e-14 bounds how far the dropped entries can move J. The entries
+E_a that the blocks leave out have zero diagonal and modulus at most BLOCK_TOL,
+so the blocks keep the trace p of sigma+-, and E+- = (E_0 +- n.E) / 2 has
+||E+-||_2 <= ||E+-||_F <= eps_B = (1 + sqrt 3) sqrt(d (d - 1)) BLOCK_TOL / 2
+(|n| = 1 and Cauchy-Schwarz). By Weyl's inequality every eigenvalue of sigma+-
+moves by at most eps_B. Then p S(sigma / p) = sum_i eta(lambda_i) - eta(p) with
+eta(x) = -x log2 x (0 for x <= 0), and |eta(x) - eta(y)| <= eta(|x - y|) for
+|x - y| <= 1/2, so J moves by at most 2 d eta(eps_B): 1.7e-11 for d = 4, under
+the 3.2e-10 that EIG_CLAMP already drops from the eigensolved J. An eigenvalue
+within eps_B of EIG_CLAMP p can cross the clamp on one path only, a jump inside
+that same 3.2e-10; rounding of either spectrum adds ~1e-14. At heatmap_p_step
+0.2 the dropped entries of the accepted states lie between 8e-19 and 9.6e-15,
+96% of them below 1e-15: 990 of fig6's 1,005 and 2,007 of fig7's 2,018
+searched states take the closed form, and 5 of fig5's 500 (the block's end
+sample). The fig6 and fig7 states it misses link an index twice at 1e-14 to a
+few 1e-14; a larger tolerance would gain those few for a bound that grows
+like BLOCK_TOL log2(1 / BLOCK_TOL).
+
+Every measure takes a stack of states (a single state gives a float). Each
+path searches SEARCH_CHUNK = 16 states at a time; each gets its value alone.
 """
 
 from __future__ import annotations
@@ -110,6 +145,8 @@ MUTUAL_FLOOR = 1e-12
 SEARCH_CHUNK = 16
 # Slack of the entropy bound against the computed J (derived in the module docstring).
 BOUND_MARGIN = 1e-9
+# Off-block entries of a trace-one state's blocks above this keep it off the closed form.
+BLOCK_TOL = 1e-14
 # The bound's Gauss term needs moment errors below this share of variance x lower node.
 GAUSS_RATIO = 1e-3
 # The monomials w_m = u_a u_b of u = (1, n), of degree <= 2 in n; _TO_W[m] adds the (a, b) and
@@ -120,6 +157,9 @@ _TO_W[(np.arange(10), *_PAIRS.T)] = _TO_W[(np.arange(10), *_PAIRS.T[::-1])] = 1.
 _FLIP = np.array([1.0, -1.0, -1.0, -1.0])
 _FLIP_FORMS = _FLIP[_PAIRS].prod(1)[:, None] * np.r_[1.0, _FLIP, _FLIP[_PAIRS].prod(1)]
 _Chunk = namedtuple("_Chunk", "blocks s_a r norm forms")
+# The fixed generic combination of (rho_K, T_x, T_y, T_z) whose eigenbasis finds the 2 x 2 blocks.
+_MIX = np.array([1.0, 0.618, -0.414, 0.287])
+_BlockChunk = namedtuple("_BlockChunk", "tables s_a r")
 
 
 @dataclass(frozen=True)
@@ -189,8 +229,13 @@ def _conditionals(blocks: np.ndarray, n: np.ndarray, i, k) -> np.ndarray:
 
 def _conditional_entropy(sigma: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Sum over outcomes p (2, ...) > PROB_FLOOR of p S(sigma / p), for sigma+- (2, ..., d, d)."""
-    lam, p_safe = np.linalg.eigvalsh(sigma), np.where(p > PROB_FLOOR, p, 1.0)
-    return np.where(p > PROB_FLOOR, p * spectrum_entropy(lam / p_safe[..., None]), 0.0).sum(axis=0)
+    return _weighted_entropy(np.linalg.eigvalsh(sigma), p).sum(axis=0)
+
+
+def _weighted_entropy(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p S(sigma / p) where p > PROB_FLOOR, else 0, for sigma with the spectra lam (..., d)."""
+    p_safe = np.where(p > PROB_FLOOR, p, 1.0)
+    return np.where(p > PROB_FLOOR, p * spectrum_entropy(lam / p_safe[..., None]), 0.0)
 
 
 def _moments(chunk: _Chunk, n: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -249,23 +294,77 @@ def _pruned_j_values(chunk: _Chunk, n: np.ndarray, live: np.ndarray) -> np.ndarr
     return values
 
 
+def _block_tables(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which states of `blocks` (m, 4, d, d) split into 2 x 2 blocks, and the closed form's table
+    (split states, 4h, 4) of each: the entries a, d, Re b, Im b of its h blocks of sigma+-, as
+    forms table[:, 0] +- table[:, 1:].n in the eigenbasis of _MIX.(rho_K, T) regrouped in pairs."""
+    d = blocks.shape[-1]
+    # eig, not eigh, and no argsort or pad below: nmlab calls that code nowhere else, and paging it
+    # in raised `nmlab verify`'s peak resident memory by 0.1-0.25 MB
+    basis = np.linalg.qr(np.linalg.eig(np.tensordot(_MIX, blocks, (0, 1)))[1])[0]
+    size = d + d % 2  # an odd d gets a zero row and column
+    rot = np.zeros((len(blocks), 4, size, size), dtype=complex)
+    rot[..., :d, :d] = basis.conj().swapaxes(-1, -2)[:, None] @ blocks @ basis[:, None]
+    link = (np.abs(rot) > BLOCK_TOL).any(axis=1) & ~np.eye(size, dtype=bool)
+    split = (link.sum(axis=-1) <= 1).all(axis=-1)
+    rot, link = rot[split], link[split]
+    # linked pairs first, at twice their lower index, then the lone indices two to a block;
+    # order[rank of key] = index, the rank counted by comparison
+    at, partner = np.arange(size), np.argmax(link, axis=-1)
+    key = np.where(link.any(axis=-1), 2 * np.minimum(at, partner) + (at > partner), 2 * size + at)
+    s = np.arange(len(rot))[:, None]
+    order = np.empty_like(key)
+    order[s, (key[:, None, :] < key[:, :, None]).sum(axis=-1)] = at
+    s, a = s[..., None], np.arange(4)[:, None]
+    first, second = order[:, None, 0::2], order[:, None, 1::2]
+    b = rot[s, a, first, second]
+    table = np.stack([rot[s, a, first, first].real, rot[s, a, second, second].real,
+                      b.real, b.imag], axis=1)
+    return split, 0.5 * table.swapaxes(2, 3).reshape(len(rot), 2 * size, 4)
+
+
+def _block_j_values(chunk: _BlockChunk, n: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """J of state i of the chunk along n[i] (m, k, 3), or -inf where not `live`, from the
+    eigenvalues (a + d) / 2 +- sqrt(((a - d) / 2)^2 + |b|^2) of the 2 x 2 blocks of sigma+-."""
+    lin, base = chunk.tables[..., 1:] @ n.swapaxes(1, 2), chunk.tables[..., :1]
+    h, entropy = base.shape[1] // 4, 0.0
+    for combine, p in zip((np.add, np.subtract), np.moveaxis(_probabilities(chunk, n), -1, 0)):
+        a, d, re, im = combine(base, lin).reshape(len(lin), 4, h, -1).swapaxes(0, 1)
+        mean, half = 0.5 * (a + d), np.sqrt(0.25 * (a - d) ** 2 + re**2 + im**2)
+        lam = np.concatenate([mean + half, mean - half], axis=1)
+        entropy = entropy + _weighted_entropy(lam.swapaxes(1, 2), p)
+    return np.where(live, chunk.s_a[:, None] - entropy, -np.inf)
+
+
+def _searches(blocks: np.ndarray, s_a: np.ndarray):
+    """(states, objective) of each search of `blocks` (m, 4, d, d) with `s_a`: closed-form chunks
+    of the states that split into 2 x 2 blocks, then pruned chunks of the rest."""
+    split, tables = _block_tables(blocks)
+    r = np.trace(blocks[:, 1:], axis1=-2, axis2=-1).real
+    closed, bounded = np.flatnonzero(split), np.flatnonzero(~split)
+    for lo in range(0, len(closed), SEARCH_CHUNK):
+        i = closed[lo:lo + SEARCH_CHUNK]
+        yield i, partial(_block_j_values, _BlockChunk(tables[lo:lo + SEARCH_CHUNK], s_a[i], r[i]))
+    for lo in range(0, len(bounded), SEARCH_CHUNK):
+        i = bounded[lo:lo + SEARCH_CHUNK]
+        yield i, partial(_pruned_j_values, _chunk(blocks[i], s_a[i]))
+
+
 def classical_correlations(rho: np.ndarray) -> float | np.ndarray:
     """Maximal information about the other wires from measuring the first qubit (S).
 
     The deterministic two-stage angle grid searches the measurement bases
     (basis pairs are unordered, so theta in [0, pi/2] suffices), so the
-    result is a lower bound by construction. Candidates that the entropy
-    bound proves below their round's maximum are never eigensolved. `rho` may
-    be a stack of states of dimension 2d, d >= 2.
+    result is a lower bound by construction. A state whose kept side splits
+    into 2 x 2 blocks scores every candidate in closed form; elsewhere
+    candidates that the entropy bound proves below their round's maximum are
+    never eigensolved. `rho` may be a stack of states of dimension 2d, d >= 2.
     """
     blocks = _bloch_blocks(rho)
     flat = blocks.reshape((-1,) + blocks.shape[-3:])
-    s_a = vn_entropy(flat[:, 0])
     value = np.empty(len(flat))
-    for lo in range(0, len(flat), SEARCH_CHUNK):
-        chunk = _chunk(flat[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK])
-        value[lo:lo + len(chunk.s_a)] = two_stage_maximize(partial(_pruned_j_values, chunk),
-                                                           len(chunk.s_a)).value
+    for i, objective in _searches(flat, vn_entropy(flat[:, 0])):
+        value[i] = two_stage_maximize(objective, len(i)).value
     return float(value[0]) if blocks.ndim == 3 else value.reshape(blocks.shape[:-3])
 
 

@@ -5,9 +5,11 @@ values p of its rows, and the function giving the rows at one p. Every
 figure runs the same way: the rows of each p (in a process pool when more
 than one worker and more than one p), joined in p order, written as one CSV.
 
-Floats are printed with 12 significant digits and rows are emitted in a
-fixed order, so identical configurations produce byte-identical files
-regardless of the worker count.
+Floats are printed on the absolute grid of CSV_DECIMALS = 12 decimals (1e-12),
+trailing zeros dropped and never as -0, and rows are emitted in a fixed order,
+so identical configurations produce byte-identical files regardless of the
+worker count, and a change below half the grid rewrites a row only where a
+value sits on a rounding boundary.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .register import (BLOCK_SWAP, GATES_BBC, GATES_SWAP, KET0, KET1, KET_PLUS, 
 
 # Resource values of the fig4 curves.
 FIG4_P_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+
+# Every CSV float is printed on the absolute grid 10^-CSV_DECIMALS.
+CSV_DECIMALS = 12
 
 # Configuration keys that only steer execution and must not influence output
 # bytes (the config hash in the CSV comment ignores them).
@@ -116,7 +121,8 @@ def p_grid(step: float) -> np.ndarray:
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
-        return format(float(x) + 0.0, ".12g")
+        text = format(float(x), f".{CSV_DECIMALS}f").rstrip("0").rstrip(".")
+        return "0" if text == "-0" else text
     return str(x)
 
 
@@ -209,5 +215,6 @@ def run_figure(fig_id: str, cfg: RunConfig | None = None) -> list[Path]:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = figure_rows(fig_id, cfg)
-    comment = f"nmlab v{__version__} figure={fig_id} config={cfg.config_hash()}"
+    comment = (f"nmlab v{__version__} figure={fig_id} config={cfg.config_hash()} "
+               f"grid=1e-{CSV_DECIMALS}")
     return [write_csv(out_dir / f"{fig_id}.csv", list(FIGURES[fig_id].columns), rows, comment)]

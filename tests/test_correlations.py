@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nmlab import correlations, sweep
 from nmlab.correlations import (
+    BLOCK_TOL,
     BOUND_MARGIN,
     MUTUAL_FLOOR,
     PROB_FLOOR,
@@ -40,7 +42,7 @@ from nmlab.register import (
 )
 from nmlab.sweep import two_stage_maximize, unit_vectors
 
-from conftest import random_density
+from conftest import random_density, random_unitary
 
 PHI = bell_basis()[0]
 BELL = np.outer(PHI, PHI.conj())
@@ -255,14 +257,16 @@ def bound_test_directions(rng):
 
 
 def unpruned_search(stack):
-    """The search scoring every candidate, one chunk of SEARCH_CHUNK states at a time."""
+    """The search scoring every candidate with the objective of its state's path, in the chunks of
+    that path: the closed form where the kept side splits into 2 x 2 blocks, eigvalsh elsewhere."""
     blocks = correlations._bloch_blocks(stack)
     s_a = vn_entropy(blocks[:, 0])
-    return np.concatenate([
-        two_stage_maximize(lambda n, live: full_j(b, s, n), len(b)).value
-        for b, s in ((blocks[lo:lo + SEARCH_CHUNK], s_a[lo:lo + SEARCH_CHUNK])
-                     for lo in range(0, len(stack), SEARCH_CHUNK))
-    ])
+    value = np.empty(len(stack))
+    for i, objective in correlations._searches(blocks, s_a):
+        if objective.func is correlations._pruned_j_values:
+            objective = partial(lambda i, n, live: full_j(blocks[i], s_a[i], n), i)
+        value[i] = two_stage_maximize(objective, len(i)).value
+    return value
 
 
 def searched_row(fig, p, n=None, steps_per_unit=100):
@@ -384,7 +388,7 @@ class TestPrunedSearch:
         pruned = two_stage_maximize(lambda n, live: correlations._pruned_j_values(chunk, n, live))
         for field in ("value", "theta", "phi", "coarse_value"):
             assert np.array_equal(getattr(pruned, field), getattr(full, field)), field
-        assert classical_correlations(rho) == full.value[0]
+        assert classical_correlations(rho) == unpruned_search(rho[None])[0]
 
     def test_evaluations_count_the_scored_candidates(self):
         stack = searched_row("fig6", 0.4, SEARCH_CHUNK)
@@ -445,16 +449,128 @@ class TestPrunedSearch:
 
     def test_conditional_states_are_built_only_where_eigensolved(self):
         # measured peaks of one search of this chunk: 3.86 MB when n.T was built for every
-        # candidate of a round, 2.53 MB with sigma+- built for the eigensolved ones only
-        stack = searched_row("fig6", 0.4, SEARCH_CHUNK, steps_per_unit=10)
+        # candidate of a round, 2.53 MB with sigma+- built for the eigensolved ones only, 2.02 MB
+        # now that all 16 states split into 2 x 2 blocks: (m, k, 8) entries per outcome, no table
+        assert search_peak(searched_row("fig6", 0.4, SEARCH_CHUNK, steps_per_unit=10)) <= 3.0e6
+
+    def test_pruned_chunks_keep_the_memory_ceiling(self):
+        # 15 of these 16 block-scheme states take the pruned search (measured peak 2.39 MB)
+        assert search_peak(searched_row("fig5", 0.4, SEARCH_CHUNK, steps_per_unit=10)) <= 3.0e6
+
+
+def search_peak(stack):
+    """tracemalloc's peak over a second search of `stack`."""
+    classical_correlations(stack)
+    tracemalloc.start()
+    try:
         classical_correlations(stack)
-        tracemalloc.start()
-        try:
-            classical_correlations(stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.0e6
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def eta(x):
+    return -x * np.log2(x)
+
+
+def drift_bound(d):
+    """The module docstring's bound 2 d eta(eps_B) on how far the dropped off-block entries move J
+    (d rounded up to even, as the blocks pad it), plus its 1e-14 for rounding."""
+    d += d % 2
+    return 2 * d * eta((1 + np.sqrt(3)) * np.sqrt(d * (d - 1)) * BLOCK_TOL / 2) + 1e-14
+
+
+def closed_form_j(blocks, n):
+    """J along n[i] (m, k, 3) of the states of `blocks` that split into 2 x 2 blocks, in closed
+    form and from eigvalsh, and the mask of those states."""
+    s_a = vn_entropy(blocks[:, 0])
+    split, tables = correlations._block_tables(blocks)
+    r = np.trace(blocks[split, 1:], axis1=-2, axis2=-1).real
+    n = n[split]
+    closed = correlations._block_j_values(correlations._BlockChunk(tables, s_a[split], r), n,
+                                          np.ones(n.shape[:2], dtype=bool))
+    return closed, full_j(blocks[split], s_a[split], n), split
+
+
+# partitions of the kept dimension into blocks of at most 2
+PARTITIONS = {2: ([2], [1, 1]), 3: ([2, 1], [1, 1, 1]), 4: ([2, 2], [2, 1, 1], [1, 1, 1, 1])}
+
+
+def hidden_block_state(rng, d, kind):
+    """A state of dimension 2d whose kept side splits into blocks of at most 2 x 2 in a random basis:
+    random parts ("full"), pure parts and an empty last one ("rank"), or copies of the first part
+    and maximally mixed ones ("degenerate")."""
+    sizes = PARTITIONS[d][rng.integers(len(PARTITIONS[d]))]
+    weights = rng.dirichlet(np.ones(len(sizes)))
+    rho, at = np.zeros((2, d, 2, d), dtype=complex), 0
+    for k, size in enumerate(sizes):
+        if kind == "full":
+            part = random_density(rng, 2 * size)
+        elif kind == "rank":
+            part = low_rank_density(rng, 2 * size, 1) * (k == 0 or k < len(sizes) - 1)
+        elif k == 0:
+            part = first = low_rank_density(rng, 2 * size, 2)
+        elif size == sizes[0]:
+            part, weights[k] = first, weights[0]
+        else:
+            part = np.eye(2 * size) / (2 * size)
+        rho[:, at:at + size, :, at:at + size] = weights[k] * part.reshape(2, size, 2, size)
+        at += size
+    hide = kron(np.eye(2), random_unitary(rng, d))
+    rho = hide @ rho.reshape(2 * d, 2 * d) @ hide.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("fig", ["fig6", "fig7"])
+    @pytest.mark.parametrize("p", [0.2, 0.6])
+    def test_heatmap_candidates_match_eigvalsh(self, fig, p):
+        stack = searched_row(fig, p, steps_per_unit=10)
+        n = np.broadcast_to(unit_vectors(*coarse_angles()), (len(stack), 325, 3))
+        closed, full, split = closed_form_j(correlations._bloch_blocks(stack), n)
+        assert split.mean() > 0.8
+        assert np.max(np.abs(closed - full)) <= drift_bound(4)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["full", "rank", "degenerate"])
+    def test_hidden_blocks_match_eigvalsh(self, rng, d, kind):
+        stack = np.stack([hidden_block_state(rng, d, kind) for _ in range(40)])
+        n = bound_test_directions(rng)
+        n = np.broadcast_to(n, (len(stack),) + n.shape[1:])
+        closed, full, split = closed_form_j(correlations._bloch_blocks(stack), n)
+        # a pair of close eigenvalues of the mix in two blocks mixes them in its eigenbasis; equal
+        # blocks do so always (measured on 200 states each: 98.5-100% split, degenerate d = 4 66%)
+        assert split.mean() >= (0.5 if kind == "degenerate" else 0.9)
+        assert np.max(np.abs(closed - full)) <= drift_bound(d)
+
+    @pytest.mark.parametrize("scale, path", [(0.99, "_block_j_values"), (1.01, "_pruned_j_values")])
+    def test_off_block_entries_above_the_tolerance_take_the_bounded_path(self, scale, path):
+        # diagonal blocks whose mix has distinct eigenvalues: its eigenbasis is the standard one.
+        # T_x links index 0 to 1 and 2; rho_K takes off the mix's share, so the basis stays
+        blocks = np.array([np.diag(v) for v in ([0.4, 0.3, 0.2, 0.1], [0.1, -0.05, 0.02, 0.0],
+                                                [0.0, 0.03, -0.04, 0.05], [0.2, -0.1, 0.1, -0.05])],
+                          dtype=complex)
+        off = np.zeros((4, 4))
+        off[0, 1:3] = off[1:3, 0] = scale * BLOCK_TOL
+        blocks[1] += off
+        blocks[0] -= correlations._MIX[1] * off
+        searches = list(correlations._searches(blocks[None], vn_entropy(blocks[None, 0])))
+        assert [objective.func.__name__ for _, objective in searches] == [path]
+
+    @pytest.mark.parametrize("fig", ["fig6", "fig7"])
+    def test_heatmap_states_take_the_closed_form(self, fig):
+        # measured at 10 steps per unit: 104 of fig6's 105 searched states, 216 of fig7's 218
+        split = np.concatenate([
+            correlations._block_tables(correlations._bloch_blocks(searched_row(fig, p, None, 10)))[0]
+            for p in (0.0, 0.2, 0.4, 0.6, 0.8)])
+        assert split.mean() >= 0.95
+
+    @pytest.mark.parametrize("p", [0.0, 0.4, 0.8])
+    def test_block_scheme_states_take_the_bounded_path(self, p):
+        # S and (E1 E2) share no 2 x 2 structure inside the block; its end sample is classical on S
+        stack = searched_row("fig5", p, steps_per_unit=10)
+        split = correlations._block_tables(correlations._bloch_blocks(stack))[0]
+        assert not split[:-1].any() and split[-1]
 
 
 TINY_FIGURES = {

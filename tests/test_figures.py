@@ -133,6 +133,15 @@ class TestCsvFormat:
         path = write_csv(tmp_path / "x.csv", ["v"], [(1 / 3,)], "m")
         assert path.read_text().splitlines()[2] == "0.333333333333"
 
+    @pytest.mark.parametrize("value, text", [
+        (2.220446049250313e-16, "0"), (-3e-13, "0"), (1.2e-12, "0.000000000001"),
+        (-1.23456789e-7, "-0.000000123457"), (0.4999999999996, "0.5"), (12.25, "12.25"),
+    ])
+    def test_values_on_the_absolute_grid(self, tmp_path, value, text):
+        # dust prints as 0, never -0, and a change below half the grid rewrites no digit
+        path = write_csv(tmp_path / "x.csv", ["v"], [(value,)], "m")
+        assert path.read_text().splitlines()[2] == text
+
 
 class TestFigures:
     def test_unknown_id_rejected(self):
@@ -149,7 +158,7 @@ class TestFigures:
         assert np.all(row[1:] <= 1e-9)
         comment = path.read_text().splitlines()[0]
         assert cfg.config_hash() in comment
-        assert "fig2" in comment
+        assert "fig2" in comment and comment.endswith(" grid=1e-12")
 
     @staticmethod
     def csv_bytes(tmp_path, fig_id, workers):
