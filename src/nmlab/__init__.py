@@ -10,4 +10,4 @@ import blp_measure`). `import nmlab` imports no submodule and no numpy, and
 neither it nor any module but `nmlab.cli` touches `os.environ`.
 """
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"

@@ -10,9 +10,9 @@ R_t = [[1, 0], [c_t, M_t]] of ``register.system_map_stack``.
   pair at ±n is at distance |M_t n| (Wißmann et al., PRA 86, 062108 (2012)).
 * RHP (Rivas, Huelga & Plenio, PRL 105, 050403 (2010)): integral of the
   momentary complete-positivity violation of the time-local generator
-  L_t = dR_t/dt R_t^-1, with the exact dR_t/dt of
-  ``register.system_map_derivative_stack``, read off the same per-segment
-  Fourier tables as the maps.
+  L_t = dR_t/dt R_t^-1, with the exact dR_t/dt that
+  ``register.system_map_stack`` gives at ``order=1``, read off the same
+  per-segment Fourier tables as the maps.
 * LFS: summed increases of the system-ancilla mutual information starting
   from a maximally entangled pair, i.e. of the Choi states of R_t.
 
@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .qmath import bloch_vector, choi_state, mutual_information
-from .register import STEPS_PER_UNIT, DynamicsScheme, system_map_derivative_stack, system_map_stack
+from .register import STEPS_PER_UNIT, DynamicsScheme, system_map_stack
 from .sweep import two_stage_maximize, unit_vectors
 
 INCREMENT_FLOOR = 1e-12
@@ -89,15 +89,16 @@ def _positive_steps(series: np.ndarray, out: np.ndarray | None = None) -> np.nda
 def _report(scheme, p, steps_per_unit, gains: np.ndarray, **diagnostics) -> MeasureReport:
     """Report of per-step `gains` on the scheme's times, gains[k] earned over [t_k, t_k+1].
 
-    The value is their sum. Consecutive positive gains merge into one interval
-    with the accumulated gain, so the value equals the sum over intervals.
+    The value is their sum in time order, the order of `_summed_gains`. Consecutive
+    positive gains merge into one interval with the accumulated gain, so the value
+    equals the sum over intervals.
     """
     ts = scheme.times(steps_per_unit)
     pos = np.concatenate([[False], gains > 0.0, [False]])
     starts, ends = np.flatnonzero(pos[1:] & ~pos[:-1]), np.flatnonzero(pos[:-1] & ~pos[1:])
     runs = [((float(ts[a]), float(ts[b])), float(np.cumsum(gains[a:b])[-1]))
             for a, b in zip(starts, ends)]
-    return MeasureReport(value=float(gains.sum()), p=p, scheme=scheme,
+    return MeasureReport(value=float(np.cumsum(gains)[-1]), p=p, scheme=scheme,
                          steps_per_unit=steps_per_unit, increments=runs, diagnostics=diagnostics)
 
 
@@ -178,7 +179,9 @@ def blp_measure(
 
     The pair at ±n(theta, phi), theta in [0, pi/2], is at distance |M_t n|:
     one stack of Bloch blocks M_t scores every candidate of the two-stage grid
-    search (`_summed_gains`) and gives the reported winner's curve.
+    search (`_summed_gains`) and gives the reported winner's curve. The value is
+    the one the search maximized: a batch's matmul rounds the winner's curve
+    differently from the curve alone.
     """
     m = system_map_stack(scheme, p, scheme.times(steps_per_unit), observe)[:, 1:, 1:]
     result = two_stage_maximize(lambda n, _live: _summed_gains(m, n[0])[None])
@@ -187,6 +190,7 @@ def blp_measure(
                           np.linalg.norm(m @ n.T, axis=1)[:, 0],
                           coarse_value=float(result.coarse_value[0]),
                           evaluations=result.evaluations)
+    report.value = float(result.value[0])
     report.optimal_pair = (float(result.theta[0]), float(result.phi[0]))
     return report
 
@@ -204,7 +208,7 @@ def _g_curve(scheme, p, ts):
     singular = (sig[:, 0] <= 0.0) | (sig[:, -1] < SVD_TOL * sig[:, 0])
     sig = np.where(singular[:, None], 1.0, sig)
     inv = (vh.transpose(0, 2, 1) / sig[:, None, :]) @ u.transpose(0, 2, 1)
-    gen = system_map_derivative_stack(scheme, p, ts) @ inv
+    gen = system_map_stack(scheme, p, ts, order=1) @ inv
     mu = np.linalg.eigvalsh(_Q_PHI @ choi_state(gen) @ _Q_PHI)
     g = np.where(singular, 0.0, 2.0 * np.maximum(0.0, -mu).sum(-1))
     return g, singular
@@ -233,9 +237,10 @@ def rhp_measure(
                          f"{int(singular.sum())} of {len(ts)} samples are singular")
     contribs = 0.5 * (g[:-1] + g[1:]) * (ts[1] - ts[0])
     gains = np.where(contribs > INCREMENT_FLOOR, contribs, 0.0)
-    return _report(scheme, p, steps_per_unit, gains, svd_tol=SVD_TOL,
-                   singular_samples=int(singular.sum()),
-                   robustness_lower_bound=float(gains.sum()) / 2.0)
+    report = _report(scheme, p, steps_per_unit, gains, svd_tol=SVD_TOL,
+                     singular_samples=int(singular.sum()))
+    report.diagnostics["robustness_lower_bound"] = report.value / 2.0
+    return report
 
 
 def lfs_measure(

@@ -211,22 +211,27 @@ def _sample_times(scheme: DynamicsScheme, ts) -> np.ndarray:
     return ts
 
 
-def _active_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
-    """Index in 1..n of the segment of `scheme` running at each time; 0 before the first.
+def _clock(scheme: DynamicsScheme, ts, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Segment (from 0) and local time s in [0, 1] (past 1 only by the domain's 1e-9
+    slack) of each time; segment i runs over i < t <= i + 1 at s = t - i, and a time
+    at or before 0 is read at s = 0.
 
-    Segment i runs over i-1 < t <= i, so a boundary time belongs to the segment
-    that just finished; the 1e-12 slack absorbs float dust above integer times.
+    A boundary time belongs to the segment that just finished, or with `right` (the
+    derivatives) to the one that starts there, the domain end to the last; the 1e-12
+    slack absorbs float dust at integer times.
     """
-    ts, hi = _sample_times(scheme, ts), scheme.time_domain[1]
-    return np.where(ts > 0, np.minimum(np.ceil(ts - 1e-12).astype(int), int(hi)), 0)
+    ts, last = _sample_times(scheme, ts), len(scheme.cuts)
+    seg = np.floor(ts + 1e-12) if right else np.ceil(ts - 1e-12) - 1
+    seg = np.clip(seg.astype(int), 0, last)
+    return seg, np.maximum(ts - seg, 0.0)
 
 
 @lru_cache(maxsize=None)
 def _segments(scheme: DynamicsScheme) -> tuple[tuple, ...]:
     """One record (Z, phi, Z^dagger P, wires) per segment of the scheme.
 
-    Segment i runs over i-1 < t <= i as U(s) = Z diag(e^{i phi s}) Z^dagger P,
-    s = t - (i - 1): Z and phi are the `eigenphases` of the product of its group
+    Segment i (from 0) runs as U(s) = Z diag(e^{i phi s}) Z^dagger P at the local
+    time s of `_clock`: Z and phi are the `eigenphases` of the product of its group
     of gates, P the product of the segments before it, and wires those its gates
     touch. This is the one place the dynamics depends on the grouping.
     """
@@ -244,8 +249,8 @@ def _segments(scheme: DynamicsScheme) -> tuple[tuple, ...]:
 
 def repeats_s_idle_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
     """True where a time repeats the previous time's segment and that segment leaves S alone."""
-    seg = _active_segment(scheme, ts)
-    s_idle = np.array([False] + ["S" not in wires for *_, wires in _segments(scheme)])
+    seg, _ = _clock(scheme, ts)
+    s_idle = np.array(["S" not in wires for *_, wires in _segments(scheme)])
     repeats = np.zeros(len(seg), dtype=bool)
     repeats[1:] = (seg[1:] == seg[:-1]) & s_idle[seg[1:]]
     return repeats
@@ -254,15 +259,15 @@ def repeats_s_idle_segment(scheme: DynamicsScheme, ts) -> np.ndarray:
 def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
     """Register unitaries U(t) under the scheme's grouping, shape (len(ts), 8, 8).
 
-    Segment i runs over i-1 < t <= i while the others idle; U(0) is the identity.
+    Each segment runs on the `_clock` while the others idle; U(t) is exactly the
+    identity for t <= 1e-12.
     """
-    ts = np.asarray(ts, dtype=float)
-    seg = _active_segment(scheme, ts)
-    out = np.empty((len(ts), DIM, DIM), dtype=complex)
-    out[seg == 0] = np.eye(DIM, dtype=complex)
-    for i, (z, phases, zp, _) in enumerate(_segments(scheme), 1):
+    seg, s = _clock(scheme, ts)
+    out = np.empty((len(seg), DIM, DIM), dtype=complex)
+    for i, (z, phases, zp, _) in enumerate(_segments(scheme)):
         mask = seg == i
-        out[mask] = (z * np.exp(1j * np.outer(ts[mask] - (i - 1), phases))[:, None]) @ zp
+        out[mask] = (z * np.exp(1j * np.outer(s[mask], phases))[:, None]) @ zp
+    out[(seg == 0) & (s <= 1e-12)] = np.eye(DIM, dtype=complex)
     return out
 
 
@@ -307,63 +312,48 @@ def reduced_evolution(
 @lru_cache(maxsize=32)
 def _endpoints(scheme: DynamicsScheme, observe: str, ts: tuple[float, ...], order: int):
     """Read-only stacks at p = 0 and p = 1 on the times `ts`: transfer matrices (order 0)
-    or their time derivatives (order 1), from one Fourier table per segment.
+    or their order-th time derivatives, from one Fourier table per segment.
 
     A segment evolves as U(s) = Z diag(e^{i phi s}) Z^dagger P, P the segments before it,
     so R(s) = Re sum_ab e^{i w_ab s} C_ab with w_ab = phi_a - phi_b and C_ab[i, j] half
     the product of entries (b, a) of sigma_i on `observe` and (a, b) of
     P (sigma_j (x) W(p)) P^dagger in the eigenbasis Z; d/dt multiplies term ab by i w_ab.
-    Maps are read on the segments of `_active_segment`, a time at or before 0 at s = 0;
-    derivatives on the segment starting at their time (the right derivative), the last
-    one at the domain end.
+    Maps are read on the `_clock`, derivatives on its right-hand one.
     """
     observables = {"S": [kron(op, np.eye(4)) for op in PAULIS],
                    "E2": [kron(np.eye(4), op) for op in PAULIS]}
     if observe not in observables:
         raise ValueError(f"observe must be 'S' or 'E2', got {observe!r}")
-    ts = np.array(ts, dtype=float)
-    segments = _segments(scheme)
-    if order:
-        seg = np.clip(np.floor(ts + 1e-12).astype(int), 0, len(segments) - 1)
-    else:
-        seg = np.maximum(_active_segment(scheme, ts) - 1, 0)
+    seg, s = _clock(scheme, ts, right=bool(order))
     sources = np.stack([[kron(op, werner(p)) for op in PAULIS] for p in (0.0, 1.0)])
-    out = np.empty((len(ts), 2, 4, 4))
-    for i, (z, phases, zp, _) in enumerate(segments):
+    out = np.empty((len(seg), 2, 4, 4))
+    for i, (z, phases, zp, _) in enumerate(_segments(scheme)):
         mask = seg == i
         obs = z.conj().T @ observables[observe] @ z
         coeffs = 0.5 * np.einsum("iba,ejab->abeij", obs, zp @ sources @ zp.conj().T)
         omega = (phases[:, None] - phases[None, :]).ravel()
         coeffs = coeffs.reshape(len(omega), -1) * (1j * omega[:, None]) ** order
-        waves = np.exp(1j * np.outer(np.maximum(ts[mask] - i, 0.0), omega))
+        waves = np.exp(1j * np.outer(s[mask], omega))
         out[mask] = (waves @ coeffs).real.reshape(-1, 2, 4, 4)
     out.flags.writeable = False
     return out[:, 0], out[:, 1]
 
 
-def _affine_in_p(scheme: DynamicsScheme, p: float, ts, observe: str, order: int) -> np.ndarray:
-    """New array E(0) + p (E(1) - E(0)) of the cached pair `_endpoints` gives."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
-    e0, e1 = _endpoints(scheme, observe, tuple(_sample_times(scheme, ts).tolist()), order)
-    return e0 + p * (e1 - e0)
-
-
 def system_map_stack(
-    scheme: DynamicsScheme, p: float, ts: np.ndarray, observe: str = "S"
+    scheme: DynamicsScheme, p: float, ts: np.ndarray, observe: str = "S", order: int = 0
 ) -> np.ndarray:
-    """Real Pauli-transfer matrices of the reduced maps from S to `observe`.
+    """Real Pauli-transfer matrices of the reduced maps from S to `observe`, or their
+    exact order-th time derivatives.
 
     R_t[i, j] = tr(sigma_i Phi_t(sigma_j)) / 2 with Paulis ordered (I, X, Y, Z),
     shape (len(ts), 4, 4). Trace and hermiticity preservation make
     R_t = [[1, 0], [c_t, M_t]]: a state with Bloch vector r goes to c_t + M_t r.
-    The result is a new array, R_t(0) + p (R_t(1) - R_t(0)) of the cached
-    endpoints.
+    A derivative at a segment boundary is the right one, at the domain end the left
+    one. The result is a new array, E(0) + p (E(1) - E(0)) of the cached endpoints.
     """
-    return _affine_in_p(scheme, p, ts, observe, 0)
-
-
-def system_map_derivative_stack(scheme: DynamicsScheme, p: float, ts: np.ndarray) -> np.ndarray:
-    """Exact time derivatives dR_t/dt of the S maps of `system_map_stack`, from the same
-    tables; a gate boundary takes the right derivative, the domain end the left one."""
-    return _affine_in_p(scheme, p, ts, "S", 1)
+    if not is_count(order, 0):
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
+    e0, e1 = _endpoints(scheme, observe, tuple(_sample_times(scheme, ts).tolist()), int(order))
+    return e0 + p * (e1 - e0)

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nmlab.qmath import PAULIS, eigenphases
+from nmlab.register import DynamicsScheme, gate_sequence
 
 
 @pytest.fixture
@@ -35,3 +38,10 @@ def fractional_power(u, ts):
     """Stacked powers U^t = Z diag(e^{i phi t}) Z^dagger from the `eigenphases` of `u`."""
     z, phases = eigenphases(u)
     return np.stack([(z * np.exp(1j * phases * t)) @ z.conj().T for t in ts])
+
+
+def groupings(variant):
+    """Every grouping of the variant's n gates into segments: one per subset of 1..n-1 as cuts."""
+    n = len(gate_sequence(variant))
+    return [DynamicsScheme(variant, cuts)
+            for k in range(n) for cuts in itertools.combinations(range(1, n), k)]

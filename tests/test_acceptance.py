@@ -5,7 +5,6 @@ The measure sweep feeding the threshold and consistency checks, and the
 gates BLP report feeding checks 6 and 13, run once per session.
 """
 
-import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -20,24 +19,16 @@ from nmlab.register import (
     BLOCK_SWAP,
     GATES_SWAP,
     CircuitVariant,
-    DynamicsScheme,
     gate_sequence,
     system_map_stack,
 )
 
-from conftest import random_ket
+from conftest import groupings, random_ket
 
 CFG = RunConfig()
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # Grid intervals per unit time of the tests that run every grouping of the gates.
 GROUPING_STEPS = 10
-
-
-def groupings(variant):
-    """Every grouping of the variant's n gates into segments: one per subset of 1..n-1 as cuts."""
-    n = len(gate_sequence(variant))
-    return [DynamicsScheme(variant, cuts)
-            for k in range(n) for cuts in itertools.combinations(range(1, n), k)]
 
 
 @pytest.fixture(scope="module")

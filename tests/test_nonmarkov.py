@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nmlab import nonmarkov, register
+from nmlab.figures import p_grid
 from nmlab.nonmarkov import (
     THRESHOLD_CUTOFF,
     _g_curve,
@@ -24,7 +25,6 @@ from nmlab.register import (
     STEPS_PER_UNIT,
     alpha_ket,
     reduced_evolution,
-    system_map_derivative_stack,
     system_map_stack,
 )
 from nmlab.sweep import two_stage_maximize
@@ -117,6 +117,14 @@ class TestReports:
         assert len(report.increments) == 1
         (_, t_end), gain = report.increments[0]
         assert t_end == 1.0 and gain == pytest.approx(report.value, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [0.8, 1.0])
+    @pytest.mark.parametrize("name", ["rhp", "lfs"])
+    def test_one_interval_value_is_its_gain(self, name, p):
+        # the value and each interval's gain both add the steps in time order
+        report = BUILDERS[name](BLOCK_SWAP, p)
+        assert len(report.increments) == 1
+        assert report.value == report.increments[0][1]
 
 
 class TestBlpPairGain:
@@ -334,7 +342,7 @@ class TestRhp:
         ts = np.linspace(*scheme.time_domain, 161)
         maps = system_map_stack(scheme, p, ts)
         invertible = np.linalg.cond(maps) < 1e8  # gate dynamics hit singular maps
-        gen = system_map_derivative_stack(scheme, p, ts)[invertible] @ np.linalg.inv(
+        gen = system_map_stack(scheme, p, ts, order=1)[invertible] @ np.linalg.inv(
             maps[invertible])
         trace = np.trace(choi_state(gen), axis1=-2, axis2=-1)
         assert invertible.sum() >= 8
@@ -365,10 +373,8 @@ class TestRhp:
     @staticmethod
     def _g_from(monkeypatch, maps, derivatives):
         """Run the batched rate on given map and map-derivative stacks."""
-        monkeypatch.setattr(nonmarkov, "system_map_stack",
-                            lambda *args: np.asarray(maps, dtype=float))
-        monkeypatch.setattr(nonmarkov, "system_map_derivative_stack",
-                            lambda *args: np.asarray(derivatives, dtype=float))
+        monkeypatch.setattr(nonmarkov, "system_map_stack", lambda *args, order=0:
+                            np.asarray(derivatives if order else maps, dtype=float))
         g, singular = _g_curve(BLOCK_SWAP, 0.0, np.zeros(len(maps)))
         return g, int(singular.sum())
 
@@ -435,6 +441,18 @@ class TestSearchBehaviour:
     def test_refinement_never_hurts(self):
         refined = blp_measure(GATES_SWAP, 0.5)
         assert refined.value >= refined.diagnostics["coarse_value"] - 1e-15
+
+    def test_value_is_at_least_the_coarse_value(self):
+        # the search only replaces its incumbent with a strictly larger value, and the
+        # report gives the value it maximized, not a recomputation of the winner's curve
+        short = []
+        for scheme, observe in ((BLOCK_SWAP, "S"), (GATES_SWAP, "S"), (GATES_BBC, "S"),
+                                (GATES_BBC, "E2")):
+            for p in p_grid(0.01):
+                report = blp_measure(scheme, p, observe=observe)
+                if report.value < report.diagnostics["coarse_value"]:
+                    short.append((scheme.name, scheme.variant.value, observe, float(p)))
+        assert not short
 
     def test_grid_doubling_stable(self):
         for fn in (blp_measure, lfs_measure):

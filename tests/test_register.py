@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -35,12 +34,11 @@ from nmlab.register import (
     propagator_stack,
     reduced_evolution,
     repeats_s_idle_segment,
-    system_map_derivative_stack,
     system_map_stack,
     werner,
 )
 
-from conftest import fractional_power, random_ket, transfer_matrix
+from conftest import fractional_power, groupings, random_ket, transfer_matrix
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -222,11 +220,11 @@ class TestPropagator:
         lambda ts: joint_states(GATES_SWAP, 0.5, ts, np.eye(2)),
         lambda ts: reduced_evolution(GATES_SWAP, 0.5, ts, np.eye(2)),
         lambda ts: system_map_stack(GATES_SWAP, 0.5, ts),
-        lambda ts: system_map_derivative_stack(GATES_SWAP, 0.5, ts),
+        lambda ts: system_map_stack(GATES_SWAP, 0.5, ts, order=1),
         lambda ts: pair_distance_curve(KET0, KET1, GATES_SWAP, 0.5, ts),
         lambda ts: correlation_trajectory(GATES_SWAP, KET0, 0.5, ts),
     ], ids=["propagator_stack", "joint_states", "reduced_evolution", "system_map_stack",
-            "system_map_derivative_stack", "pair_distance_curve", "correlation_trajectory"])
+            "map_order_1", "pair_distance_curve", "correlation_trajectory"])
     def test_times_must_be_one_dimensional(self, call, ts):
         # refused before any cache key is built from them
         with pytest.raises(ValueError, match="sample times must be a 1-D array"):
@@ -322,12 +320,11 @@ class TestGroupings:
         prefixes = [np.eye(8, dtype=complex)]
         for g in gate_sequence(variant):
             prefixes.append(gate_unitary(g) @ prefixes[-1])
-        n = len(prefixes) - 1
-        groupings = [c for k in range(n) for c in itertools.combinations(range(1, n), k)]
-        assert len(groupings) == count
-        for cuts in groupings:
-            stack = propagator_stack(DynamicsScheme(variant, cuts), np.arange(len(cuts) + 2.0))
-            for b, u in zip((0, *cuts, n), stack):
+        schemes = groupings(variant)
+        assert len(schemes) == count
+        for scheme in schemes:
+            stack = propagator_stack(scheme, np.arange(len(scheme.cuts) + 2.0))
+            for b, u in zip((0, *scheme.cuts, len(prefixes) - 1), stack):
                 assert np.max(np.abs(u - prefixes[b])) <= 1e-12
 
 
@@ -380,7 +377,7 @@ class TestOnePath:
     ], ids=["block", "gates-swap", "gates-bbc", "gates-bbc-e2"])
     def test_transfer_matrix_matches_direct_evolution(self, scheme, observe, p, rng):
         # random times never land on a segment boundary, where the tables and
-        # `_active_segment` could disagree: add every integer time and times next to it
+        # the `_clock` could disagree: add every integer time and times next to it
         lo, hi = scheme.time_domain
         ks = np.arange(lo, hi + 1.0)
         near = np.concatenate([ks + d for d in (0.0, -5e-13, 5e-13, -2e-12, 2e-12)])
@@ -431,7 +428,7 @@ class TestTimeSlices:
     def test_slices_change_no_bit(self, scheme, n, monkeypatch):
         ts = np.linspace(*scheme.time_domain, n)
         maps = (system_map_stack(scheme, 0.37, ts), system_map_stack(scheme, 0.37, ts, "E2"),
-                system_map_derivative_stack(scheme, 0.37, ts))
+                system_map_stack(scheme, 0.37, ts, order=1))
         assert reduced_evolution(scheme, 0.37, ts, PAULIS, "E2").shape == (n, 4, 2, 2)
         assert [a.shape for a in maps] == [(n, 4, 4)] * 3
         vectors = np.stack([np.eye(3)[2], np.ones(3) / np.sqrt(3.0)])
@@ -444,7 +441,7 @@ class TestTimeSlices:
 
     @pytest.mark.parametrize("build, ceiling", [
         (lambda: system_map_stack(GATES_SWAP, 0.6, GATES_SWAP.times()), 4e6),
-        (lambda: system_map_derivative_stack(GATES_BBC, 0.5, GATES_BBC.times()), 5e6),
+        (lambda: system_map_stack(GATES_BBC, 0.5, GATES_BBC.times(), order=1), 5e6),
     ], ids=["gates-map", "bbc-derivative"])
     def test_cold_builds_stay_small(self, build, ceiling):
         # built from direct (time, 4, 8, 8) sandwiches of 1601 samples, they peaked at 16.7 / 18.7 MB
@@ -476,7 +473,7 @@ class TestFourierTables:
 
 
 class TestMapDerivative:
-    """The exact derivative of R_t against finite differences of `system_map_stack`."""
+    """The exact derivatives of R_t against finite differences of `system_map_stack`."""
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("scheme", [BLOCK_SWAP, GATES_SWAP, GATES_BBC],
@@ -487,7 +484,7 @@ class TestMapDerivative:
         ts = np.floor(rng.uniform(lo, hi, size=7)) + rng.uniform(0.01, 0.99, size=7)
         h = 1e-5
         fd = (system_map_stack(scheme, p, ts + h) - system_map_stack(scheme, p, ts - h)) / (2 * h)
-        assert np.max(np.abs(system_map_derivative_stack(scheme, p, ts) - fd)) <= 1e-8
+        assert np.max(np.abs(system_map_stack(scheme, p, ts, order=1) - fd)) <= 1e-8
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("scheme", [GATES_SWAP, GATES_BBC], ids=["swap", "bbc"])
@@ -495,14 +492,34 @@ class TestMapDerivative:
         h = 1e-6
         starts = np.arange(scheme.time_domain[1])  # t = 0 .. n-1: the next gate
         fwd = (system_map_stack(scheme, p, starts + h) - system_map_stack(scheme, p, starts)) / h
-        assert np.max(np.abs(system_map_derivative_stack(scheme, p, starts) - fwd)) <= 1e-5
+        assert np.max(np.abs(system_map_stack(scheme, p, starts, order=1) - fwd)) <= 1e-5
         end = np.array([scheme.time_domain[1]])  # the domain end: the last gate
         bwd = (system_map_stack(scheme, p, end) - system_map_stack(scheme, p, end - h)) / h
-        assert np.max(np.abs(system_map_derivative_stack(scheme, p, end) - bwd)) <= 1e-5
+        assert np.max(np.abs(system_map_stack(scheme, p, end, order=1) - bwd)) <= 1e-5
 
     def test_resource_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="Werner parameter"):
-            system_map_derivative_stack(BLOCK_SWAP, 1.5, [0.5])
+            system_map_stack(BLOCK_SWAP, 1.5, [0.5], order=1)
+
+    @pytest.mark.parametrize("scheme, observe", [
+        (BLOCK_SWAP, "S"), (GATES_SWAP, "S"), (GATES_BBC, "E2"),
+    ], ids=["block", "gates-swap", "gates-bbc-e2"])
+    def test_second_derivative_matches_central_differences(self, scheme, observe, rng):
+        lo, hi = scheme.time_domain
+        ts = np.floor(rng.uniform(lo, hi, size=7)) + rng.uniform(0.01, 0.99, size=7)
+        h = 1e-4
+
+        def at(dt, order):
+            return system_map_stack(scheme, 0.37, ts + dt, observe, order=order)
+
+        second = at(0.0, 2)
+        assert np.max(np.abs(second - (at(h, 0) - 2 * at(0.0, 0) + at(-h, 0)) / h**2)) <= 1e-6
+        assert np.max(np.abs(second - (at(h, 1) - at(-h, 1)) / (2 * h))) <= 1e-6
+
+    @pytest.mark.parametrize("order", [True, -1, 1.5])
+    def test_bad_order_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be an integer >= 0"):
+            system_map_stack(BLOCK_SWAP, 0.5, [0.5], order=order)
 
 
 class TestSystemMap:
