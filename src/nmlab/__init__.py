@@ -7,7 +7,7 @@ system-environment correlations along any grouping of the gates in time.
 
 Each name is public in the module that defines it (`from nmlab.nonmarkov
 import blp_measure`). `import nmlab` imports no submodule and no numpy, and
-neither it nor any module but `nmlab.cli` touches `os.environ`.
+neither it nor any module but `nmlab.cli` touches the environment.
 """
 
-__version__ = "0.29.0"
+__version__ = "0.30.0"

@@ -8,18 +8,18 @@ Subcommands:
 * ``nmlab plot <csv>``       minimal SVG rendering of a figure CSV, kind read from its header
 
 A JSON config file (see RunConfig) supplies sweep settings; command-line
-flags override it. NMLAB_WORKERS sets the default worker count.
+flags override it.
 
 The CLI runs BLAS on one thread unless told otherwise: when none of
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set (a blank
-value counts as unset, as for NMLAB_WORKERS), importing this module sets
-OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1 before numpy loads, and pool
-workers inherit them. The largest matrix is 64x64, where BLAS threads cost
-more than they save; the thread count changes no output bit.
+value counts as unset), importing this module sets OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS to 1 before numpy loads, and pool workers inherit them. The
+largest matrix is 64x64, where BLAS threads cost more than they save; the
+thread count changes no output bit.
 
-Invalid input (a bad config value, NMLAB_WORKERS, Werner parameter or
-unreadable file) and a grid too large to allocate end the command with one
-``error:`` line on stderr and exit status 2.
+Invalid input (a bad config value or flag, Werner parameter or unreadable
+file) and a grid too large to allocate end the command with one ``error:``
+line on stderr and exit status 2.
 """
 
 from __future__ import annotations

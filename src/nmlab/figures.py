@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
-import os
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass
@@ -53,14 +52,13 @@ class RunConfig:
     p_step: float = 0.01               # resource grid for fig2 and inset
     heatmap_p_step: float = 0.05       # resource rows of the heatmap figures
     out_dir: str = "."
-    workers: int = 0                   # 0 -> NMLAB_WORKERS env var, else 1
+    workers: int = 1                   # process-pool size; 1 runs in-process
 
     def __post_init__(self):
-        for name, minimum in (("steps_per_unit", 1), ("heatmap_steps_per_unit", 1),
-                              ("workers", 0)):
+        for name in ("steps_per_unit", "heatmap_steps_per_unit", "workers"):
             value = getattr(self, name)
-            if not is_count(value, minimum):
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            if not is_count(value, 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("p_step", "heatmap_p_step"):
             try:
                 _intervals(getattr(self, name))
@@ -91,16 +89,6 @@ class RunConfig:
         d = {k: v for k, v in self.to_dict().items() if k not in _EXECUTION_KEYS}
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return format(zlib.crc32(blob.encode()), "08x")
-
-    def resolve_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get("NMLAB_WORKERS", "").strip()
-        if not env:
-            return 1
-        if not env.isdecimal() or int(env) < 1:
-            raise ValueError(f"NMLAB_WORKERS must be a positive integer, got {env!r}")
-        return int(env)
 
 
 def _intervals(step: float) -> int:
@@ -205,7 +193,7 @@ def figure_rows(fig_id: str, cfg: RunConfig) -> list[tuple]:
     if fig_id not in FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIG_IDS}")
     tasks = [(fig_id, p, cfg) for p in FIGURES[fig_id].p_values(cfg)]
-    return list(chain.from_iterable(_pmap(_figure_task, tasks, cfg.resolve_workers())))
+    return list(chain.from_iterable(_pmap(_figure_task, tasks, cfg.workers)))
 
 
 def run_figure(fig_id: str, cfg: RunConfig | None = None) -> list[Path]:

@@ -57,13 +57,18 @@ def _scale(vals: np.ndarray, lo_px: float, hi_px: float):
     return lambda v: lo_px + (np.asarray(v) - lo) / (hi - lo) * (hi_px - lo_px), lo, hi
 
 
+def _escape(text: str) -> str:
+    """`text` as XML character data: a file or column name may hold &, < or >."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_header(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
     ]
 
 
@@ -98,7 +103,7 @@ def _line_svg(path: Path, series: list[tuple[str, np.ndarray, np.ndarray]],
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{WIDTH - MARGIN - 4}" y="{MARGIN + 14 + 13 * k}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif" fill="{color}">{name}</text>'
+            f'font-size="11" font-family="sans-serif" fill="{color}">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")

@@ -214,7 +214,7 @@ def _sample_times(scheme: DynamicsScheme, ts) -> np.ndarray:
 def _clock(scheme: DynamicsScheme, ts, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Segment (from 0) and local time s in [0, 1] (past 1 only by the domain's 1e-9
     slack) of each time; segment i runs over i < t <= i + 1 at s = t - i, and a time
-    at or before 0 is read at s = 0.
+    at or before 1e-12, the start of the protocol, is read at s = 0.
 
     A boundary time belongs to the segment that just finished, or with `right` (the
     derivatives) to the one that starts there, the domain end to the last; the 1e-12
@@ -223,7 +223,7 @@ def _clock(scheme: DynamicsScheme, ts, right: bool = False) -> tuple[np.ndarray,
     ts, last = _sample_times(scheme, ts), len(scheme.cuts)
     seg = np.floor(ts + 1e-12) if right else np.ceil(ts - 1e-12) - 1
     seg = np.clip(seg.astype(int), 0, last)
-    return seg, np.maximum(ts - seg, 0.0)
+    return seg, np.where(ts > 1e-12, np.maximum(ts - seg, 0.0), 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +267,7 @@ def propagator_stack(scheme: DynamicsScheme, ts: np.ndarray) -> np.ndarray:
     for i, (z, phases, zp, _) in enumerate(_segments(scheme)):
         mask = seg == i
         out[mask] = (z * np.exp(1j * np.outer(s[mask], phases))[:, None]) @ zp
-    out[(seg == 0) & (s <= 1e-12)] = np.eye(DIM, dtype=complex)
+    out[s == 0] = np.eye(DIM, dtype=complex)
     return out
 
 

@@ -5,6 +5,7 @@ the default must be in place before numpy loads and only a new process shows
 when numpy loads.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -44,6 +45,20 @@ def child_report(modules, **env):
     out = subprocess.run([sys.executable, "-c", CHILD, ",".join(modules)],
                          env={"PYTHONPATH": SRC, **env}, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def environment_readers():
+    """Package modules whose code reaches `environ`, `getenv` or `putenv` of `os`."""
+    names = {"environ", "getenv", "putenv"}
+    return sorted({path.name for path in (Path(SRC) / "nmlab").glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr in names
+                   or isinstance(node, ast.alias) and node.name in names})
+
+
+def test_only_the_cli_reads_the_environment():
+    # settings reach the library through RunConfig and arguments, never the environment
+    assert environment_readers() == ["cli.py"]
 
 
 def test_package_import_loads_no_numpy():

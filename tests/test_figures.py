@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ FAST = dict(p_step=0.5, heatmap_p_step=0.5, heatmap_steps_per_unit=10)
 BAD_FIELDS = [
     ("steps_per_unit", 2.5), ("steps_per_unit", 0), ("heatmap_steps_per_unit", 2.5),
     ("heatmap_steps_per_unit", -1), ("p_step", 0.03), ("heatmap_p_step", 0),
-    ("p_step", True), ("workers", -3), ("workers", 1.5),
+    ("p_step", True), ("workers", -3), ("workers", 0), ("workers", 1.5),
     ("out_dir", 5), ("out_dir", None),
 ]
 # Keys of earlier versions, now fixed constants in `sweep`, `nonmarkov` and
@@ -53,13 +54,6 @@ class TestConfig:
         base = RunConfig()
         assert base.config_hash() == dataclasses.replace(base, workers=4, out_dir="/x").config_hash()
         assert base.config_hash() != dataclasses.replace(base, p_step=0.5).config_hash()
-
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv("NMLAB_WORKERS", "3")
-        assert RunConfig().resolve_workers() == 3
-        assert RunConfig(workers=2).resolve_workers() == 2
-        monkeypatch.delenv("NMLAB_WORKERS")
-        assert RunConfig().resolve_workers() == 1
 
     @pytest.mark.parametrize("field, value", BAD_FIELDS + DROPPED_FIELDS)
     def test_invalid_field_rejected_at_construction(self, field, value):
@@ -96,12 +90,6 @@ class TestConfig:
         for scheme in (BLOCK_SWAP, GATES_SWAP):
             with pytest.raises(ValueError, match="steps_per_unit"):
                 scheme.times(steps)
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_workers_env_rejects_non_positive_integers(self, monkeypatch, value):
-        monkeypatch.setenv("NMLAB_WORKERS", value)
-        with pytest.raises(ValueError, match="NMLAB_WORKERS"):
-            RunConfig().resolve_workers()
 
     def test_p_grid(self):
         assert np.allclose(p_grid(0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -287,6 +275,19 @@ class TestPlotting:
         assert [svg.name for svg in written] == ["run.v1.svg", "run.v2.svg"]
         assert all(svg.exists() for svg in written)
 
+    @pytest.mark.parametrize("rows", [
+        "t,D\n0,0.5\n1,0.25", "p,t,D\n0,0,1\n0,1,0.5\n1,0,1\n1,1,0.75",
+        "p,x&y\n0,1\n1,0.5", "t,p,x&y\n0,0,1\n1,0,0.5\n0,1,0.25\n1,1,0",
+    ], ids=["t-D", "p-t-D", "series", "heatmap"])
+    def test_svg_is_well_formed_for_any_name(self, tmp_path, rows):
+        # file and column names are text content, so &, < and > must be escaped
+        csv_path = tmp_path / "a&b<c.csv"
+        csv_path.write_text(rows + "\n")
+        for svg in emit_plot(csv_path):
+            root = ElementTree.parse(svg).getroot()
+            texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert texts[0].startswith("a&b<c")
+
     def test_deterministic_svg(self, tmp_path):
         (csv_path,) = run_figure("fig3", fast_config(tmp_path))
         a = emit_plot(csv_path)[0].read_bytes()
@@ -423,10 +424,15 @@ class TestCli:
         code = cli.main(["figure", "fig3", "--workers", "-3", "--out", str(tmp_path)])
         self._assert_one_error_line(code, capsys, "workers")
 
-    def test_bad_workers_env_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NMLAB_WORKERS", "abc")
-        code = cli.main(["figure", "fig3", "--out", str(tmp_path)])
-        self._assert_one_error_line(code, capsys, "NMLAB_WORKERS")
+    def test_worker_count_ignores_the_environment(self, tmp_path, monkeypatch):
+        # the command or its config sets the worker count; no variable does
+        runs = []
+        for k, env in enumerate([None, "abc"]):
+            if env is not None:
+                monkeypatch.setenv("NMLAB_WORKERS", env)
+            assert cli.main(["figure", "fig3", "--out", str(tmp_path / str(k))]) == 0
+            runs.append((tmp_path / str(k) / "fig3.csv").read_bytes())
+        assert runs[0] == runs[1]
 
     def test_bad_resource_parameter_is_one_error_line(self, capsys):
         code = cli.main(["measure", "lfs", "--p", "1.5", "--scheme", "block"])

@@ -380,7 +380,7 @@ class TestOnePath:
         # the `_clock` could disagree: add every integer time and times next to it
         lo, hi = scheme.time_domain
         ks = np.arange(lo, hi + 1.0)
-        near = np.concatenate([ks + d for d in (0.0, -5e-13, 5e-13, -2e-12, 2e-12)])
+        near = np.concatenate([ks + d for d in (0.0, -5e-13, 5e-13, 1e-12, -2e-12, 2e-12)])
         ts = np.sort(np.concatenate([rng.uniform(lo, hi, size=9), np.clip(near, lo, hi)]))
         images = reduced_evolution(scheme, p, ts, PAULIS, observe)
         expected = 0.5 * np.einsum("iab,tjba->tij", PAULIS, images).real
