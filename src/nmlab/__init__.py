@@ -10,4 +10,4 @@ import blp_measure`). `import nmlab` imports no submodule and no numpy, and
 neither it nor any module but `nmlab.cli` touches the environment.
 """
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"

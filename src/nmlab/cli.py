@@ -57,8 +57,7 @@ def _cmd_figure(args) -> int:
         overrides["workers"] = args.workers
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    for path in run_figure(args.fig_id, cfg):
-        print(path)
+    print(run_figure(args.fig_id, cfg))
     return 0
 
 

@@ -119,7 +119,6 @@ path searches SEARCH_CHUNK = 16 states at a time; each gets its value alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -160,18 +159,8 @@ _Chunk = namedtuple("_Chunk", "blocks s_a r norm forms")
 # The fixed generic combination of (rho_K, T_x, T_y, T_z) whose eigenbasis finds the 2 x 2 blocks.
 _MIX = np.array([1.0, 0.618, -0.414, 0.287])
 _BlockChunk = namedtuple("_BlockChunk", "tables s_a r")
-
-
-@dataclass(frozen=True)
-class CorrelationSample:
-    """Correlation measures of one trajectory sample."""
-
-    t: float
-    p: float
-    neg: float
-    discord: float
-    classical: float
-    mutual: float
+# The measures of a trajectory, one array each with one entry per sample time.
+Trajectory = namedtuple("Trajectory", "neg discord classical mutual")
 
 
 def log_negativity(rho: np.ndarray) -> float | np.ndarray:
@@ -373,19 +362,20 @@ def correlation_trajectory(
     psi: np.ndarray,
     p: float,
     ts: np.ndarray,
-) -> list[CorrelationSample]:
+) -> Trajectory:
     """Sample negativity, discord, and classical correlations along a run.
 
     The register starts in |psi><psi| x W(p); at each time of `ts` the state
     is split S versus (E1, E2) and all three correlation measures are
     evaluated (discord as mutual - classical, below 1e-12 reported as 0 like
-    log_negativity's dust, so the identity holds to 1e-12).
+    log_negativity's dust, so the identity holds to 1e-12), each measure as
+    one array with one entry per time.
 
     A segment that leaves S alone is evaluated at its first sample only; the
     later samples that `register.repeats_s_idle_segment` marks copy its values
-    with their own ``t`` and are never evolved. The copy is exact, grid search
-    included: the segment is a unitary local to the kept side, which leaves
-    every measure and every candidate basis's extracted information unchanged.
+    and are never evolved. The copy is exact, grid search included: the
+    segment is a unitary local to the kept side, which leaves every measure
+    and every candidate basis's extracted information unchanged.
     Segments acting on S are computed in full.
 
     The basis search runs, as one stack, where the mutual information exceeds
@@ -404,6 +394,5 @@ def correlation_trajectory(
                            else classical_correlations(states[searched]))
     discord = _zero_dust(mutual - classical)
     # every carried sample copies the last freshly computed one
-    return [CorrelationSample(t=float(t), p=p, neg=float(neg[k]), discord=float(discord[k]),
-                              classical=float(classical[k]), mutual=float(mutual[k]))
-            for t, k in zip(ts, np.cumsum(fresh) - 1)]
+    k = np.cumsum(fresh) - 1
+    return Trajectory(neg[k], discord[k], classical[k], mutual[k])

@@ -1,9 +1,10 @@
 """Figure-data production: parameter sweeps written as deterministic CSV.
 
 ``FIGURES`` declares every figure id once: the CSV columns, the resource
-values p of its rows, and the function giving the rows at one p. Every
-figure runs the same way: the rows of each p (in a process pool when more
-than one worker and more than one p), joined in p order, written as one CSV.
+values p of its rows, and the function giving the rows at one p as one float
+array. Every figure runs the same way: the rows of each p (in a process pool
+when more than one worker and more than one p), joined in p order, written as
+one CSV.
 
 Floats are printed on the absolute grid of CSV_DECIMALS = 12 decimals (1e-12),
 trailing zeros dropped and never as -0, and rows are emitted in a fixed order,
@@ -21,7 +22,6 @@ import zlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +108,8 @@ def p_grid(step: float) -> np.ndarray:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        text = format(float(x), f".{CSV_DECIMALS}f").rstrip("0").rstrip(".")
-        return "0" if text == "-0" else text
-    return str(x)
+    text = format(float(x), f".{CSV_DECIMALS}f").rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
 
 
 def write_csv(path: Path, header: list[str], rows, comment: str) -> Path:
@@ -133,38 +131,41 @@ def _pmap(fn, items, workers: int):
 
 
 def _fig2_rows(p, cfg):
-    return [(p, blp_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value,
-             rhp_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value,
-             lfs_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value)]
+    return np.array([[p, blp_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value,
+                      rhp_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value,
+                      lfs_measure(BLOCK_SWAP, p, cfg.steps_per_unit).value]])
 
 
 def _fig2_inset_rows(p, cfg):
-    return [(p, blp_measure(GATES_SWAP, p, cfg.steps_per_unit).value)]
+    return np.array([[p, blp_measure(GATES_SWAP, p, cfg.steps_per_unit).value]])
 
 
 def _distance_curve(scheme, p, cfg, observe):
     ts = scheme.times(cfg.steps_per_unit)
-    return zip(ts, pair_distance_curve(KET0, KET1, scheme, p, ts, observe))
+    return ts, pair_distance_curve(KET0, KET1, scheme, p, ts, observe)
 
 
 def _fig3_rows(p, cfg):
     # inputs |0>, |1> through the gates, from t = 5 on
-    return [(t, d) for t, d in _distance_curve(GATES_SWAP, p, cfg, "S") if t >= 5.0 - 1e-12]
+    ts, d = _distance_curve(GATES_SWAP, p, cfg, "S")
+    return np.column_stack([ts, d])[ts >= 5.0 - 1e-12]
 
 
 def _fig4_rows(p, cfg):
     # original circuit, E2 observed
-    return [(p, t, d) for t, d in _distance_curve(GATES_BBC, p, cfg, "E2")]
+    ts, d = _distance_curve(GATES_BBC, p, cfg, "E2")
+    return np.column_stack([np.full(len(ts), p), ts, d])
 
 
 def _corr_rows(scheme, psi, p, cfg):
     ts = scheme.times(cfg.heatmap_steps_per_unit)
-    return [(s.t, s.p, s.neg, s.discord, s.classical)
-            for s in correlation_trajectory(scheme, psi, p, ts)]
+    traj = correlation_trajectory(scheme, psi, p, ts)
+    return np.column_stack([ts, np.full(len(ts), p), traj.neg, traj.discord, traj.classical])
 
 
 # A figure: its CSV columns, the resource values p of its rows as a function
-# of the config, and the function giving its rows at one p.
+# of the config, and the function giving its rows at one p, an array with one
+# row per CSV row and one column per CSV column.
 Figure = namedtuple("Figure", "columns p_values rows")
 _CORR_COLUMNS = ("t", "p", "neg", "discord", "classical")
 FIGURES = {
@@ -188,16 +189,16 @@ def _figure_task(args):
     return FIGURES[fig_id].rows(p, cfg)
 
 
-def figure_rows(fig_id: str, cfg: RunConfig) -> list[tuple]:
-    """One figure's rows: those of each of its p values, joined in p order."""
+def figure_rows(fig_id: str, cfg: RunConfig) -> np.ndarray:
+    """One figure's rows, one column per CSV column: those of each of its p values, in p order."""
     if fig_id not in FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIG_IDS}")
     tasks = [(fig_id, p, cfg) for p in FIGURES[fig_id].p_values(cfg)]
-    return list(chain.from_iterable(_pmap(_figure_task, tasks, cfg.workers)))
+    return np.concatenate(_pmap(_figure_task, tasks, cfg.workers))
 
 
-def run_figure(fig_id: str, cfg: RunConfig | None = None) -> list[Path]:
-    """Compute one figure's data and write its CSV file(s)."""
+def run_figure(fig_id: str, cfg: RunConfig | None = None) -> Path:
+    """Compute one figure's data and write its CSV file; returns the file's path."""
     if cfg is None:
         cfg = RunConfig()
     out_dir = Path(cfg.out_dir)
@@ -205,4 +206,4 @@ def run_figure(fig_id: str, cfg: RunConfig | None = None) -> list[Path]:
     rows = figure_rows(fig_id, cfg)
     comment = (f"nmlab v{__version__} figure={fig_id} config={cfg.config_hash()} "
                f"grid=1e-{CSV_DECIMALS}")
-    return [write_csv(out_dir / f"{fig_id}.csv", list(FIGURES[fig_id].columns), rows, comment)]
+    return write_csv(out_dir / f"{fig_id}.csv", list(FIGURES[fig_id].columns), rows, comment)

@@ -4,7 +4,8 @@ The CSV files remain the authoritative artifact; these plots exist for a
 quick visual check. The header picks the kind of plot:
 
 * line:    (t, D), (p, t, D) grouped by p, or (p, <series...>) without t
-* heatmap: (t, p, <value columns...>), one SVG per value column
+* heatmap: (t, p, <value columns...>), one SVG per value column, named
+  after it, so the value columns must be distinct and contain no '/'
 
 Everything is written by hand with fixed coordinate formatting, so plot
 output is as deterministic as the CSV it came from.
@@ -160,9 +161,12 @@ def emit_plot(csv_path: str | Path) -> list[Path]:
         series = [(name, data[:, 0], data[:, k + 1]) for k, name in enumerate(header[1:])]
         return [_line_svg(csv_path.with_suffix(".svg"), series, "p", "value", csv_path.stem)]
     if header[:2] == ["t", "p"] and len(header) >= 3:
+        columns = header[2:]
+        if len(set(columns)) < len(columns) or any("/" in col for col in columns):
+            raise ValueError(f"{csv_path}: value columns must be distinct and contain no '/'")
         return [
             _heatmap_svg(Path(f"{stem}_{col}.svg"), data[:, 0], data[:, 1], data[:, k + 2],
                          col, f"{csv_path.stem}: {col}")
-            for k, col in enumerate(header[2:])
+            for k, col in enumerate(columns)
         ]
     raise ValueError(f"{csv_path}: no plot schema matches columns {header}")

@@ -190,7 +190,7 @@ def check_closed_form_distances() -> CheckResult:
 
 def block_measure_sweep(cfg: RunConfig) -> dict[str, np.ndarray]:
     """The (p, BLP, RHP, LFS) sweep of the block dynamics, reused by checks."""
-    arr = np.array(figure_rows("fig2", cfg))
+    arr = figure_rows("fig2", cfg)
     return {"p": arr[:, 0], "blp": arr[:, 1], "rhp": arr[:, 2], "lfs": arr[:, 3]}
 
 
@@ -269,10 +269,8 @@ def check_werner_boundary() -> CheckResult:
 def check_end_correlations() -> CheckResult:
     ps = (0.2, 0.5, 0.8, 1.0)
     # each run's end sample, read off the one correlation path with its dust rule
-    ends = [correlation_trajectory(BLOCK_SWAP, KET0, p, [1.0])[0] for p in ps]
-    neg = [s.neg for s in ends]
-    dis = [s.discord for s in ends]
-    cla = [s.classical for s in ends]
+    neg, dis, cla, _ = np.concatenate(
+        [correlation_trajectory(BLOCK_SWAP, KET0, p, [1.0]) for p in ps], axis=1)
     ok = all(n <= 1e-9 and d <= 1e-6 and c >= 1e-3 for n, d, c in zip(neg, dis, cla[:-1]))
     rows = [f"p={p}: neg {n:.1e} dis {d:.1e} cla {c:.3f}"
             for p, n, d, c in zip(ps, neg, dis, cla[:-1])]

@@ -585,29 +585,30 @@ class TestMutualCertificate:
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
     def test_classical_within_mutual(self, fig, p):
         scheme, psi, ts = TINY_FIGURES[fig]
-        for s in correlation_trajectory(scheme, psi, p, ts):
-            assert -1e-12 <= s.classical <= s.mutual + 1e-12
-            if s.mutual <= 1e-12:
-                assert s.classical == 0.0
-                assert s.discord == s.mutual == 0.0
+        traj = correlation_trajectory(scheme, psi, p, ts)
+        assert np.all((-1e-12 <= traj.classical) & (traj.classical <= traj.mutual + 1e-12))
+        quiet = traj.mutual <= 1e-12
+        assert np.all(traj.classical[quiet] == 0.0)
+        assert np.all(traj.discord[quiet] == 0.0) and np.all(traj.mutual[quiet] == 0.0)
 
     @pytest.mark.parametrize("fig", sorted(TINY_FIGURES))
     def test_discord_is_neither_negative_nor_dust(self, fig):
         # below 1e-12 a discord is float dust and prints as an exact 0, as log_negativity's does
         scheme, psi, ts = TINY_FIGURES[fig]
         for p in np.linspace(0.0, 1.0, 6):
-            for s in correlation_trajectory(scheme, psi, p, ts):
-                assert s.discord == 0.0 or s.discord >= 1e-12
-                assert s.classical <= s.mutual + 1e-12
+            traj = correlation_trajectory(scheme, psi, p, ts)
+            assert np.all((traj.discord == 0.0) | (traj.discord >= 1e-12))
+            assert np.all(traj.classical <= traj.mutual + 1e-12)
 
     def test_weak_correlations_are_searched(self):
         # just after gate 6 starts, the mutual information is ~1e-10: small, not dust
-        traj = correlation_trajectory(GATES_SWAP, KET0, 0.7, np.linspace(5.0, 5.00001, 3))
-        for s in traj[1:]:
-            assert 1e-10 < s.mutual < 1e-8
-            direct = classical_correlations(joint_state(KET0, 0.7, GATES_SWAP, s.t))
-            assert s.classical > 1e-11
-            assert s.classical == pytest.approx(direct, abs=1e-12)
+        ts = np.linspace(5.0, 5.00001, 3)
+        traj = correlation_trajectory(GATES_SWAP, KET0, 0.7, ts)
+        for t, mutual, classical in zip(ts[1:], traj.mutual[1:], traj.classical[1:]):
+            assert 1e-10 < mutual < 1e-8
+            direct = classical_correlations(joint_state(KET0, 0.7, GATES_SWAP, t))
+            assert classical > 1e-11
+            assert classical == pytest.approx(direct, abs=1e-12)
 
     def test_product_segments_skip_the_search(self, monkeypatch):
         # input |0>: S stays in a product state with (E1 E2) until gate 6
@@ -621,9 +622,10 @@ class TestMutualCertificate:
         monkeypatch.setattr(correlations, "classical_correlations", counted)
         traj = correlation_trajectory(scheme, psi, 0.7, ts)
         assert searched and min(searched) > correlations.MUTUAL_FLOOR
-        quiet = [s for s in traj if s.t <= 5.0]
-        assert len(quiet) == 26
-        assert all(s.classical == 0.0 and s.discord == s.mutual for s in quiet)
+        quiet = ts <= 5.0
+        assert quiet.sum() == 26
+        assert np.all(traj.classical[quiet] == 0.0)
+        assert np.array_equal(traj.discord[quiet], traj.mutual[quiet])
 
 
     @pytest.mark.parametrize("fig", sorted(TINY_FIGURES))
@@ -639,10 +641,9 @@ class TestMutualCertificate:
         monkeypatch.undo()
         states = joint_states(scheme, 1.0, ts, np.outer(psi, psi.conj()))
         direct = classical_correlations(states)
-        assert max(s.mutual for s in traj) > 0.5
-        for s, c in zip(traj, direct):
-            assert s.classical == pytest.approx(c, abs=1e-12)
-            assert s.discord == pytest.approx(s.mutual - c, abs=1e-12)
+        assert traj.mutual.max() > 0.5
+        assert traj.classical == pytest.approx(direct, abs=1e-12)
+        assert traj.discord == pytest.approx(traj.mutual - direct, abs=1e-12)
 
 
 class TestDiscord:
@@ -660,17 +661,15 @@ class TestDiscord:
 class TestTrajectory:
     def test_initial_sample_uncorrelated(self):
         traj = correlation_trajectory(BLOCK_SWAP, KET0, 0.7, BLOCK_SWAP.times(2))
-        first = traj[0]
-        assert first.neg == pytest.approx(0.0, abs=1e-9)
-        assert first.discord == pytest.approx(0.0, abs=1e-9)
-        assert first.classical == pytest.approx(0.0, abs=1e-9)
+        assert traj.neg[0] == pytest.approx(0.0, abs=1e-9)
+        assert traj.discord[0] == pytest.approx(0.0, abs=1e-9)
+        assert traj.classical[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_discord_decomposition(self):
         traj = correlation_trajectory(BLOCK_SWAP, KET0, 0.5, BLOCK_SWAP.times(8))
-        for s in traj:
-            assert s.discord == pytest.approx(s.mutual - s.classical, abs=1e-12)
-            assert -1e-9 <= s.classical <= s.mutual + 1e-9
-            assert s.discord >= -1e-9
+        assert traj.discord == pytest.approx(traj.mutual - traj.classical, abs=1e-12)
+        assert np.all((-1e-9 <= traj.classical) & (traj.classical <= traj.mutual + 1e-9))
+        assert np.all(traj.discord >= -1e-9)
 
     def test_end_of_protocol_classical_only(self):
         for p in (0.2, 0.5, 0.8):
@@ -688,24 +687,19 @@ class TestTrajectory:
     def test_gate_scheme_quiet_before_swap_block(self):
         # input |0>: S stays uncorrelated until the final gates
         traj = correlation_trajectory(GATES_SWAP, KET0, 0.7, np.linspace(0.0, 5.0, 11))
-        for s in traj:
-            assert s.neg <= 1e-9
-            assert s.mutual <= 1e-9
-            assert abs(s.discord) <= 1e-9
-            assert abs(s.classical) <= 1e-9
+        assert np.all(traj.neg <= 1e-9)
+        assert np.all(traj.mutual <= 1e-9)
+        assert np.all(np.abs(traj.discord) <= 1e-9)
+        assert np.all(np.abs(traj.classical) <= 1e-9)
 
     def test_gate_scheme_perfect_resource_correlations_only_in_last_gate(self):
-        traj = correlation_trajectory(
-            GATES_SWAP, KET0, 1.0, np.linspace(5.0, 8.0, 13)
-        )
-        for s in traj:
-            inside = 7.0 < s.t < 8.0
-            if not inside:
-                assert abs(s.discord) <= 1e-9
-                assert abs(s.classical) <= 1e-9
-        active = [s for s in traj if 7.0 < s.t < 8.0]
-        assert any(s.classical > 1e-3 for s in active)
-        assert any(s.discord > 1e-3 for s in active)
+        ts = np.linspace(5.0, 8.0, 13)
+        traj = correlation_trajectory(GATES_SWAP, KET0, 1.0, ts)
+        inside = (7.0 < ts) & (ts < 8.0)
+        assert np.all(np.abs(traj.discord[~inside]) <= 1e-9)
+        assert np.all(np.abs(traj.classical[~inside]) <= 1e-9)
+        assert np.any(traj.classical[inside] > 1e-3)
+        assert np.any(traj.discord[inside] > 1e-3)
 
     def test_entanglement_grows_with_resource_in_swap_window(self):
         negs = []
@@ -743,13 +737,13 @@ class TestSegmentCarry:
             traj = correlation_trajectory(scheme, psi, p, ts)
 
         uncorrelated = []
-        for s in traj:
-            state = joint_state(psi, p, scheme, s.t)
-            mutual = mutual_information(state)
-            assert s.neg == pytest.approx(log_negativity(state), abs=1e-12)
-            assert s.mutual == pytest.approx(mutual, abs=1e-12)
-            assert s.classical == pytest.approx(classical_correlations(state), abs=1e-12)
-            uncorrelated.append(mutual <= correlations.MUTUAL_FLOOR)
+        for t, neg, mutual, classical in zip(ts, traj.neg, traj.mutual, traj.classical):
+            state = joint_state(psi, p, scheme, t)
+            direct = mutual_information(state)
+            assert neg == pytest.approx(log_negativity(state), abs=1e-12)
+            assert mutual == pytest.approx(direct, abs=1e-12)
+            assert classical == pytest.approx(classical_correlations(state), abs=1e-12)
+            uncorrelated.append(direct <= correlations.MUTUAL_FLOOR)
         # gate i runs over i-1 < t <= i; a sample is searched unless the
         # sample before it lies in the same environment-local segment, its
         # mutual information certifies zero classical correlations, or the

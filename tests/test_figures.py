@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from nmlab import cli
-from nmlab.figures import FIG4_P_VALUES, FIG_IDS, FIGURES, RunConfig, p_grid, run_figure, write_csv
+from nmlab.figures import (FIG4_P_VALUES, FIG_IDS, FIGURES, RunConfig, figure_rows, p_grid,
+                           run_figure, write_csv)
 from nmlab.plotting import emit_plot, read_csv
 from nmlab.register import BLOCK_SWAP, GATES_SWAP
 
@@ -138,7 +139,7 @@ class TestFigures:
 
     def test_fig2_schema_and_quiet_region(self, tmp_path):
         cfg = fast_config(tmp_path, p_step=0.1)
-        (path,) = run_figure("fig2", cfg)
+        path = run_figure("fig2", cfg)
         header, data = read_csv(path)
         assert header == ["p", "N_blp", "N_rhp", "N_lfs"]
         assert data.shape == (11, 4)
@@ -150,7 +151,7 @@ class TestFigures:
 
     @staticmethod
     def csv_bytes(tmp_path, fig_id, workers):
-        return [run_figure(fig_id, fast_config(tmp_path / str(k), workers=w))[0].read_bytes()
+        return [run_figure(fig_id, fast_config(tmp_path / str(k), workers=w)).read_bytes()
                 for k, w in enumerate(workers)]
 
     def test_fig2_deterministic_across_workers(self, tmp_path):
@@ -194,15 +195,21 @@ class TestFigures:
         run_figure(fig_id, fast_config(tmp_path, workers=workers))
         assert pools == [started]
 
+    @pytest.mark.parametrize("fig_id", FIG_IDS)
+    def test_rows_are_one_float_array(self, tmp_path, fig_id):
+        rows = figure_rows(fig_id, fast_config(tmp_path))
+        assert rows.dtype == np.float64 and rows.ndim == 2
+        assert rows.shape[1] == len(FIGURES[fig_id].columns)
+
     def test_fig2_inset_schema(self, tmp_path):
-        (path,) = run_figure("fig2_inset", fast_config(tmp_path))
+        path = run_figure("fig2_inset", fast_config(tmp_path))
         header, data = read_csv(path)
         assert header == ["p", "N_blp"]
         # gate-by-gate back-flow is present even for the uncorrelated resource
         assert data[0, 1] == pytest.approx(0.5, abs=1e-6)
 
     def test_fig3_backflow_window(self, tmp_path):
-        (path,) = run_figure("fig3", fast_config(tmp_path))
+        path = run_figure("fig3", fast_config(tmp_path))
         header, data = read_csv(path)
         assert header == ["t", "D"]
         ts, d = data[:, 0], data[:, 1]
@@ -212,7 +219,7 @@ class TestFigures:
         assert rising.size and rising.min() > 7.0
 
     def test_fig4_zero_resource_row(self, tmp_path):
-        (path,) = run_figure("fig4", fast_config(tmp_path))
+        path = run_figure("fig4", fast_config(tmp_path))
         header, data = read_csv(path)
         assert header == ["p", "t", "D"]
         assert tuple(np.unique(data[:, 0])) == FIG4_P_VALUES
@@ -222,14 +229,14 @@ class TestFigures:
         assert at_six[-1, 2] == pytest.approx(0.6, abs=1e-9)
 
     def test_fig5_initially_uncorrelated(self, tmp_path):
-        (path,) = run_figure("fig5", fast_config(tmp_path))
+        path = run_figure("fig5", fast_config(tmp_path))
         header, data = read_csv(path)
         assert header == ["t", "p", "neg", "discord", "classical"]
         start = data[data[:, 0] == 0.0]
         assert np.all(np.abs(start[:, 2:]) <= 1e-9)
 
     def test_fig7_uses_plus_input(self, tmp_path):
-        (path,) = run_figure("fig7", fast_config(tmp_path, heatmap_p_step=1.0))
+        path = run_figure("fig7", fast_config(tmp_path, heatmap_p_step=1.0))
         _, data = read_csv(path)
         early = data[(data[:, 1] == 1.0) & (data[:, 0] > 0.4) & (data[:, 0] < 0.6)]
         assert early.size and np.all(early[:, 2] > 1e-3)
@@ -237,19 +244,19 @@ class TestFigures:
 
 class TestPlotting:
     def test_line_from_fig3(self, tmp_path):
-        (csv_path,) = run_figure("fig3", fast_config(tmp_path))
+        csv_path = run_figure("fig3", fast_config(tmp_path))
         (svg,) = emit_plot(csv_path)
         text = svg.read_text()
         assert svg.suffix == ".svg"
         assert "<polyline" in text and "</svg>" in text
 
     def test_grouped_lines_from_fig4(self, tmp_path):
-        (csv_path,) = run_figure("fig4", fast_config(tmp_path))
+        csv_path = run_figure("fig4", fast_config(tmp_path))
         (svg,) = emit_plot(csv_path)
         assert svg.read_text().count("<polyline") == len(FIG4_P_VALUES)
 
     def test_heatmaps_from_fig5(self, tmp_path):
-        (csv_path,) = run_figure("fig5", fast_config(tmp_path))
+        csv_path = run_figure("fig5", fast_config(tmp_path))
         svgs = emit_plot(csv_path)
         assert [s.name for s in svgs] == [
             "fig5_neg.svg", "fig5_discord.svg", "fig5_classical.svg"
@@ -259,15 +266,14 @@ class TestPlotting:
     def test_every_figure_plots_from_its_header(self, tmp_path):
         cfg = fast_config(tmp_path, p_step=1.0, heatmap_p_step=1.0, steps_per_unit=4,
                           heatmap_steps_per_unit=2)
-        written = [svg.name for fig in FIG_IDS for csv_path in run_figure(fig, cfg)
-                   for svg in emit_plot(csv_path)]
+        written = [svg.name for fig in FIG_IDS for svg in emit_plot(run_figure(fig, cfg))]
         heatmaps = [f"{fig}_{col}.svg" for fig in ("fig5", "fig6", "fig7")
                     for col in ("neg", "discord", "classical")]
         assert written == ["fig2.svg", "fig2_inset.svg", "fig3.svg", "fig4.svg"] + heatmaps
 
     def test_line_plots_keep_the_full_stem(self, tmp_path):
         # an inner dot is part of the name: two versions of one CSV give two SVGs
-        (csv_path,) = run_figure("fig3", fast_config(tmp_path))
+        csv_path = run_figure("fig3", fast_config(tmp_path))
         versions = [csv_path.with_name(f"run.v{k}.csv") for k in (1, 2)]
         for path in versions:
             path.write_bytes(csv_path.read_bytes())
@@ -289,7 +295,7 @@ class TestPlotting:
             assert texts[0].startswith("a&b<c")
 
     def test_deterministic_svg(self, tmp_path):
-        (csv_path,) = run_figure("fig3", fast_config(tmp_path))
+        csv_path = run_figure("fig3", fast_config(tmp_path))
         a = emit_plot(csv_path)[0].read_bytes()
         b = emit_plot(csv_path)[0].read_bytes()
         assert a == b
@@ -348,18 +354,23 @@ class TestCli:
         code = cli.main(["plot", str(bad)])
         self._assert_one_error_line(code, capsys, f"{bad}: no plot schema matches columns")
 
-    @pytest.mark.parametrize("rows, fragment", [
-        ("1,nan\n2,0.5\n", "non-finite value"),
-        ("1,0.5\n2,inf\n", "non-finite value"),
-        ("1,0.5\n2,0.5,7\n", "malformed rows"),
-        ("1,0.5\n2,x\n", "could not convert string to float: 'x'"),
-    ], ids=["nan", "inf", "ragged", "non-numeric"])
-    def test_plot_command_bad_csv(self, tmp_path, capsys, rows, fragment):
+    @pytest.mark.parametrize("header, rows, fragment", [
+        ("t,D", "1,nan\n2,0.5\n", "non-finite value"),
+        ("t,D", "1,0.5\n2,inf\n", "non-finite value"),
+        ("t,D", "1,0.5\n2,0.5,7\n", "malformed rows"),
+        ("t,D", "1,0.5\n2,x\n", "could not convert string to float: 'x'"),
+        # a heatmap's value columns name its SVGs: a '/' would leave the CSV's directory,
+        # a repeat would overwrite the first plot
+        ("t,p,a/b", "0,0,1\n1,0,0.5\n0,1,0.25\n1,1,0\n", "value columns"),
+        ("t,p,x,x", "0,0,1,1\n1,0,0.5,0.5\n0,1,0.25,0.25\n1,1,0,0\n", "value columns"),
+    ], ids=["nan", "inf", "ragged", "non-numeric", "slash", "repeat"])
+    def test_plot_command_bad_csv(self, tmp_path, capsys, header, rows, fragment):
         bad = tmp_path / "bad.csv"
-        bad.write_text("t,D\n" + rows)
+        bad.write_text(f"{header}\n{rows}")
+        (tmp_path / "bad_a").mkdir()
         code = cli.main(["plot", str(bad)])
         self._assert_one_error_line(code, capsys, f"{bad}: {fragment}")
-        assert list(tmp_path.glob("*.svg")) == []
+        assert list(tmp_path.rglob("*.svg")) == []
 
     def _assert_one_error_line(self, code, capsys, fragment):
         err = capsys.readouterr().err
